@@ -11,9 +11,9 @@
 // walks in flight) against the plain sequential walk, and cross-checks that
 // both routed every request identically (same total hops, same owners).
 //
-// Networks are built with MakeRingBulk/MakeCycloidBulk — identical converged
-// state to n sequential joins + StabilizeAll, without the O(n^2) per-join
-// stabilization cost — and report ApproxMemoryBytes per point plus the
+// Networks are built with MakeRing/MakeCycloid, whose bulk path gives the
+// converged state of n sequential joins + StabilizeAll without the O(n^2)
+// per-join stabilization cost, and report ApproxMemoryBytes per point plus the
 // process peak RSS at exit.
 //
 // Flags beyond the common set: --n=<nodes> runs a single point (CI smokes
@@ -180,7 +180,7 @@ int main(int argc, char** argv) {
     {
       chord::Config cfg;
       cfg.bits = BitsFor(n);
-      const auto ring = chord::MakeRingBulk(n, cfg, /*deterministic_ids=*/false);
+      const auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/false);
       const auto members = ring.Members();
       Rng rng(0xF165CA1Eull + n);
       std::vector<harness::BatchLookupEngine<chord::ChordRing>::Request> reqs;
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
       cfg.dimension = cycloid::DimensionFor(n);
       model.d = cfg.dimension;
       const std::size_t n_cyc = std::size_t{cfg.dimension} << cfg.dimension;
-      const auto net = cycloid::MakeCycloidBulk(n_cyc, cfg);
+      const auto net = cycloid::MakeCycloid(n_cyc, cfg);
       const auto members = net.Members();
       const unsigned d = net.dimension();
       Rng rng(0xF165C7C101Dull + n);

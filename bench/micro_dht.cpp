@@ -222,7 +222,7 @@ void BM_ChordLookupBatch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   chord::Config cfg;
   cfg.bits = 24;
-  auto ring = chord::MakeRingBulk(n, cfg, /*deterministic_ids=*/false);
+  auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/false);
   const auto members = ring.Members();
 
   const std::size_t kPool = 8192;

@@ -35,16 +35,15 @@ struct Fixture {
   }
 };
 
+/// The benchmark argument is an index into harness::AllSystems().
 SystemKind KindOf(std::int64_t arg) {
-  switch (arg) {
-    case 0:
-      return SystemKind::kLorm;
-    case 1:
-      return SystemKind::kMercury;
-    case 2:
-      return SystemKind::kSword;
-    default:
-      return SystemKind::kMaan;
+  return harness::AllSystems().at(static_cast<std::size_t>(arg));
+}
+
+/// One row per system of harness::AllSystems().
+void EverySystem(benchmark::internal::Benchmark* b) {
+  for (std::size_t i = 0; i < harness::AllSystems().size(); ++i) {
+    b->Arg(static_cast<std::int64_t>(i));
   }
 }
 
@@ -65,7 +64,7 @@ void BM_Advertise(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_Advertise)->DenseRange(0, 3);
+BENCHMARK(BM_Advertise)->Apply(EverySystem);
 
 void BM_PointQuery(benchmark::State& state) {
   Fixture f(KindOf(state.range(0)));
@@ -78,7 +77,7 @@ void BM_PointQuery(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_PointQuery)->DenseRange(0, 3);
+BENCHMARK(BM_PointQuery)->Apply(EverySystem);
 
 void BM_RangeQuery(benchmark::State& state) {
   Fixture f(KindOf(state.range(0)));
@@ -92,7 +91,7 @@ void BM_RangeQuery(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_RangeQuery)->DenseRange(0, 3);
+BENCHMARK(BM_RangeQuery)->Apply(EverySystem);
 
 void BM_RangeQueryPlanned(benchmark::State& state) {
   // BM_RangeQuery's exact workload with the selectivity planner on — the
@@ -108,7 +107,7 @@ void BM_RangeQueryPlanned(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_RangeQueryPlanned)->DenseRange(0, 3);
+BENCHMARK(BM_RangeQueryPlanned)->Apply(EverySystem);
 
 // ---- Per-phase costs -------------------------------------------------------
 // A range sub-query decomposes into route (DHT lookup), directory scan

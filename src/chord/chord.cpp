@@ -976,8 +976,10 @@ void ChordRing::CollapseSlabs() {
 ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
                    NodeAddr base_addr) {
   ChordRing ring(cfg);
+  const std::uint64_t space = std::uint64_t{1} << cfg.bits;
+  std::vector<std::pair<NodeAddr, Key>> members;
+  members.reserve(n);
   if (deterministic_ids) {
-    const std::uint64_t space = std::uint64_t{1} << cfg.bits;
     if (n > space) throw ConfigError("more nodes than identifiers");
     // Seed-derived rotation: rings built with different seeds place the same
     // addresses at different (still evenly spaced) positions. Without this,
@@ -988,32 +990,6 @@ ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
     for (std::size_t i = 0; i < n; ++i) {
       // Proportional placement floor(i * space / n): evenly spread over the
       // whole space even when space is not a multiple of n.
-      const auto id = static_cast<Key>(
-          (static_cast<unsigned __int128>(i) * space / n + offset) &
-          (space - 1));
-      ring.AddNodeWithId(static_cast<NodeAddr>(base_addr + i), id);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      ring.AddNode(static_cast<NodeAddr>(base_addr + i));
-    }
-  }
-  ring.StabilizeAll();
-  return ring;
-}
-
-ChordRing MakeRingBulk(std::size_t n, Config cfg, bool deterministic_ids,
-                       NodeAddr base_addr) {
-  ChordRing ring(cfg);
-  const std::uint64_t space = std::uint64_t{1} << cfg.bits;
-  std::vector<std::pair<NodeAddr, Key>> members;
-  members.reserve(n);
-  if (deterministic_ids) {
-    if (n > space) throw ConfigError("more nodes than identifiers");
-    // Same seed-derived rotation + proportional placement as MakeRing.
-    std::uint64_t st = cfg.seed;
-    const Key offset = SplitMix64(st) & (space - 1);
-    for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<Key>(
           (static_cast<unsigned __int128>(i) * space / n + offset) &
           (space - 1));

@@ -447,15 +447,15 @@ class ChordRing {
 /// Populates a ring with `n` nodes and addresses base..base+n-1.
 /// In deterministic mode, IDs are evenly spaced over the full space (with
 /// bits = ceil(log2 n) and n a power of two this is the paper's fully
-/// populated ring).
+/// populated ring); otherwise each ID is AddNode's hash of the address,
+/// salted on collision exactly as n sequential AddNode calls would.
+///
+/// Built through the O(n log n) bulk path (BulkAssign): the converged
+/// routing state of n sequential joins plus StabilizeAll, without per-join
+/// oracle splices. This is what lets the scale sweeps reach n = 10^6. The
+/// maintenance meter bills the closing stabilization round only, not n
+/// join messages.
 ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
                    NodeAddr base_addr = 0);
-
-/// MakeRing through the O(n log n) bulk path: same node IDs (the collision
-/// salting replays MakeRing's sequential stream) and the same converged
-/// routing state, built without per-join oracle splices or stabilization.
-/// This is what lets the scale sweeps reach n = 10^6.
-ChordRing MakeRingBulk(std::size_t n, Config cfg, bool deterministic_ids,
-                       NodeAddr base_addr = 0);
 
 }  // namespace lorm::chord

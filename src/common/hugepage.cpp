@@ -1,6 +1,7 @@
 #include "common/hugepage.hpp"
 
 #include <atomic>
+#include <new>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -19,6 +20,11 @@ constexpr std::size_t kHugeSize = std::size_t{2} << 20;  // 2 MiB
 // small test rings stay cheap.
 constexpr std::size_t kMapThreshold = std::size_t{256} << 10;
 
+// Small slabs still hold alignas(64) node headers: ::operator new(bytes)
+// only guarantees 16-byte alignment, so they take the aligned form (mmap
+// mappings are page-aligned already).
+constexpr std::align_val_t kSmallAlign{64};
+
 std::size_t RoundToHuge(std::size_t bytes) {
   if (bytes == 0) bytes = 1;
   return (bytes + kHugeSize - 1) & ~(kHugeSize - 1);
@@ -32,7 +38,7 @@ void* HugeAlloc(std::size_t bytes) {
 #if defined(__linux__)
   // HugeFree sees the same byte count, so the paths pair up
   // deterministically.
-  if (bytes < kMapThreshold) return ::operator new(bytes);
+  if (bytes < kMapThreshold) return ::operator new(bytes, kSmallAlign);
   const std::size_t len = RoundToHuge(bytes);
   void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
@@ -47,7 +53,7 @@ void* HugeAlloc(std::size_t bytes) {
   if (p != MAP_FAILED) return p;
   throw std::bad_alloc();
 #else
-  return ::operator new(bytes);
+  return ::operator new(bytes, kSmallAlign);
 #endif
 }
 
@@ -55,12 +61,12 @@ void HugeFree(void* p, std::size_t bytes) noexcept {
   if (p == nullptr) return;
 #if defined(__linux__)
   if (bytes < kMapThreshold) {
-    ::operator delete(p);
+    ::operator delete(p, kSmallAlign);
     return;
   }
   ::munmap(p, RoundToHuge(bytes));
 #else
-  ::operator delete(p);
+  ::operator delete(p, kSmallAlign);
   (void)bytes;
 #endif
 }

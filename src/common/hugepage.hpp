@@ -24,7 +24,9 @@ namespace lorm {
 
 /// Maps `bytes` (rounded up to the 2 MiB hugepage size) of zeroed memory,
 /// hugetlb-backed when the system pool allows, anonymous 4 KiB pages
-/// otherwise. Throws std::bad_alloc only if both mappings fail.
+/// otherwise. Throws std::bad_alloc only if both mappings fail. Requests
+/// below 256 KiB come from the ordinary allocator instead, 64-byte aligned
+/// (the slabs' alignas(64) node headers need it).
 void* HugeAlloc(std::size_t bytes);
 
 /// Releases a HugeAlloc mapping. `bytes` must be the original request.

@@ -730,27 +730,10 @@ CycloidNetwork MakeCycloid(std::size_t n, Config cfg, NodeAddr base_addr) {
   const std::uint64_t cap = net.capacity();
   if (n > cap) throw ConfigError("more nodes than cycloid capacity");
   if (n == 0) return net;
-  for (std::size_t i = 0; i < n; ++i) {
-    // Proportional placement over the d * 2^d positions (see MakeRing).
-    const auto pos = static_cast<std::uint64_t>(
-        static_cast<unsigned __int128>(i) * cap / n);
-    const CycloidId id{static_cast<unsigned>(pos % cfg.dimension),
-                       pos / cfg.dimension};
-    net.AddNodeWithId(static_cast<NodeAddr>(base_addr + i), id);
-  }
-  net.StabilizeAll();
-  return net;
-}
-
-CycloidNetwork MakeCycloidBulk(std::size_t n, Config cfg, NodeAddr base_addr) {
-  CycloidNetwork net(cfg);
-  const std::uint64_t cap = net.capacity();
-  if (n > cap) throw ConfigError("more nodes than cycloid capacity");
-  if (n == 0) return net;
   std::vector<std::pair<NodeAddr, CycloidId>> members;
   members.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // Same proportional placement as MakeCycloid.
+    // Proportional placement over the d * 2^d positions (see MakeRing).
     const auto pos = static_cast<std::uint64_t>(
         static_cast<unsigned __int128>(i) * cap / n);
     members.push_back({static_cast<NodeAddr>(base_addr + i),

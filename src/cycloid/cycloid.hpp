@@ -346,13 +346,13 @@ class CycloidNetwork {
 /// Evenly populates a Cycloid with `n` nodes (addresses base..base+n-1) over
 /// its d * 2^d positions. With n == capacity this is the paper's fully
 /// populated overlay.
+///
+/// Built through the bulk path (BulkAssign): the converged routing state of
+/// n sequential joins plus StabilizeAll, without per-join neighborhood
+/// repairs. This is what lets the scale sweeps reach n = 10^6. The
+/// maintenance meter bills the closing stabilization round only, not n
+/// join messages.
 CycloidNetwork MakeCycloid(std::size_t n, Config cfg, NodeAddr base_addr = 0);
-
-/// MakeCycloid through the bulk path: same proportional placement and the
-/// same converged routing state, built without per-join neighborhood
-/// repairs. This is what lets the scale sweeps reach n = 10^6.
-CycloidNetwork MakeCycloidBulk(std::size_t n, Config cfg,
-                               NodeAddr base_addr = 0);
 
 /// Smallest dimension whose capacity d * 2^d is >= n (for network-size sweeps).
 unsigned DimensionFor(std::size_t n);

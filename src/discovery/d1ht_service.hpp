@@ -15,118 +15,13 @@
 // the DHT design space.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "cache/result_cache.hpp"
-#include "common/hashing.hpp"
-#include "discovery/directory.hpp"
-#include "discovery/discovery.hpp"
-#include "discovery/replication.hpp"
-#include "discovery/selectivity.hpp"
-#include "discovery/visit_counter.hpp"
+#include "discovery/maan_service.hpp"
 #include "singlehop/singlehop.hpp"
 
 namespace lorm::discovery {
 
-class D1htService final : public DiscoveryService,
-                          private singlehop::MembershipObserver {
- public:
-  struct Config {
-    singlehop::Config ring;
-    bool deterministic_ids = true;
-    /// Copies of each record (1 = primary only; replicas go to the owner's
-    /// ring successors; both record kinds replicate).
-    std::size_t replicas = 1;
-    /// Serve repeated (attribute, range) sub-queries from a result cache,
-    /// invalidated on every membership/advertise/expiry event (`--cache`).
-    bool result_cache = false;
-    /// Selectivity-driven query planning (`--plan`), identical to MAAN's:
-    /// the most selective sub-query pays the full value-segment walk, later
-    /// sub-queries are answered at their attribute root alone.
-    bool plan = false;
-  };
-
-  /// Entry tags distinguishing the two record kinds (MAAN's layout).
-  static constexpr std::uint8_t kValueRecord = 0;
-  static constexpr std::uint8_t kAttributeRecord = 1;
-
-  D1htService(std::size_t n, const resource::AttributeRegistry& registry,
-              Config cfg);
-  ~D1htService() override;
-
-  D1htService(const D1htService&) = delete;
-  D1htService& operator=(const D1htService&) = delete;
-
-  std::string name() const override { return "D1HT"; }
-
-  bool JoinNode(NodeAddr addr) override;
-  void LeaveNode(NodeAddr addr) override;
-  void FailNode(NodeAddr addr) override;
-  bool HasNode(NodeAddr addr) const override { return ring_.Contains(addr); }
-  std::size_t NetworkSize() const override { return ring_.size(); }
-  std::vector<NodeAddr> Nodes() const override { return ring_.Members(); }
-  void Maintain() override { ring_.StabilizeAll(); }
-  std::uint64_t MaintenanceMessages() const override {
-    return ring_.maintenance().Total();
-  }
-  void SetEpoch(std::uint64_t epoch) override { epoch_ = epoch; }
-  std::uint64_t CurrentEpoch() const override { return epoch_; }
-  std::size_t ExpireEntriesBefore(std::uint64_t cutoff) override {
-    const std::size_t expired = store_.ExpireBefore(cutoff);
-    if (expired != 0) result_cache_.InvalidateAll();
-    return expired;
-  }
-
-  HopCount Advertise(const resource::ResourceInfo& info) override;
-  QueryResult Query(const resource::MultiQuery& q,
-                    QueryScratch& scratch) const override;
-  using DiscoveryService::Query;
-
-  std::vector<double> DirectorySizes() const override;
-  std::vector<double> QueryLoadCounts() const override;
-  void ResetQueryLoad() override { visit_counts_.Clear(); }
-  std::vector<double> OutlinkCounts() const override;
-  std::size_t TotalInfoPieces() const override;
-  ReplicationStats ReplicationWork() const override { return repl_.stats(); }
-
-  std::size_t WithdrawProvider(NodeAddr provider);
-
-  singlehop::Key AttributeKeyFor(AttrId attr) const;
-  singlehop::Key ValueKeyFor(AttrId attr, const resource::AttrValue& v) const;
-
-  const singlehop::SingleHopRing& overlay() const { return ring_; }
-  const SelectivityEstimator& selectivity() const { return selectivity_; }
-  const DirectoryStore<singlehop::Key>& directories() const { return store_; }
-
- private:
-  using Store = DirectoryStore<singlehop::Key>;
-
-  QueryResult QueryPlanned(const resource::MultiQuery& q,
-                           QueryScratch& scratch) const;
-
-  /// Unreplicated crash repair: re-synchronizes the attribute-keyed and
-  /// value-keyed record sets after a crash strands one twin (identical to
-  /// MAAN's reconciliation — the record layout is the same).
-  void ReconcileTwins(NodeAddr node);
-
-  void OnJoin(NodeAddr node, NodeAddr successor) override;
-  void OnLeave(NodeAddr node, NodeAddr successor) override;
-  void OnFail(NodeAddr node) override;
-
-  const resource::AttributeRegistry& registry_;
-  Config cfg_;
-  singlehop::SingleHopRing ring_;
-  /// Declared before store_ so the directories (whose destructor un-counts
-  /// entries from the estimator) die first.
-  SelectivityEstimator selectivity_;
-  Store store_;
-  std::vector<singlehop::Key> attr_key_;
-  std::vector<LocalityPreservingHash> lph_;
-  std::uint64_t epoch_ = 0;
-  ReplicationRecorder repl_{"D1HT"};
-  mutable VisitCounter visit_counts_;
-  mutable cache::ResultCache result_cache_;
-};
+/// MAAN's placement, planner and crash repair on the single-hop ring; a
+/// type distinct from MaanService, named "D1HT".
+using D1htService = BasicMaanService<singlehop::SingleHopRing>;
 
 }  // namespace lorm::discovery

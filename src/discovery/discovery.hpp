@@ -6,11 +6,14 @@
 //   MercuryService — m Chord rings, one per attribute
 //   SwordService   — one Chord ring, attribute-rooted directories
 //   MaanService    — one Chord ring, dual attribute/value placement
-//   D1htService    — one single-hop ring, MAAN's dual placement (the
+//   D1htService    — MAAN's placement template on one single-hop ring (the
 //                    maintenance-heavy end of the design space)
 //
 // All five expose identical advertise/query/membership operations so the
-// experiment harnesses and examples can drive them interchangeably.
+// experiment harnesses and examples can drive them interchangeably. They
+// share their directory state (directory_service.hpp) and one query
+// executor (query_executor.hpp); each contributes only its placement and
+// how one sub-query is routed, walked and probed.
 #pragma once
 
 #include <memory>
@@ -53,8 +56,9 @@ struct QueryResult {
 struct QueryScratch {
   chord::LookupResult chord;
   cycloid::LookupResult cycloid;
-  /// Planner buffers (`--plan` and the order-independent result-cache key);
-  /// unused — and never touched — on the classic path.
+  /// The executor's buffers: every query's ordinal ranges; the execution
+  /// order and incremental join with `--plan`; the order-independent
+  /// joined-cache key with `--cache`.
   PlanScratch plan;
 };
 

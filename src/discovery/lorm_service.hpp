@@ -23,18 +23,13 @@
 #include <string>
 #include <vector>
 
-#include "cache/result_cache.hpp"
 #include "common/hashing.hpp"
 #include "cycloid/cycloid.hpp"
-#include "discovery/directory.hpp"
-#include "discovery/discovery.hpp"
-#include "discovery/replication.hpp"
-#include "discovery/selectivity.hpp"
-#include "discovery/visit_counter.hpp"
+#include "discovery/directory_service.hpp"
 
 namespace lorm::discovery {
 
-class LormService final : public DiscoveryService,
+class LormService final : public DirectoryService<cycloid::CycloidId>,
                           private cycloid::MembershipObserver {
  public:
   struct Config {
@@ -66,8 +61,6 @@ class LormService final : public DiscoveryService,
   LormService(const LormService&) = delete;
   LormService& operator=(const LormService&) = delete;
 
-  std::string name() const override { return "LORM"; }
-
   bool JoinNode(NodeAddr addr) override;
   void LeaveNode(NodeAddr addr) override;
   void FailNode(NodeAddr addr) override;
@@ -78,44 +71,25 @@ class LormService final : public DiscoveryService,
   std::uint64_t MaintenanceMessages() const override {
     return net_.maintenance().Total();
   }
-  void SetEpoch(std::uint64_t epoch) override { epoch_ = epoch; }
-  std::uint64_t CurrentEpoch() const override { return epoch_; }
-  std::size_t ExpireEntriesBefore(std::uint64_t cutoff) override {
-    const std::size_t expired = store_.ExpireBefore(cutoff);
-    if (expired != 0) result_cache_.InvalidateAll();
-    return expired;
-  }
 
   HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
 
-  std::vector<double> DirectorySizes() const override;
-  std::vector<double> QueryLoadCounts() const override;
-  void ResetQueryLoad() override { visit_counts_.Clear(); }
   std::vector<double> OutlinkCounts() const override;
-  std::size_t TotalInfoPieces() const override;
-  ReplicationStats ReplicationWork() const override { return repl_.stats(); }
-
-  /// Eagerly removes every advertisement of `provider` (optional; queries
-  /// already filter dead providers — see DESIGN.md on soft state).
-  std::size_t WithdrawProvider(NodeAddr provider);
 
   /// The resource ID ⟨𝓗(π_a), H(a)⟩ of an (attribute, value) pair.
   cycloid::CycloidId KeyFor(AttrId attr, const resource::AttrValue& v) const;
 
   const cycloid::CycloidNetwork& overlay() const { return net_; }
-  const SelectivityEstimator& selectivity() const { return selectivity_; }
-  const DirectoryStore<cycloid::CycloidId>& directories() const {
-    return store_;
-  }
 
  private:
-  using Store = DirectoryStore<cycloid::CycloidId>;
-
-  QueryResult QueryPlanned(const resource::MultiQuery& q,
-                           QueryScratch& scratch) const;
+  /// Routes to the root of the range's lower endpoint and walks the small
+  /// cycle's successors over the range (the executor's ResolveSub).
+  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
+                  double lo, double hi, bool dominated, Matches& matches,
+                  QueryStats& stats, QueryScratch& scratch) const;
 
   /// Replicated handoff (replicas > 1): re-establishes, for every cluster
   /// resolving one of `cubicals`, the invariant that each surviving tuple
@@ -136,24 +110,9 @@ class LormService final : public DiscoveryService,
   std::uint64_t CubicalOf(AttrId attr) const;
   unsigned CyclicOf(AttrId attr, double ordinal) const;
 
-  const resource::AttributeRegistry& registry_;
   Config cfg_;
   cycloid::CycloidNetwork net_;
-  /// Declared before store_ so the directories (whose destructor un-counts
-  /// entries from the estimator) die first.
-  SelectivityEstimator selectivity_;
-  Store store_;
   std::vector<std::uint64_t> attr_cubical_;  // H(a) per attribute
-  std::uint64_t epoch_ = 0;
-  /// Handoff work done by the replication protocol (replicas > 1 only).
-  ReplicationRecorder repl_{"LORM"};
-  /// Visits absorbed per node (roots + walk probes); mutable because Query
-  /// is const, internally synchronized because the parallel experiment
-  /// engine replays queries from many threads.
-  mutable VisitCounter visit_counts_;
-  /// (attr, range) -> matches (cfg_.result_cache); mutable because Query is
-  /// const. Invalidated on every event that can change ground truth.
-  mutable cache::ResultCache result_cache_;
 };
 
 }  // namespace lorm::discovery

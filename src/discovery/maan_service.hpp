@@ -16,27 +16,56 @@
 // (the n/4-node average walk of Theorem 4.9). The doubled storage is
 // Theorem 4.2; the attribute piles give it the worst directory balance
 // together with SWORD (Theorem 4.6).
+//
+// The placement is a template over its ring: MaanService runs it on Chord,
+// D1htService (d1ht_service.hpp) on the single-hop ring. Both rings share
+// Chord's key space, so the directories, walks and replication protocol
+// are the same code.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "cache/result_cache.hpp"
 #include "chord/chord.hpp"
 #include "common/hashing.hpp"
-#include "discovery/directory.hpp"
-#include "discovery/discovery.hpp"
-#include "discovery/replication.hpp"
-#include "discovery/selectivity.hpp"
-#include "discovery/visit_counter.hpp"
+#include "discovery/directory_service.hpp"
+#include "singlehop/singlehop.hpp"
 
 namespace lorm::discovery {
 
-class MaanService final : public DiscoveryService,
-                          private chord::MembershipObserver {
+/// How MAAN's placement binds to one ring substrate: the ring's
+/// configuration, its builder and the system name it runs under.
+template <typename Ring>
+struct MaanSubstrate;
+
+template <>
+struct MaanSubstrate<chord::ChordRing> {
+  using Config = chord::Config;
+  static constexpr const char* kName = "MAAN";
+  static chord::ChordRing Make(std::size_t n, const Config& cfg,
+                               bool deterministic_ids) {
+    return chord::MakeRing(n, cfg, deterministic_ids);
+  }
+};
+
+template <>
+struct MaanSubstrate<singlehop::SingleHopRing> {
+  using Config = singlehop::Config;
+  static constexpr const char* kName = "D1HT";
+  static singlehop::SingleHopRing Make(std::size_t n, const Config& cfg,
+                                       bool deterministic_ids) {
+    return singlehop::MakeSingleHopRing(n, cfg, deterministic_ids);
+  }
+};
+
+/// MAAN's dual placement and query resolution over `Ring` (see the file
+/// comment); explicitly instantiated for the two rings in maan_service.cpp.
+template <typename Ring>
+class BasicMaanService final : public DirectoryService<chord::Key>,
+                               private chord::MembershipObserver {
  public:
   struct Config {
-    chord::Config ring;
+    typename MaanSubstrate<Ring>::Config ring;
     bool deterministic_ids = true;
     /// Copies of each record (1 = primary only; replicas go to the owner's
     /// ring successors; both record kinds replicate).
@@ -56,14 +85,12 @@ class MaanService final : public DiscoveryService,
   static constexpr std::uint8_t kValueRecord = 0;
   static constexpr std::uint8_t kAttributeRecord = 1;
 
-  MaanService(std::size_t n, const resource::AttributeRegistry& registry,
-              Config cfg);
-  ~MaanService() override;
+  BasicMaanService(std::size_t n, const resource::AttributeRegistry& registry,
+                   Config cfg);
+  ~BasicMaanService() override;
 
-  MaanService(const MaanService&) = delete;
-  MaanService& operator=(const MaanService&) = delete;
-
-  std::string name() const override { return "MAAN"; }
+  BasicMaanService(const BasicMaanService&) = delete;
+  BasicMaanService& operator=(const BasicMaanService&) = delete;
 
   bool JoinNode(NodeAddr addr) override;
   void LeaveNode(NodeAddr addr) override;
@@ -75,71 +102,49 @@ class MaanService final : public DiscoveryService,
   std::uint64_t MaintenanceMessages() const override {
     return ring_.maintenance().Total();
   }
-  void SetEpoch(std::uint64_t epoch) override { epoch_ = epoch; }
-  std::uint64_t CurrentEpoch() const override { return epoch_; }
-  std::size_t ExpireEntriesBefore(std::uint64_t cutoff) override {
-    const std::size_t expired = store_.ExpireBefore(cutoff);
-    if (expired != 0) result_cache_.InvalidateAll();
-    return expired;
-  }
 
   HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
 
-  std::vector<double> DirectorySizes() const override;
-  std::vector<double> QueryLoadCounts() const override;
-  void ResetQueryLoad() override { visit_counts_.Clear(); }
   std::vector<double> OutlinkCounts() const override;
-  std::size_t TotalInfoPieces() const override;
-  ReplicationStats ReplicationWork() const override { return repl_.stats(); }
-
-  std::size_t WithdrawProvider(NodeAddr provider);
 
   chord::Key AttributeKeyFor(AttrId attr) const;
   chord::Key ValueKeyFor(AttrId attr, const resource::AttrValue& v) const;
 
-  const chord::ChordRing& overlay() const { return ring_; }
-  const SelectivityEstimator& selectivity() const { return selectivity_; }
-  const DirectoryStore<chord::Key>& directories() const { return store_; }
+  const Ring& overlay() const { return ring_; }
 
  private:
-  using Store = DirectoryStore<chord::Key>;
-
-  QueryResult QueryPlanned(const resource::MultiQuery& q,
-                           QueryScratch& scratch) const;
+  /// Classic resolution: the attribute root, then the value root and the
+  /// system-wide value walk. A dominated sub-query (planned, not the most
+  /// selective) is answered from the attribute root's attribute records
+  /// alone. The executor's ResolveSub.
+  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
+                  double lo, double hi, bool dominated, Matches& matches,
+                  QueryStats& stats, QueryScratch& scratch) const;
 
   /// Unreplicated crash repair: a tuple's two records (attribute + value)
   /// live on different nodes, so a single crash kills one copy and strands
-  /// its twin. Re-synchronizes the two record sets so QueryPlanned (which
-  /// reads attribute records) and the classic path (value records) keep
-  /// agreeing after failures.
+  /// its twin. Re-synchronizes the two record sets so dominated sub-queries
+  /// (which read attribute records) and value walks keep agreeing after
+  /// failures.
   void ReconcileTwins(NodeAddr node);
 
   void OnJoin(NodeAddr node, NodeAddr successor) override;
   void OnLeave(NodeAddr node, NodeAddr successor) override;
   void OnFail(NodeAddr node) override;
 
-  const resource::AttributeRegistry& registry_;
   Config cfg_;
-  chord::ChordRing ring_;
-  /// Declared before store_ so the directories (whose destructor un-counts
-  /// entries from the estimator) die first.
-  SelectivityEstimator selectivity_;
-  Store store_;
+  Ring ring_;
   std::vector<chord::Key> attr_key_;
   std::vector<LocalityPreservingHash> lph_;
-  std::uint64_t epoch_ = 0;
-  /// Handoff work done by the replication protocol (replicas > 1 only).
-  ReplicationRecorder repl_{"MAAN"};
-  /// Visits absorbed per node (roots + walk probes); mutable because Query
-  /// is const, internally synchronized because the parallel experiment
-  /// engine replays queries from many threads.
-  mutable VisitCounter visit_counts_;
-  /// (attr, range) -> matches (cfg_.result_cache); mutable because Query is
-  /// const. Invalidated on every event that can change ground truth.
-  mutable cache::ResultCache result_cache_;
 };
+
+extern template class BasicMaanService<chord::ChordRing>;
+extern template class BasicMaanService<singlehop::SingleHopRing>;
+
+/// MAAN as the paper models it: the placement on one Chord ring.
+using MaanService = BasicMaanService<chord::ChordRing>;
 
 }  // namespace lorm::discovery

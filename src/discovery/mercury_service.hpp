@@ -17,18 +17,13 @@
 #include <string>
 #include <vector>
 
-#include "cache/result_cache.hpp"
 #include "chord/chord.hpp"
 #include "common/hashing.hpp"
-#include "discovery/directory.hpp"
-#include "discovery/discovery.hpp"
-#include "discovery/replication.hpp"
-#include "discovery/selectivity.hpp"
-#include "discovery/visit_counter.hpp"
+#include "discovery/directory_service.hpp"
 
 namespace lorm::discovery {
 
-class MercuryService final : public DiscoveryService {
+class MercuryService final : public DirectoryService<chord::Key> {
  public:
   struct Config {
     chord::Config ring;  ///< per-hub Chord parameters (bits sized to n)
@@ -55,8 +50,6 @@ class MercuryService final : public DiscoveryService {
   MercuryService(const MercuryService&) = delete;
   MercuryService& operator=(const MercuryService&) = delete;
 
-  std::string name() const override { return "Mercury"; }
-
   bool JoinNode(NodeAddr addr) override;
   void LeaveNode(NodeAddr addr) override;
   void FailNode(NodeAddr addr) override;
@@ -65,38 +58,24 @@ class MercuryService final : public DiscoveryService {
   std::vector<NodeAddr> Nodes() const override;
   void Maintain() override;
   std::uint64_t MaintenanceMessages() const override;
-  void SetEpoch(std::uint64_t epoch) override { epoch_ = epoch; }
-  std::uint64_t CurrentEpoch() const override { return epoch_; }
-  std::size_t ExpireEntriesBefore(std::uint64_t cutoff) override {
-    const std::size_t expired = store_.ExpireBefore(cutoff);
-    if (expired != 0) result_cache_.InvalidateAll();
-    return expired;
-  }
 
   HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
 
-  std::vector<double> DirectorySizes() const override;
-  std::vector<double> QueryLoadCounts() const override;
-  void ResetQueryLoad() override { visit_counts_.Clear(); }
   std::vector<double> OutlinkCounts() const override;
-  std::size_t TotalInfoPieces() const override;
-  ReplicationStats ReplicationWork() const override { return repl_.stats(); }
-
-  std::size_t WithdrawProvider(NodeAddr provider);
 
   chord::Key KeyFor(AttrId attr, const resource::AttrValue& v) const;
   const chord::ChordRing& hub(AttrId attr) const;
-  const SelectivityEstimator& selectivity() const { return selectivity_; }
-  const DirectoryStore<chord::Key>& directories() const { return store_; }
 
  private:
-  using Store = DirectoryStore<chord::Key>;
-
-  QueryResult QueryPlanned(const resource::MultiQuery& q,
-                           QueryScratch& scratch) const;
+  /// Routes to the root of the range's lower endpoint in the attribute's
+  /// hub and walks hub successors over the range (the executor's
+  /// ResolveSub).
+  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
+                  double lo, double hi, bool dominated, Matches& matches,
+                  QueryStats& stats, QueryScratch& scratch) const;
 
   /// Adapter wiring one hub's membership events back to the service.
   class HubObserver final : public chord::MembershipObserver {
@@ -115,26 +94,10 @@ class MercuryService final : public DiscoveryService {
   void HubLeave(AttrId attr, NodeAddr node, NodeAddr successor);
   void HubFail(AttrId attr, NodeAddr node);
 
-  const resource::AttributeRegistry& registry_;
   Config cfg_;
   std::vector<std::unique_ptr<chord::ChordRing>> hubs_;  // one per attribute
   std::vector<std::unique_ptr<HubObserver>> observers_;
   std::vector<LocalityPreservingHash> lph_;  // one per attribute
-  /// Declared before store_ so the directories (whose destructor un-counts
-  /// entries from the estimator) die first.
-  SelectivityEstimator selectivity_;
-  Store store_;
-  std::uint64_t epoch_ = 0;
-  /// Handoff work done by the replication protocol (replicas > 1 only),
-  /// summed over all hubs.
-  ReplicationRecorder repl_{"Mercury"};
-  /// Visits absorbed per node (roots + walk probes); mutable because Query
-  /// is const, internally synchronized because the parallel experiment
-  /// engine replays queries from many threads.
-  mutable VisitCounter visit_counts_;
-  /// (attr, range) -> matches (cfg_.result_cache); mutable because Query is
-  /// const. Invalidated on every event that can change ground truth.
-  mutable cache::ResultCache result_cache_;
 };
 
 }  // namespace lorm::discovery

@@ -1,5 +1,5 @@
-// Selectivity-driven multi-attribute query planning, shared by all four
-// discovery services (`--plan`).
+// Selectivity-driven multi-attribute query planning (`--plan`), run by the
+// query executor every discovery service shares (query_executor.hpp).
 //
 // The plan itself is trivial database machinery applied to the paper's
 // workload: estimate each sub-query's match count from the directory-fed

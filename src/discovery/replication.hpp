@@ -22,15 +22,17 @@
 //            detection; *routing* repair stays deferred to Maintain(), so
 //            the degraded-phase routing experiments are unchanged.
 //
-// Every handler is a no-op at replicas == 1 (the services keep their
-// legacy primary-only re-homing, byte-identical to the pre-replication
-// code). The `filter` predicate scopes the handoff to the entries a ring
-// is responsible for (Mercury: one attribute hub per ring; SWORD/MAAN:
-// everything). Entry `replica` labels are recomputed on every copy this
-// protocol performs, but copies sitting on untouched nodes may keep a
-// stale label after the group rotates — the label is a best-effort
-// diagnostic (replica_hits accounting); protocol decisions always derive
-// from oracle distance, never from labels.
+// Every handler is a no-op at replicas == 1. RingJoinHandoff and
+// RingLeaveHandoff at the end of this file pick the protocol at r > 1 and
+// the primary-only re-homing at r == 1 (byte-identical to the
+// pre-replication code) for every Chord-keyed service. The `filter`
+// predicate scopes the handoff to the entries a ring is responsible for
+// (Mercury: one attribute hub per ring; SWORD/MAAN: everything). Entry
+// `replica` labels are recomputed on every copy this protocol performs,
+// but copies sitting on untouched nodes may keep a stale label after the
+// group rotates — the label is a best-effort diagnostic (replica_hits
+// accounting); protocol decisions always derive from oracle distance,
+// never from labels.
 //
 // LORM replicates over cyclic cluster successors instead of a global ring;
 // its cluster-local rebuild lives in lorm_service.cpp.
@@ -254,6 +256,44 @@ void ChordReplicaFail(const Ring& ring,
     }
     rec.RecordMovedEvent(gained.size(), obs::FlightEventKind::kReplicaRepair,
                          node);
+  }
+}
+
+/// Ownership handoff when `node` joins ahead of `successor`: the join
+/// protocol above with replicas > 1; otherwise the joiner takes the
+/// primaries it now owns from its successor.
+template <typename Ring, typename Filter>
+void RingJoinHandoff(const Ring& ring, DirectoryStore<chord::Key>& store,
+                     std::size_t replicas, NodeAddr node, NodeAddr successor,
+                     ReplicationRecorder& rec, Filter&& filter) {
+  if (replicas > 1) {
+    ChordReplicaJoin(ring, store, replicas, node, rec, filter);
+    return;
+  }
+  if (node == successor) return;  // first node of the ring
+  auto moved = store.TakeIf(successor, [&](const auto& e) {
+    return e.replica == 0 && filter(e) && ring.Owns(node, e.key);
+  });
+  for (auto& e : moved) store.Insert(node, std::move(e));
+}
+
+/// Ownership handoff when `node` leaves gracefully: the leave protocol
+/// above with replicas > 1; otherwise its primaries move to `successor`
+/// (kNoNode: it was the last node, the information is lost) and its stray
+/// replicas are dropped for the next epoch to rebuild. The caller drops the
+/// node's emptied directory.
+template <typename Ring, typename Filter>
+void RingLeaveHandoff(const Ring& ring, DirectoryStore<chord::Key>& store,
+                      std::size_t replicas, NodeAddr node, NodeAddr successor,
+                      ReplicationRecorder& rec, Filter&& filter) {
+  if (replicas > 1) {
+    ChordReplicaLeave(ring, store, replicas, node, rec, filter);
+    return;
+  }
+  auto moved = store.TakeIf(node, filter);
+  if (successor == kNoNode) return;
+  for (auto& e : moved) {
+    if (e.replica == 0) store.Insert(successor, std::move(e));
   }
 }
 

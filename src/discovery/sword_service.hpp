@@ -13,18 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "cache/result_cache.hpp"
 #include "chord/chord.hpp"
 #include "common/hashing.hpp"
-#include "discovery/directory.hpp"
-#include "discovery/discovery.hpp"
-#include "discovery/replication.hpp"
-#include "discovery/selectivity.hpp"
-#include "discovery/visit_counter.hpp"
+#include "discovery/directory_service.hpp"
 
 namespace lorm::discovery {
 
-class SwordService final : public DiscoveryService,
+class SwordService final : public DirectoryService<chord::Key>,
                            private chord::MembershipObserver {
  public:
   struct Config {
@@ -50,8 +45,6 @@ class SwordService final : public DiscoveryService,
   SwordService(const SwordService&) = delete;
   SwordService& operator=(const SwordService&) = delete;
 
-  std::string name() const override { return "SWORD"; }
-
   bool JoinNode(NodeAddr addr) override;
   void LeaveNode(NodeAddr addr) override;
   void FailNode(NodeAddr addr) override;
@@ -62,63 +55,33 @@ class SwordService final : public DiscoveryService,
   std::uint64_t MaintenanceMessages() const override {
     return ring_.maintenance().Total();
   }
-  void SetEpoch(std::uint64_t epoch) override { epoch_ = epoch; }
-  std::uint64_t CurrentEpoch() const override { return epoch_; }
-  std::size_t ExpireEntriesBefore(std::uint64_t cutoff) override {
-    const std::size_t expired = store_.ExpireBefore(cutoff);
-    if (expired != 0) result_cache_.InvalidateAll();
-    return expired;
-  }
 
   HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
 
-  std::vector<double> DirectorySizes() const override;
-  std::vector<double> QueryLoadCounts() const override;
-  void ResetQueryLoad() override { visit_counts_.Clear(); }
   std::vector<double> OutlinkCounts() const override;
-  std::size_t TotalInfoPieces() const override;
-  ReplicationStats ReplicationWork() const override { return repl_.stats(); }
-
-  std::size_t WithdrawProvider(NodeAddr provider);
 
   /// The placement key of an attribute: H(attribute name).
   chord::Key KeyFor(AttrId attr) const;
 
   const chord::ChordRing& overlay() const { return ring_; }
-  const SelectivityEstimator& selectivity() const { return selectivity_; }
-  const DirectoryStore<chord::Key>& directories() const { return store_; }
 
  private:
-  using Store = DirectoryStore<chord::Key>;
-
-  QueryResult QueryPlanned(const resource::MultiQuery& q,
-                           QueryScratch& scratch) const;
+  /// Routes to the attribute root and scans its directory (the executor's
+  /// ResolveSub).
+  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
+                  double lo, double hi, bool dominated, Matches& matches,
+                  QueryStats& stats, QueryScratch& scratch) const;
 
   void OnJoin(NodeAddr node, NodeAddr successor) override;
   void OnLeave(NodeAddr node, NodeAddr successor) override;
   void OnFail(NodeAddr node) override;
 
-  const resource::AttributeRegistry& registry_;
   Config cfg_;
   chord::ChordRing ring_;
-  /// Declared before store_ so the directories (whose destructor un-counts
-  /// entries from the estimator) die first.
-  SelectivityEstimator selectivity_;
-  Store store_;
   std::vector<chord::Key> attr_key_;
-  std::uint64_t epoch_ = 0;
-  /// Handoff work done by the replication protocol (replicas > 1 only).
-  ReplicationRecorder repl_{"SWORD"};
-  /// Visits absorbed per node (roots + walk probes); mutable because Query
-  /// is const, internally synchronized because the parallel experiment
-  /// engine replays queries from many threads.
-  mutable VisitCounter visit_counts_;
-  /// (attr, range) -> matches (cfg_.result_cache); mutable because Query is
-  /// const. Invalidated on every event that can change ground truth.
-  mutable cache::ResultCache result_cache_;
 };
 
 }  // namespace lorm::discovery

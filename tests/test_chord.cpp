@@ -299,5 +299,58 @@ TEST(ChordRing, MakeRingRejectsOverfull) {
   EXPECT_THROW(MakeRing(17, cfg, true), ConfigError);
 }
 
+// MakeRing builds through BulkAssign; the result must be the ring that n
+// sequential joins plus one stabilization round converge to, in both ID
+// modes: same members and IDs (hashed mode replays AddNode's collision
+// salting), same links, and identical lookups.
+class ChordBulkBuild : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ChordBulkBuild, MatchesSequentialJoinsPlusStabilize) {
+  const bool deterministic = GetParam();
+  Config cfg = SmallCfg(deterministic ? 9 : 12);
+  cfg.seed = 0xB01Cu;
+  const std::size_t n = 300;
+  const ChordRing bulk = MakeRing(n, cfg, deterministic);
+
+  ChordRing seq(cfg);
+  for (NodeAddr addr = 0; addr < n; ++addr) {
+    if (deterministic) {
+      seq.AddNodeWithId(addr, bulk.IdOf(addr));
+    } else {
+      seq.AddNode(addr);
+    }
+  }
+  seq.StabilizeAll();
+
+  ASSERT_EQ(bulk.Members(), seq.Members());
+  for (const NodeAddr addr : seq.Members()) {
+    EXPECT_EQ(bulk.IdOf(addr), seq.IdOf(addr));
+    EXPECT_EQ(bulk.Successor(addr), seq.Successor(addr));
+    EXPECT_EQ(bulk.Predecessor(addr), seq.Predecessor(addr));
+    EXPECT_EQ(bulk.SuccessorListOf(addr), seq.SuccessorListOf(addr));
+    EXPECT_EQ(bulk.FingersOf(addr), seq.FingersOf(addr));
+    EXPECT_EQ(bulk.NeighborsOf(addr), seq.NeighborsOf(addr));
+    EXPECT_EQ(bulk.Outlinks(addr), seq.Outlinks(addr));
+  }
+  Rng rng(7);
+  LookupResult a;
+  LookupResult b;
+  for (int i = 0; i < 500; ++i) {
+    const Key key = rng.NextBelow(bulk.space());
+    const auto origin = static_cast<NodeAddr>(rng.NextBelow(n));
+    bulk.LookupInto(key, origin, a);
+    seq.LookupInto(key, origin, b);
+    ASSERT_EQ(a.ok, b.ok);
+    ASSERT_EQ(a.owner, b.owner);
+    ASSERT_EQ(a.hops, b.hops);
+    ASSERT_EQ(a.path, b.path);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(IdModes, ChordBulkBuild, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Deterministic" : "Hashed";
+                         });
+
 }  // namespace
 }  // namespace lorm::chord

@@ -297,5 +297,48 @@ TEST(CycloidNetwork, LookupFromUnknownOriginFails) {
   EXPECT_FALSE(net.Lookup({0, 0}, 999).ok);
 }
 
+// MakeCycloid builds through BulkAssign; the result must be the network
+// that the same joins plus one stabilization round converge to — on a
+// partially and a fully populated overlay.
+class CycloidBulkBuild : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CycloidBulkBuild, MatchesSequentialJoinsPlusStabilize) {
+  const Config cfg = Cfg(6);
+  const std::size_t n = GetParam();
+  const CycloidNetwork bulk = MakeCycloid(n, cfg);
+
+  CycloidNetwork seq(cfg);
+  for (NodeAddr addr = 0; addr < n; ++addr) {
+    seq.AddNodeWithId(addr, bulk.IdOf(addr));
+  }
+  seq.StabilizeAll();
+
+  ASSERT_EQ(bulk.Members(), seq.Members());
+  for (const NodeAddr addr : seq.Members()) {
+    EXPECT_EQ(bulk.IdOf(addr), seq.IdOf(addr));
+    EXPECT_EQ(bulk.InsideSuccessor(addr), seq.InsideSuccessor(addr));
+    EXPECT_EQ(bulk.InsidePredecessor(addr), seq.InsidePredecessor(addr));
+    EXPECT_EQ(bulk.NeighborsOf(addr), seq.NeighborsOf(addr));
+    EXPECT_EQ(bulk.Outlinks(addr), seq.Outlinks(addr));
+  }
+  Rng rng(11);
+  LookupResult a;
+  LookupResult b;
+  for (int i = 0; i < 500; ++i) {
+    const CycloidId key{static_cast<unsigned>(rng.NextBelow(cfg.dimension)),
+                        rng.NextBelow(bulk.cluster_space())};
+    const auto origin = static_cast<NodeAddr>(rng.NextBelow(n));
+    bulk.LookupInto(key, origin, a);
+    seq.LookupInto(key, origin, b);
+    ASSERT_EQ(a.ok, b.ok);
+    ASSERT_EQ(a.owner, b.owner);
+    ASSERT_EQ(a.hops, b.hops);
+    ASSERT_EQ(a.path, b.path);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Occupancy, CycloidBulkBuild,
+                         ::testing::Values(std::size_t{300}, std::size_t{384}));
+
 }  // namespace
 }  // namespace lorm::cycloid

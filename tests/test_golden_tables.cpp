@@ -14,7 +14,10 @@
 // (and say so in the PR — the figures change with it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iomanip>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,6 +26,7 @@
 #include "common/sha1.hpp"
 #include "harness/experiments.hpp"
 #include "harness/setup.hpp"
+#include "obs/trace.hpp"
 #include "resource/workload.hpp"
 
 namespace lorm {
@@ -143,6 +147,201 @@ TEST(GoldenTables, Fig4aSweepIsJobsIndependent) {
   EXPECT_EQ(SweepSerialization({harness::SystemKind::kLorm}, false, 1),
             SweepSerialization({harness::SystemKind::kLorm}, false, 2));
 }
+
+// ---- Per-query executor golden ---------------------------------------------
+//
+// The sweep hashes above fold each sweep into totals of hops, visited nodes
+// and failures, so a reordered probe, a moved sub_costs entry or a lost
+// trace field would not move them. This golden pins everything one Query()
+// returns or traces, query by query: the providers, every sub-query's
+// matches, every QueryStats field (sub_costs and replica_hits included) and
+// the JSON trace line with its wall-time fields zeroed. It covers every
+// system x plan {off, on} x cache {off, on} at Setup::Quick() over a fixed
+// query mix, plus cache-on legs at replicas 1 and 3 replayed after a fixed
+// sequence of graceful leaves, joins, crashes, a Maintain and further
+// crashes (handoff, replica reads, failed walks and MAAN's crash-time twin
+// reconciliation). The constants were computed on the per-service query
+// loops that the shared executor (discovery/query_executor.hpp) replaced.
+
+/// Exact text of an attribute value (numbers at round-trip precision).
+std::string ValueText(const resource::AttrValue& v) {
+  if (v.kind() == resource::ValueKind::kText) return v.text();
+  std::ostringstream os;
+  os << std::setprecision(17) << v.num();
+  return os.str();
+}
+
+void AppendResult(std::ostream& out, const discovery::QueryResult& r) {
+  out << "providers=";
+  for (const NodeAddr p : r.providers) out << p << ' ';
+  for (std::size_t i = 0; i < r.per_sub.size(); ++i) {
+    out << "\nsub" << i << '=';
+    for (const auto& info : r.per_sub[i]) {
+      out << info.attr << ':' << ValueText(info.value) << '@' << info.provider
+          << ' ';
+    }
+  }
+  const discovery::QueryStats& s = r.stats;
+  out << "\nlookups=" << s.lookups << ",hops=" << s.dht_hops
+      << ",visited=" << s.visited_nodes << ",walk=" << s.walk_steps
+      << ",replica_hits=" << s.replica_hits << ",failed=" << s.failed
+      << ",sub_costs=";
+  for (const HopCount c : s.sub_costs) out << c << ' ';
+  out << '\n';
+}
+
+/// The fixed query mix: random 1- and 3-attribute point queries (whose
+/// values almost never match), 1- and 3-attribute point queries built from
+/// one provider's advertised tuples (which do), 2-attribute bounded ranges,
+/// each range reversed (a joined-cache hit in another sub order) and its
+/// first sub-query alone (a per-sub cache hit). Requesters are drawn from
+/// `members`.
+std::vector<resource::MultiQuery> ExecutorQueryMix(
+    const resource::Workload& workload,
+    const std::vector<resource::ResourceInfo>& infos,
+    const std::vector<NodeAddr>& members) {
+  std::map<NodeAddr, std::vector<resource::ResourceInfo>> by_provider;
+  for (const auto& info : infos) by_provider[info.provider].push_back(info);
+
+  Rng rng(0xE7EC);
+  std::vector<resource::MultiQuery> qs;
+  for (int round = 0; round < 4; ++round) {
+    const NodeAddr requester = members[rng.NextBelow(members.size())];
+    qs.push_back(workload.MakePointQuery(1, requester, rng));
+    qs.push_back(workload.MakePointQuery(3, requester, rng));
+
+    const NodeAddr provider = infos[rng.NextBelow(infos.size())].provider;
+    resource::MultiQuery matching;
+    matching.requester = requester;
+    for (const auto& info : by_provider[provider]) {
+      const bool seen = std::any_of(
+          matching.subs.begin(), matching.subs.end(),
+          [&](const resource::SubQuery& s) { return s.attr == info.attr; });
+      if (seen) continue;
+      matching.subs.push_back(
+          {info.attr, resource::ValueRange::Point(info.value)});
+      if (matching.subs.size() == 3) break;
+    }
+    qs.push_back(matching);
+    matching.subs.resize(1);
+    qs.push_back(matching);
+
+    resource::MultiQuery range = workload.MakeRangeQuery(
+        2, requester, resource::RangeStyle::kBounded, rng);
+    qs.push_back(range);
+    std::reverse(range.subs.begin(), range.subs.end());
+    qs.push_back(range);
+    range.subs.resize(1);
+    qs.push_back(range);
+  }
+  return qs;
+}
+
+struct ExecutorLeg {
+  bool plan = false;
+  bool cache = false;
+  std::size_t replicas = 1;
+  bool churn = false;
+};
+
+/// Builds one leg's service, replays the query mix twice (the second pass
+/// hits the caches) and serializes every result and trace.
+void AppendExecutorLeg(std::ostream& out, harness::SystemKind kind,
+                       const ExecutorLeg& leg) {
+  harness::Setup setup = harness::Setup::Quick();
+  setup.plan = leg.plan;
+  setup.cache = leg.cache;
+  setup.replicas = leg.replicas;
+  const resource::Workload workload(setup.MakeWorkloadConfig());
+  auto service = harness::MakeService(kind, setup, workload.registry());
+  std::vector<NodeAddr> providers;
+  for (std::size_t i = 0; i < setup.nodes; ++i) {
+    providers.push_back(static_cast<NodeAddr>(i));
+  }
+  Rng rng(setup.seed ^ 0xBEEF);
+  const auto infos = workload.GenerateInfos(providers, rng);
+  harness::AdvertiseAll(*service, infos);
+  if (leg.churn) {
+    for (const NodeAddr a : {5u, 77u, 160u}) service->LeaveNode(a);
+    for (const NodeAddr a : {1000u, 1001u}) ASSERT_TRUE(service->JoinNode(a));
+    for (const NodeAddr a : {12u, 13u, 201u, 202u, 333u}) service->FailNode(a);
+    service->Maintain();
+    // Crashes after the last maintenance round leave stale links behind,
+    // so some lookups skip dead links and some walks fail.
+    for (NodeAddr a = 3; a < setup.nodes; a += 16) {
+      if (service->HasNode(a)) service->FailNode(a);
+    }
+  }
+
+  const auto queries = ExecutorQueryMix(workload, infos, service->Nodes());
+  obs::MemoryTraceSink sink;
+  obs::SetGlobalTraceSink(&sink);
+  discovery::QueryScratch scratch;  // reused, as the replay workers do
+  std::uint64_t id = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& q : queries) {
+      discovery::QueryResult r;
+      {
+        const obs::QueryTraceScope scope(service->name(), id++);
+        r = service->Query(q, scratch);
+      }
+      AppendResult(out, r);
+    }
+  }
+  obs::SetGlobalTraceSink(nullptr);
+  for (obs::QueryTrace& t : sink.Take()) {
+    t.duration_ns = 0;
+    for (auto& sub : t.subs) {
+      for (auto& l : sub.lookups) l.duration_ns = 0;
+    }
+    obs::JsonLinesTraceSink::WriteJson(out, t);
+    out << '\n';
+  }
+  out << "load=";
+  for (const double v : service->QueryLoadCounts()) out << v << ' ';
+  out << '\n';
+}
+
+std::string ExecutorSerialization(harness::SystemKind kind) {
+  std::ostringstream out;
+  for (const bool plan : {false, true}) {
+    for (const bool cache : {false, true}) {
+      out << "plan=" << plan << ",cache=" << cache << '\n';
+      AppendExecutorLeg(out, kind, {plan, cache, 1, false});
+    }
+  }
+  for (const std::size_t replicas : {1u, 3u}) {
+    for (const bool plan : {false, true}) {
+      out << "churn,replicas=" << replicas << ",plan=" << plan << '\n';
+      AppendExecutorLeg(out, kind, {plan, true, replicas, true});
+    }
+  }
+  return out.str();
+}
+
+class ExecutorGolden : public ::testing::TestWithParam<harness::SystemKind> {};
+
+TEST_P(ExecutorGolden, EveryResultAndTraceMatchesCommittedHash) {
+  static const std::map<harness::SystemKind, const char*> kGolden{
+      {harness::SystemKind::kLorm,
+       "ce16475e6ab6d887d5163f664c72e5a04b440d4b"},
+      {harness::SystemKind::kMercury,
+       "8d8a1ad1b280abc0a8e1d911a756334810af159e"},
+      {harness::SystemKind::kSword,
+       "737ea0e7b30a3d079a37a81f3be65b2a99b76b25"},
+      {harness::SystemKind::kMaan,
+       "7093b4140bac89b35496d79301ad5e5ff814db7c"},
+      {harness::SystemKind::kD1ht,
+       "2064d0b3dfe93541e8bf9dbc1b511fa89a11dc29"},
+  };
+  ExpectGolden(kGolden.at(GetParam()), ExecutorSerialization(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSystems, ExecutorGolden,
+                         ::testing::ValuesIn(harness::AllSystems()),
+                         [](const auto& info) {
+                           return std::string(harness::SystemName(info.param));
+                         });
 
 }  // namespace
 }  // namespace lorm

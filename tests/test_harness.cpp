@@ -3,6 +3,7 @@
 
 #include <sstream>
 
+#include "common/error.hpp"
 #include "harness/churn.hpp"
 #include "harness/experiments.hpp"
 #include "harness/setup.hpp"
@@ -43,6 +44,25 @@ TEST(SetupTest, FactoryBuildsEverySystem) {
     EXPECT_EQ(svc->name(), SystemName(kind));
     EXPECT_TRUE(svc->HasNode(0));
     EXPECT_FALSE(svc->HasNode(static_cast<NodeAddr>(s.nodes)));
+  }
+}
+
+// The executor checks the requester once, before any sub-query runs, so
+// every system rejects a non-member requester — with or without
+// sub-queries — and a non-member provider's advertisement.
+TEST(ServiceGuards, EverySystemRejectsNonMemberRequesterAndProvider) {
+  for (const SystemKind kind : RegisteredSystems()) {
+    SCOPED_TRACE(SystemName(kind));
+    auto bed = testutil::MakeBed(kind);
+    resource::MultiQuery q;
+    q.requester = 999999;
+    EXPECT_THROW(bed.service->Query(q), InvariantError);
+    q.subs.push_back(
+        {0, resource::ValueRange::Point(resource::AttrValue::Number(5))});
+    EXPECT_THROW(bed.service->Query(q), InvariantError);
+    const resource::ResourceInfo info{0, resource::AttrValue::Number(5),
+                                      999999};
+    EXPECT_THROW(bed.service->Advertise(info), InvariantError);
   }
 }
 

@@ -204,15 +204,5 @@ TEST(LormConfig, CdfEqualizedPlacementBalancesParetoValues) {
   EXPECT_GT(MakeWithCdf(true), MakeWithCdf(false));
 }
 
-TEST(LormGuards, RejectsNonMemberRequesterAndProvider) {
-  auto bed = MakeBed(SystemKind::kLorm);
-  MultiQuery q;
-  q.requester = 999999;
-  q.subs.push_back({0, resource::ValueRange::Point(AttrValue::Number(5))});
-  EXPECT_THROW(bed.service->Query(q), InvariantError);
-  resource::ResourceInfo info{0, AttrValue::Number(5), 999999};
-  EXPECT_THROW(bed.service->Advertise(info), InvariantError);
-}
-
 }  // namespace
 }  // namespace lorm::discovery
