@@ -3,7 +3,8 @@
 // services (a join, a leave, a crash and an epoch expiry each force a
 // re-lookup — never a stale answer), and the golden-equivalence guarantee
 // that --cache on/off produce identical QueryResults on the quick
-// fig4a/fig5a workloads.
+// fig4a/fig5a workloads; a failed sub-query is never cached, even after an
+// earlier one of the same query failed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -278,6 +279,67 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SystemKind::kLorm, SystemKind::kMercury,
                       SystemKind::kSword, SystemKind::kMaan),
     [](const auto& info) { return std::string(SystemName(info.param)); });
+
+// ---- Failed sub-queries are never cached ----------------------------------
+
+TEST(ResultCacheFailures, NoFailedSubQueryIsCachedEvenAfterAnEarlierFailure) {
+  // Crashes with no Maintain leave LORM's Cycloid links pointing at dead
+  // nodes, so some lookups reach a routing dead end and fail (replicas = 1).
+  // In a query whose two sub-queries both fail to route, the second failure
+  // must not be cached either: later queries would get its empty answer at
+  // no cost, marked successful, until the next invalidation — and Maintain
+  // repairs the links without invalidating.
+  auto setup = harness::Setup::Quick();
+  auto off = MakeBed(SystemKind::kLorm, setup);
+  setup.cache = true;
+  auto on = MakeBed(SystemKind::kLorm, setup);
+  for (NodeAddr a = 0; a < setup.nodes; a += 3) {
+    off.service->FailNode(a);
+    on.service->FailNode(a);
+  }
+  const auto alone = [](resource::MultiQuery q, std::size_t i) {
+    q.subs = {q.subs[i]};
+    return q;
+  };
+  // A failed route probes no directory; a truncated walk probes its root.
+  const auto fails_to_route = [&](const resource::MultiQuery& query) {
+    const auto r = off.service->Query(query);
+    return r.stats.failed && r.stats.visited_nodes == 0;
+  };
+  Rng rng(67);
+  resource::MultiQuery q;
+  bool found = false;
+  for (int tries = 0; tries < 100 && !found; ++tries) {
+    q = off.workload->MakeRangeQuery(2, /*requester=*/1, RangeStyle::kFullSpan,
+                                     rng);
+    found = fails_to_route(alone(q, 0)) && fails_to_route(alone(q, 1));
+  }
+  ASSERT_TRUE(found) << "no query whose two sub-queries both fail to route";
+  ASSERT_TRUE(on.service->Query(q).stats.failed);
+
+  // Repeating the query, or asking either sub-query alone, resolves it again
+  // (as many lookups as without the cache) and fails again.
+  for (const auto& query : {q, alone(q, 0), alone(q, 1)}) {
+    const auto r_on = on.service->Query(query);
+    const auto r_off = off.service->Query(query);
+    EXPECT_TRUE(r_on.stats.failed);
+    EXPECT_EQ(r_on.stats.lookups, r_off.stats.lookups);
+    EXPECT_EQ(r_on.per_sub, r_off.per_sub);
+  }
+
+  // Once Maintain has repaired the links, both sub-queries resolve and find
+  // matches.
+  off.service->Maintain();
+  on.service->Maintain();
+  for (const auto& query : {q, alone(q, 0), alone(q, 1)}) {
+    const auto r_on = on.service->Query(query);
+    const auto r_off = off.service->Query(query);
+    EXPECT_FALSE(r_on.stats.failed);
+    for (const auto& matches : r_off.per_sub) EXPECT_FALSE(matches.empty());
+    EXPECT_EQ(r_on.per_sub, r_off.per_sub);
+    EXPECT_EQ(r_on.providers, r_off.providers);
+  }
+}
 
 }  // namespace
 }  // namespace lorm
