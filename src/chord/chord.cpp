@@ -236,12 +236,16 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
   self.predecessor = pred;
   s.predecessor = MakeLink(self_slot);
   if (pred.addr != kNoNode && pred.addr != addr) {
+    // A crashed, not-yet-repaired predecessor has no successor link to
+    // splice: the joiner keeps the stale link, which OwnsNode resolves to the
+    // closest live predecessor until the next StabilizeAll repairs both.
     const Slot pred_slot = ResolveLink(pred);
-    LORM_CHECK_MSG(pred_slot != kNoSlot, "unknown chord node");
-    Node& p = slots_[pred_slot];
-    SlotSuccessors(pred_slot)[0] = MakeLink(self_slot);
-    if (p.succ_count == 0) p.succ_count = 1;
-    SyncSucc0(p);
+    if (pred_slot != kNoSlot) {
+      Node& p = slots_[pred_slot];
+      SlotSuccessors(pred_slot)[0] = MakeLink(self_slot);
+      if (p.succ_count == 0) p.succ_count = 1;
+      SyncSucc0(p);
+    }
   }
   for (auto* obs : observers_) obs->OnJoin(addr, succ);
 }
@@ -291,11 +295,13 @@ void ChordRing::RemoveNode(NodeAddr addr) {
     Node& s = slots_[succ_slot];
     if (pred.addr != kNoNode && pred.addr != addr) {
       s.predecessor = pred;
+      // A crashed predecessor has nothing to splice (see AddNodeWithId).
       const Slot pred_slot = ResolveLink(pred);
-      LORM_CHECK_MSG(pred_slot != kNoSlot, "unknown chord node");
-      Node& p = slots_[pred_slot];
-      if (p.succ_count != 0 && SlotSuccessors(pred_slot)[0].addr == addr) {
-        SlotSuccessors(pred_slot)[0] = MakeLink(succ_slot);
+      if (pred_slot != kNoSlot) {
+        Node& p = slots_[pred_slot];
+        if (p.succ_count != 0 && SlotSuccessors(pred_slot)[0].addr == addr) {
+          SlotSuccessors(pred_slot)[0] = MakeLink(succ_slot);
+        }
       }
     } else {
       s.predecessor = MakeLink(succ_slot);  // degenerate two-node case

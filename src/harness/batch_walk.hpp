@@ -2,20 +2,20 @@
 //
 // The range-walk counterpart of BatchLookupEngine (batch_lookup.hpp): a
 // range sub-query's successor walk is a pointer chase too — visit a node,
-// scan its directory bucket, hop to its ring successor — and each
-// directory-bucket scan misses cold cache lines that a single walk cannot
+// scan its directory, hop to its ring successor — and each
+// directory scan misses cold cache lines that a single walk cannot
 // hide, because visit t+1's node depends on visit t's successor link.
 //
 // B *independent* walks can hide them. The engine keeps up to `batch` walks
 // in flight over one Chord ring and advances them round-robin, one visit per
 // turn:
 //
-//   visit      the caller scans the current node's directory bucket
+//   visit      the caller scans the current node's directory
 //   advance    one WalkAdvance (coverage test + successor hop)
-//   prefetch   the caller warms the *next* node's bucket (e.g.
+//   prefetch   the caller warms the *next* node's directory (e.g.
 //              Directory::PrefetchMatch) while other lanes execute
 //
-// While walk i's bucket scan waits for DRAM, walks i+1..i+B-1 run their
+// While walk i's directory scan waits for DRAM, walks i+1..i+B-1 run their
 // visits — the misses of B walks overlap instead of queuing. Everything
 // rides on the resumable WalkBegin/WalkAdvance/WalkFinish state machine
 // (discovery/ring_walk.hpp); the engine adds no walk logic of its own.

@@ -1,7 +1,8 @@
 // Concurrency regression for the directory layer: parallel replay workers
 // read directories (ForEachMatch triggers the lazy MergePending) while other
 // workers poll size()/TotalEntries(). Run under ThreadSanitizer in CI, this
-// pins the atomic size_ fix and the merge guard.
+// pins the atomic size_ fix, the merge guard and the presence word the merge
+// publishes.
 #include "discovery/directory.hpp"
 
 #include <atomic>
@@ -94,6 +95,58 @@ TEST(DirectoryConcurrency, MergedSteadyStateReadsStayConsistent) {
     EXPECT_EQ(seen.load(), 4u * inserted);
     EXPECT_EQ(dir.size(), inserted);
   }
+}
+
+TEST(DirectoryConcurrency, StoreReadersRaceOnFirstMerge) {
+  // Every directory holds attributes 0 and 5. Attribute 64 is absent but
+  // shares attribute 0's presence bit; attribute 1 is absent with its bit
+  // clear. No directory has been read, so the first readers of each race
+  // on the merge that publishes both its sorted run and its presence word.
+  constexpr NodeAddr kOwners = 16;
+  constexpr int kEntriesPerAttr = 64;
+  constexpr int kThreads = 8;
+  DirectoryStore<std::uint64_t> store;
+  for (NodeAddr owner = 0; owner < kOwners; ++owner) {
+    for (int i = 0; i < kEntriesPerAttr; ++i) {
+      store.Insert(owner, MakeEntry(0, static_cast<double>(i), owner));
+      store.Insert(owner, MakeEntry(5, static_cast<double>(i), owner));
+    }
+  }
+
+  constexpr AttrId kAttrs[] = {0, 5, 64, 1};
+  std::atomic<std::uint64_t> present_matches{0};
+  std::atomic<std::uint64_t> absent_matches{0};
+  std::atomic<bool> missing{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (NodeAddr k = 0; k < kOwners; ++k) {
+        // Threads start on different owners and meet on every directory.
+        const NodeAddr owner = (k + static_cast<NodeAddr>(t)) % kOwners;
+        const auto* dir = store.Find(owner);
+        if (dir == nullptr || store.Find(kOwners + owner) != nullptr) {
+          missing.store(true);
+          continue;
+        }
+        for (const AttrId attr : kAttrs) {
+          std::uint64_t n = 0;
+          dir->ForEachMatch(attr, 16.0, 47.0, [&](const auto& e) {
+            n += e.info.attr == attr && e.info.provider == owner;
+          });
+          (attr == 0 || attr == 5 ? present_matches : absent_matches)
+              .fetch_add(n);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_FALSE(missing.load());
+  // 32 in-range ordinals per (thread, owner, present attribute).
+  EXPECT_EQ(present_matches.load(),
+            std::uint64_t{kThreads} * kOwners * 2 * 32);
+  EXPECT_EQ(absent_matches.load(), 0u);
+  EXPECT_EQ(store.TotalEntries(), std::size_t{kOwners} * 2 * kEntriesPerAttr);
 }
 
 TEST(VisitCounterConcurrency, ShardedRecordsSumExactly) {

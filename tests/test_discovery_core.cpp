@@ -1,6 +1,12 @@
 // Discovery-core tests: per-node directories and the provider join.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "discovery/directory.hpp"
 #include "discovery/join.hpp"
 
@@ -102,6 +108,144 @@ TEST(DirectoryStoreTest, PerOwnerBookkeeping) {
   EXPECT_EQ(store.TotalEntries(), 1u);
   EXPECT_EQ(store.EraseProviderEverywhere(12), 1u);
   EXPECT_EQ(store.TotalEntries(), 0u);
+}
+
+TEST(DirectoryTest, IterationIsAttrOrdinalInsertionOrder) {
+  // Interleaved attributes with repeated ordinals, in three insert batches
+  // merged by three different reads. `key` numbers the inserts.
+  const std::vector<std::pair<AttrId, double>> batches[] = {
+      {{2, 5.0}, {0, 3.0}, {1, 5.0}, {0, 1.0}, {2, 5.0}, {0, 3.0}},
+      {{1, 5.0}, {0, 3.0}, {2, 1.0}, {0, 2.0}, {2, 5.0}},
+      {{0, 3.0}, {1, 0.5}, {2, 5.0}, {1, 5.0}}};
+  Directory<std::uint64_t> dir;
+  std::vector<Directory<std::uint64_t>::Entry> inserted;
+  const auto insert_batch = [&](const auto& batch) {
+    for (const auto& [attr, ordinal] : batch) {
+      inserted.push_back(E(attr, ordinal, 10, inserted.size()));
+      dir.Insert(inserted.back());
+    }
+  };
+  // Reference order: a stable sort of the insert sequence.
+  const auto expected_keys = [&] {
+    auto ref = inserted;
+    std::stable_sort(ref.begin(), ref.end(), [](const auto& x, const auto& y) {
+      return std::pair(x.info.attr, x.ordinal) <
+             std::pair(y.info.attr, y.ordinal);
+    });
+    std::vector<std::uint64_t> keys;
+    for (const auto& e : ref) keys.push_back(e.key);
+    return keys;
+  };
+  const auto keys_of = [](const auto& entries) {
+    std::vector<std::uint64_t> keys;
+    for (const auto& e : entries) keys.push_back(e.key);
+    return keys;
+  };
+
+  insert_batch(batches[0]);
+  dir.ForEachMatch(0, 0.0, 10.0, [](const auto&) {});  // first merge
+  insert_batch(batches[1]);
+  std::vector<Directory<std::uint64_t>::Entry> seen;
+  dir.ForEach([&](const auto& e) { seen.push_back(e); });  // second merge
+  EXPECT_EQ(keys_of(seen), expected_keys());
+
+  insert_batch(batches[2]);
+  EXPECT_EQ(keys_of(dir.TakeAll()), expected_keys());  // third merge
+  EXPECT_TRUE(dir.empty());
+}
+
+TEST(DirectoryTest, PresenceWordAliasNeverChangesAnswer) {
+  // Attributes 3 and 67 share presence bit 3; attribute 4's bit is clear.
+  Directory<std::uint64_t> dir;
+  const auto providers = [&](AttrId attr) {
+    std::vector<NodeAddr> out;
+    dir.ForEachMatch(attr, 0.0, 10.0,
+                     [&](const auto& e) { out.push_back(e.info.provider); });
+    return out;
+  };
+  dir.Insert(E(67, 1.0, 10));
+  dir.Insert(E(67, 2.0, 11));
+  EXPECT_TRUE(providers(3).empty());
+  EXPECT_EQ(providers(67), (std::vector<NodeAddr>{10, 11}));
+  EXPECT_TRUE(providers(4).empty());
+
+  dir.Insert(E(3, 1.5, 12));
+  EXPECT_EQ(providers(3), (std::vector<NodeAddr>{12}));
+  EXPECT_EQ(providers(67), (std::vector<NodeAddr>{10, 11}));
+
+  EXPECT_EQ(dir.EraseIf([](const auto& e) { return e.info.attr == 67; }), 2u);
+  EXPECT_TRUE(providers(67).empty());
+  EXPECT_EQ(providers(3), (std::vector<NodeAddr>{12}));
+  EXPECT_EQ(dir.EraseProvider(12), 1u);
+  EXPECT_TRUE(providers(3).empty());
+}
+
+TEST(DirectoryStoreTest, DropAndTakeAllLeaveOtherDirectoriesInPlace) {
+  using Store = DirectoryStore<std::uint64_t>;
+  Store store;
+  for (NodeAddr owner = 1; owner <= 8; ++owner) {
+    for (NodeAddr i = 0; i < owner; ++i) {
+      store.Insert(owner, E(i % 3, static_cast<double>(i), owner * 100 + i));
+    }
+  }
+  const auto contents = [&](NodeAddr owner) {
+    std::vector<NodeAddr> out;
+    store.Find(owner)->ForEach(
+        [&](const auto& e) { out.push_back(e.info.provider); });
+    return out;
+  };
+  std::map<NodeAddr, const Store::Dir*> where;
+  std::map<NodeAddr, std::vector<NodeAddr>> before;
+  for (NodeAddr owner = 1; owner <= 8; ++owner) {
+    where[owner] = store.Find(owner);
+    before[owner] = contents(owner);
+  }
+
+  // The first, a middle and the last directory go; others swap into place.
+  store.Drop(1);
+  EXPECT_EQ(store.TakeAll(5).size(), 5u);
+  store.Drop(8);
+  store.Drop(99);
+  for (NodeAddr owner = 1; owner <= 8; ++owner) {
+    if (owner == 1 || owner == 5 || owner == 8) {
+      EXPECT_EQ(store.Find(owner), nullptr) << owner;
+      continue;
+    }
+    EXPECT_EQ(store.Find(owner), where[owner]) << owner;
+    EXPECT_EQ(contents(owner), before[owner]) << owner;
+  }
+  EXPECT_EQ(store.TotalEntries(), 2u + 3u + 4u + 6u + 7u);
+
+  store.Insert(1, E(0, 9.0, 42));
+  EXPECT_EQ(store.SizeAt(1), 1u);
+  EXPECT_EQ(contents(1), (std::vector<NodeAddr>{42}));
+}
+
+TEST(DirectoryStoreTest, EstimatorTotalsReturnToZero) {
+  resource::AttributeRegistry registry;
+  for (int a = 0; a < 3; ++a) {
+    registry.RegisterNumeric("attr" + std::to_string(a), 0.0, 10.0);
+  }
+  SelectivityEstimator est;
+  est.Configure(registry);
+  {
+    DirectoryStore<std::uint64_t> store;
+    store.SetEstimator(&est);
+    for (NodeAddr owner = 1; owner <= 3; ++owner) {
+      for (int i = 0; i < 4; ++i) {
+        store.Insert(owner, E(static_cast<AttrId>(i % 3), i, owner));
+      }
+    }
+    EXPECT_EQ(est.TotalCount(), 12u);
+    store.Drop(1);
+    EXPECT_EQ(est.TotalCount(), 8u);
+    EXPECT_EQ(store.TakeAll(2).size(), 4u);
+    EXPECT_EQ(est.TotalCount(), 4u);
+    store.Insert(3, E(2, 5.0, 3));  // left unmerged for the destructor
+    EXPECT_EQ(est.TotalCount(), 5u);
+  }
+  EXPECT_EQ(est.TotalCount(), 0u);
+  for (AttrId a = 0; a < 3; ++a) EXPECT_EQ(est.CountOf(a), 0u) << a;
 }
 
 TEST(JoinTest, IntersectsProviderSets) {
