@@ -29,6 +29,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/random.hpp"
 #include "common/stats.hpp"
@@ -176,7 +177,7 @@ class Console {
       if (pos == std::string::npos) return std::nullopt;
       return std::make_pair(token.substr(0, pos), token.substr(pos + op.size()));
     };
-    std::string op = ">=";
+    std::string_view op = ">=";
     auto split = TrySplit(">=");
     if (!split) {
       op = "<=";

@@ -19,7 +19,12 @@ using namespace lorm;
 
 std::string NodeLabel(const cycloid::CycloidNetwork& net, NodeAddr addr) {
   const auto id = net.IdOf(addr);
-  return "(" + std::to_string(id.k) + "," + std::to_string(id.a) + ")";
+  std::string label = "(";
+  label += std::to_string(id.k);
+  label += ',';
+  label += std::to_string(id.a);
+  label += ')';
+  return label;
 }
 
 void PrintTrace(const cycloid::CycloidNetwork& net,

@@ -101,75 +101,18 @@ ChordRing::ChordRing(Config cfg) : cfg_(cfg) {
   if (cfg_.route_cache) route_cache_.Enable();
 }
 
-ChordRing::Slot ChordRing::SlotOf(NodeAddr addr) const {
-  const std::uint32_t v = by_addr_.Find(addr);
-  return v == AddrIndexMap::kAbsent ? kNoSlot : static_cast<Slot>(v);
-}
-
-ChordRing::Node& ChordRing::MustGet(NodeAddr addr) {
-  const Slot s = SlotOf(addr);
-  LORM_CHECK_MSG(s != kNoSlot, "unknown chord node");
-  return slots_[s];
-}
-
-const ChordRing::Node& ChordRing::MustGet(NodeAddr addr) const {
-  const Slot s = SlotOf(addr);
-  LORM_CHECK_MSG(s != kNoSlot, "unknown chord node");
-  return slots_[s];
-}
-
-ChordRing::Link ChordRing::MakeLink(Slot s) const {
-  const Node& n = slots_[s];
-  return Link{s, n.gen, n.addr, n.id};
-}
-
-ChordRing::Slot ChordRing::ResolveLink(const Link& l) const {
-  if (l.slot != kNoSlot && slots_[l.slot].gen == l.gen) return l.slot;
-  // Stale link: the slot was vacated since the link was built. The address
-  // may still be a member (departed and rejoined elsewhere) — resolve it the
-  // slow way, as the pre-slab address-keyed tables did on every access.
-  return SlotOf(l.addr);
-}
-
 ChordRing::Slot ChordRing::AllocateSlot(NodeAddr addr, Key id) {
-  Slot s;
-  if (!free_slots_.empty()) {
-    s = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    s = static_cast<Slot>(slots_.size());
-    slots_.emplace_back();
-    links_.resize(slots_.size() * link_stride_);
-    finger_ids_.resize(slots_.size() * cfg_.bits);
-  }
-  Node& n = slots_[s];
-  n.id = id;
-  n.addr = addr;
-  n.live = true;  // gen was already bumped when the slot was vacated
-  n.predecessor = Link{};
-  n.finger_count = 0;
-  n.succ_count = 0;
-  n.s0_id = 0;
-  n.s0_slot = kNoSlot;
-  n.s0_addr = kNoNode;
-  route_cache_.EnsureSlots(slots_.size());
+  const Slot s = slab_.Allocate(addr, id);
+  links_.resize(slab_.slot_count() * link_stride_);
+  finger_ids_.resize(slab_.slot_count() * cfg_.bits);
+  route_cache_.EnsureSlots(slab_.slot_count());
   return s;
 }
 
 void ChordRing::ReleaseSlot(Slot s) {
-  Node& n = slots_[s];
-  ++n.gen;  // invalidates every link that points here
-  n.live = false;
-  n.addr = kNoNode;
-  n.predecessor = Link{};
-  n.finger_count = 0;  // the slab extent stays in place for the next occupant
-  n.succ_count = 0;
-  n.s0_id = 0;
-  n.s0_slot = kNoSlot;
-  n.s0_addr = kNoNode;
-  free_slots_.push_back(s);
-  // The generation bump above already invalidates shortcuts *to* this slot;
-  // drop what the departed occupant had learned as well.
+  slab_.Release(s);
+  // The generation bump already invalidates shortcuts *to* this slot; drop
+  // what the departed occupant had learned as well.
   route_cache_.ClearNode(s);
 }
 
@@ -178,14 +121,8 @@ Key ChordRing::FingerStart(Key id, unsigned i) const {
 }
 
 Key ChordRing::AddNode(NodeAddr addr) {
-  const ConsistentHash ch(cfg_.bits);
-  Key id = ch(static_cast<std::uint64_t>(addr) ^ cfg_.seed);
-  std::uint64_t salt = 0;
-  while (OracleContains(id)) {
-    ++salt;
-    id = MixHashes(static_cast<std::uint64_t>(addr) ^ cfg_.seed, salt) &
-         (space_ - 1);
-  }
+  const Key id = HashedId(addr, cfg_.bits, cfg_.seed,
+                          [this](Key k) { return oracle_.Contains(k); });
   AddNodeWithId(addr, id);
   return id;
 }
@@ -193,19 +130,18 @@ Key ChordRing::AddNode(NodeAddr addr) {
 void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
   LORM_CHECK_MSG(id < space_, "chord id outside the identifier space");
   if (Contains(addr)) throw ConfigError("node address already in ring");
-  if (OracleContains(id)) throw ConfigError("chord id collision");
+  if (oracle_.Contains(id)) throw ConfigError("chord id collision");
 
   // Joining splices neighbors but leaves remote finger tables stale.
   links_fresh_ = false;
-  const bool first = by_addr_.empty();
+  const bool first = slab_.empty();
   const Slot self_slot = AllocateSlot(addr, id);
-  OracleInsert(id, self_slot);
-  by_addr_.Put(addr, self_slot);
+  oracle_.Insert(id, self_slot);
 
   if (first) {
-    Node& n = slots_[self_slot];
-    n.predecessor = MakeLink(self_slot);
-    const Link self_link = MakeLink(self_slot);
+    Node& n = slab_[self_slot];
+    const Link self_link = slab_.MakeLink(self_slot);
+    n.predecessor = self_link;
     SlotSuccessors(self_slot)[0] = self_link;
     n.succ_count = 1;
     SyncSucc0(n);
@@ -223,26 +159,26 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
 
   // Splice into the successor/predecessor ring (the protocol's join+notify
   // step, done atomically because departures here are graceful).
-  Node& self = slots_[self_slot];
+  Node& self = slab_[self_slot];
   BuildState(self);  // routes through the oracle, which already includes us
   // Join cost: the bootstrap lookup (~log n hops), one message per table
   // entry built, and the two notify messages below.
   maintenance_.join_messages +=
       cfg_.bits / 2 + self.finger_count + self.succ_count + 2;
-  const Slot succ_slot = ResolveLink(SlotSuccessors(self_slot)[0]);
-  Node& s = slots_[succ_slot];
+  const Slot succ_slot = slab_.Resolve(SlotSuccessors(self_slot)[0]);
+  Node& s = slab_[succ_slot];
   const NodeAddr succ = s.addr;
   const Link pred = s.predecessor;
   self.predecessor = pred;
-  s.predecessor = MakeLink(self_slot);
+  s.predecessor = slab_.MakeLink(self_slot);
   if (pred.addr != kNoNode && pred.addr != addr) {
     // A crashed, not-yet-repaired predecessor has no successor link to
     // splice: the joiner keeps the stale link, which OwnsNode resolves to the
     // closest live predecessor until the next StabilizeAll repairs both.
-    const Slot pred_slot = ResolveLink(pred);
+    const Slot pred_slot = slab_.Resolve(pred);
     if (pred_slot != kNoSlot) {
-      Node& p = slots_[pred_slot];
-      SlotSuccessors(pred_slot)[0] = MakeLink(self_slot);
+      Node& p = slab_[pred_slot];
+      SlotSuccessors(pred_slot)[0] = slab_.MakeLink(self_slot);
       if (p.succ_count == 0) p.succ_count = 1;
       SyncSucc0(p);
     }
@@ -252,187 +188,93 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
 
 void ChordRing::BulkAssign(
     const std::vector<std::pair<NodeAddr, Key>>& members) {
-  LORM_CHECK_MSG(by_addr_.empty(), "BulkAssign requires an empty ring");
+  LORM_CHECK_MSG(slab_.empty(), "BulkAssign requires an empty ring");
   LORM_CHECK_MSG(observers_.empty(),
                  "BulkAssign does not notify membership observers");
-  slots_.reserve(members.size());
+  slab_.reserve(members.size());
   links_.reserve(members.size() * link_stride_);
   finger_ids_.reserve(members.size() * cfg_.bits);
   oracle_.reserve(members.size());
-  by_addr_.reserve(members.size());
   for (const auto& [addr, id] : members) {
     LORM_CHECK_MSG(id < space_, "chord id outside the identifier space");
     if (Contains(addr)) throw ConfigError("node address already in ring");
-    const Slot s = AllocateSlot(addr, id);
-    by_addr_.Put(addr, s);
-    oracle_.push_back({id, s});
+    oracle_.Append(id, AllocateSlot(addr, id));
   }
-  std::sort(oracle_.begin(), oracle_.end());
-  for (std::size_t i = 1; i < oracle_.size(); ++i) {
-    if (oracle_[i].first == oracle_[i - 1].first) {
-      throw ConfigError("chord id collision");
-    }
-  }
+  if (!oracle_.SortDistinct()) throw ConfigError("chord id collision");
   StabilizeAll();
   CollapseSlabs();
 }
 
 void ChordRing::RemoveNode(NodeAddr addr) {
-  const Slot self_slot = SlotOf(addr);
-  LORM_CHECK_MSG(self_slot != kNoSlot, "unknown chord node");
+  const Slot self_slot = slab_.MustFind(addr);
   links_fresh_ = false;  // links to the vacated slot go stale
-  Node& n = slots_[self_slot];
-  const bool last = by_addr_.size() == 1;
+  Node& n = slab_[self_slot];
+  const bool last = slab_.size() == 1;
   const Slot succ_slot =
       last ? kNoSlot : FirstLiveSuccessorSlotExcept(n, addr);
-  const NodeAddr succ = succ_slot == kNoSlot ? kNoNode : slots_[succ_slot].addr;
+  const NodeAddr succ = succ_slot == kNoSlot ? kNoNode : slab_[succ_slot].addr;
   // Two notify messages (pred, succ) plus the key-handoff transfer.
   maintenance_.leave_messages += 3;
   for (auto* obs : observers_) obs->OnLeave(addr, succ);
 
   if (!last) {
     const Link pred = n.predecessor;
-    Node& s = slots_[succ_slot];
+    Node& s = slab_[succ_slot];
     if (pred.addr != kNoNode && pred.addr != addr) {
       s.predecessor = pred;
       // A crashed predecessor has nothing to splice (see AddNodeWithId).
-      const Slot pred_slot = ResolveLink(pred);
+      const Slot pred_slot = slab_.Resolve(pred);
       if (pred_slot != kNoSlot) {
-        Node& p = slots_[pred_slot];
+        Node& p = slab_[pred_slot];
         if (p.succ_count != 0 && SlotSuccessors(pred_slot)[0].addr == addr) {
-          SlotSuccessors(pred_slot)[0] = MakeLink(succ_slot);
+          SlotSuccessors(pred_slot)[0] = slab_.MakeLink(succ_slot);
         }
       }
     } else {
-      s.predecessor = MakeLink(succ_slot);  // degenerate two-node case
+      s.predecessor = slab_.MakeLink(succ_slot);  // degenerate two-node case
     }
   }
-  OracleErase(n.id);
-  by_addr_.Erase(addr);
+  oracle_.Erase(n.id);
   ReleaseSlot(self_slot);
 }
 
 void ChordRing::FailNode(NodeAddr addr) {
-  const Slot self_slot = SlotOf(addr);
-  LORM_CHECK_MSG(self_slot != kNoSlot, "unknown chord node");
+  const Slot self_slot = slab_.MustFind(addr);
   links_fresh_ = false;  // links to the vacated slot go stale
   for (auto* obs : observers_) obs->OnFail(addr);
   // No splice, no handoff: neighbors discover the failure lazily.
-  OracleErase(slots_[self_slot].id);
-  by_addr_.Erase(addr);
+  oracle_.Erase(slab_[self_slot].id);
   ReleaseSlot(self_slot);
 }
 
-std::vector<NodeAddr> ChordRing::Members() const {
-  std::vector<NodeAddr> out;
-  out.reserve(oracle_.size());
-  for (const auto& [id, slot] : oracle_) out.push_back(slots_[slot].addr);
-  return out;
-}
-
-Key ChordRing::IdOf(NodeAddr addr) const { return MustGet(addr).id; }
-
-std::size_t ChordRing::OracleUpperBound(Key id) const {
-  const auto it = std::upper_bound(
-      oracle_.begin(), oracle_.end(), id,
-      [](Key k, const std::pair<Key, Slot>& e) { return k < e.first; });
-  return static_cast<std::size_t>(it - oracle_.begin());
-}
-
-std::size_t ChordRing::OracleIndexOf(Key id) const {
-  const auto it = std::lower_bound(
-      oracle_.begin(), oracle_.end(), id,
-      [](const std::pair<Key, Slot>& e, Key k) { return e.first < k; });
-  LORM_CHECK(it != oracle_.end() && it->first == id);
-  return static_cast<std::size_t>(it - oracle_.begin());
-}
-
-bool ChordRing::OracleContains(Key id) const {
-  const auto it = std::lower_bound(
-      oracle_.begin(), oracle_.end(), id,
-      [](const std::pair<Key, Slot>& e, Key k) { return e.first < k; });
-  return it != oracle_.end() && it->first == id;
-}
-
-void ChordRing::OracleInsert(Key id, Slot slot) {
-  const auto it = std::lower_bound(
-      oracle_.begin(), oracle_.end(), id,
-      [](const std::pair<Key, Slot>& e, Key k) { return e.first < k; });
-  oracle_.insert(it, {id, slot});
-}
-
-void ChordRing::OracleErase(Key id) {
-  oracle_.erase(oracle_.begin() +
-                static_cast<std::ptrdiff_t>(OracleIndexOf(id)));
-}
-
-ChordRing::Slot ChordRing::OwnerSlotOf(Key key) const {
-  LORM_CHECK_MSG(!oracle_.empty(), "OwnerOf on empty ring");
-  // Binary search over the flat mirror instead of walking the std::map's
-  // pointer tree: OwnerOf dominates BuildState/StabilizeAll and the benches'
-  // oracle probes.
-  const auto it = std::lower_bound(
-      oracle_.begin(), oracle_.end(), key,
-      [](const std::pair<Key, Slot>& e, Key k) { return e.first < k; });
-  return it == oracle_.end() ? oracle_.front().second : it->second;
-}
+Key ChordRing::IdOf(NodeAddr addr) const { return slab_.MustGet(addr).id; }
 
 NodeAddr ChordRing::OwnerOf(Key key) const {
-  return slots_[OwnerSlotOf(key)].addr;
+  const Slot s = oracle_.OwnerSlot(key);
+  LORM_CHECK_MSG(s != kNoSlot, "OwnerOf on empty ring");
+  return slab_[s].addr;
 }
 
 NodeAddr ChordRing::OwnerOfExcluding(Key key, NodeAddr excluded) const {
-  LORM_CHECK_MSG(!oracle_.empty(), "OwnerOfExcluding on empty ring");
-  std::size_t idx = OracleUpperBound(key);
-  // upper_bound lands one past an exact-id match; the owner convention is
-  // (pred, self], so step back onto the exact match when there is one.
-  if (idx > 0 && oracle_[idx - 1].first == key) --idx;
-  for (std::size_t probed = 0; probed < oracle_.size(); ++probed) {
-    const Slot s = oracle_[(idx + probed) % oracle_.size()].second;
-    if (slots_[s].addr != excluded) return slots_[s].addr;
-  }
-  return kNoNode;  // every member excluded
+  return oracle_.OwnerOfExcluding(slab_, key, excluded);
 }
 
 NodeAddr ChordRing::NthOracleSuccessor(NodeAddr addr, std::size_t steps,
                                        NodeAddr excluded) const {
-  std::size_t idx = OracleIndexOf(IdOf(addr));
-  NodeAddr cur = addr;
-  std::size_t taken = 0;
-  for (std::size_t probed = 0; taken < steps && probed < oracle_.size();
-       ++probed) {
-    idx = (idx + 1) % oracle_.size();
-    const NodeAddr next = slots_[oracle_[idx].second].addr;
-    if (next == excluded) continue;
-    cur = next;
-    ++taken;
-  }
-  return cur;
+  return oracle_.NthSuccessor(slab_, addr, steps, excluded);
 }
 
 NodeAddr ChordRing::NthOraclePredecessor(NodeAddr addr, std::size_t steps,
                                          NodeAddr excluded) const {
-  std::size_t idx = OracleIndexOf(IdOf(addr));
-  NodeAddr cur = addr;
-  std::size_t taken = 0;
-  for (std::size_t probed = 0; taken < steps && probed < oracle_.size();
-       ++probed) {
-    idx = (idx + oracle_.size() - 1) % oracle_.size();
-    const NodeAddr prev = slots_[oracle_[idx].second].addr;
-    if (prev == excluded) continue;
-    cur = prev;
-    ++taken;
-  }
-  return cur;
+  return oracle_.NthPredecessor(slab_, addr, steps, excluded);
 }
 
 NodeAddr ChordRing::Successor(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
-  return slots_[FirstLiveSuccessorSlot(n)].addr;
+  return slab_[FirstLiveSuccessorSlot(slab_.MustGet(addr))].addr;
 }
 
 NodeAddr ChordRing::Predecessor(NodeAddr addr) const {
-  return MustGet(addr).predecessor.addr;
+  return slab_.MustGet(addr).predecessor.addr;
 }
 
 bool ChordRing::OwnsNode(const Node& n, Key key) const {
@@ -440,11 +282,11 @@ bool ChordRing::OwnsNode(const Node& n, Key key) const {
     return true;
   }
   if (links_fresh_) {
-    // The predecessor link is current by invariant: ResolveLink would return
-    // its slot and slots_[slot].id equals the cached id — skip both derefs.
+    // The predecessor link is current by invariant: slab_.Resolve would
+    // return its slot, whose id equals the cached one — skip both derefs.
     return InIntervalOC(key, n.predecessor.id, n.id);
   }
-  const Slot pred_slot = ResolveLink(n.predecessor);
+  const Slot pred_slot = slab_.Resolve(n.predecessor);
   Key pred_id;
   if (pred_slot == kNoSlot) {
     // The predecessor failed: the failure detector fires and the node adopts
@@ -452,17 +294,16 @@ bool ChordRing::OwnsNode(const Node& n, Key key) const {
     // converges to. (Claiming the whole ring here would terminate lookups at
     // the wrong owner.)
     ++maintenance_.dead_links_skipped;
-    const std::size_t idx = OracleIndexOf(n.id);
-    pred_id = (idx == 0) ? oracle_.back().first : oracle_[idx - 1].first;
+    pred_id = oracle_[oracle_.Prev(oracle_.IndexOf(n.id))].id;
     if (pred_id == n.id) return true;  // alone in the ring
   } else {
-    pred_id = slots_[pred_slot].id;
+    pred_id = slab_[pred_slot].id;
   }
   return InIntervalOC(key, pred_id, n.id);
 }
 
 bool ChordRing::Owns(NodeAddr addr, Key key) const {
-  return OwnsNode(MustGet(addr), key);
+  return OwnsNode(slab_.MustGet(addr), key);
 }
 
 namespace {
@@ -478,8 +319,8 @@ std::size_t CountDistinct(NodeAddr* buf, std::size_t count) {
 }  // namespace
 
 std::size_t ChordRing::Outlinks(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
-  const Slot slot = SlotIndexOf(n);
+  const Node& n = slab_.MustGet(addr);
+  const Slot slot = slab_.SlotOf(n);
   const std::size_t cap = n.finger_count + n.succ_count + 1;
   std::array<NodeAddr, 128> stack;
   std::vector<NodeAddr> heap;  // only for oversized successor-list configs
@@ -490,7 +331,7 @@ std::size_t ChordRing::Outlinks(NodeAddr addr) const {
   }
   std::size_t count = 0;
   auto consider = [&](const Link& l) {
-    if (l.addr != kNoNode && l.addr != addr && LinkAlive(l)) {
+    if (l.addr != kNoNode && l.addr != addr && slab_.Resolve(l) != kNoSlot) {
       buf[count++] = l.addr;
     }
   };
@@ -503,13 +344,13 @@ std::size_t ChordRing::Outlinks(NodeAddr addr) const {
 }
 
 std::size_t ChordRing::FingerTableSize(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
+  const Node& n = slab_.MustGet(addr);
   std::array<NodeAddr, 64> buf;  // bits <= 63 fingers, always fits
   std::size_t count = 0;
-  const Link* fingers = SlotFingers(SlotIndexOf(n));
+  const Link* fingers = SlotFingers(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.finger_count; ++i) {
     const Link& f = fingers[i];
-    if (f.addr != kNoNode && f.addr != addr && LinkAlive(f)) {
+    if (f.addr != kNoNode && f.addr != addr && slab_.Resolve(f) != kNoSlot) {
       buf[count++] = f.addr;
     }
   }
@@ -517,13 +358,13 @@ std::size_t ChordRing::FingerTableSize(NodeAddr addr) const {
 }
 
 std::vector<NodeAddr> ChordRing::NeighborsOf(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
+  const Node& n = slab_.MustGet(addr);
   std::vector<NodeAddr> out;
   auto consider = [&](NodeAddr a) {
     if (a == kNoNode || a == addr) return;
     if (std::find(out.begin(), out.end(), a) == out.end()) out.push_back(a);
   };
-  const Slot slot = SlotIndexOf(n);
+  const Slot slot = slab_.SlotOf(n);
   const Link* fingers = SlotFingers(slot);
   const Link* succs = SlotSuccessors(slot);
   for (std::size_t i = 0; i < n.finger_count; ++i) consider(fingers[i].addr);
@@ -533,54 +374,46 @@ std::vector<NodeAddr> ChordRing::NeighborsOf(NodeAddr addr) const {
 }
 
 std::vector<NodeAddr> ChordRing::FingersOf(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
+  const Node& n = slab_.MustGet(addr);
   std::vector<NodeAddr> out;
   out.reserve(n.finger_count);
-  const Link* fingers = SlotFingers(SlotIndexOf(n));
+  const Link* fingers = SlotFingers(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.finger_count; ++i) out.push_back(fingers[i].addr);
   return out;
 }
 
 std::vector<NodeAddr> ChordRing::SuccessorListOf(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
+  const Node& n = slab_.MustGet(addr);
   std::vector<NodeAddr> out;
   out.reserve(n.succ_count);
-  const Link* succs = SlotSuccessors(SlotIndexOf(n));
+  const Link* succs = SlotSuccessors(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.succ_count; ++i) out.push_back(succs[i].addr);
   return out;
 }
 
 ChordRing::Slot ChordRing::FirstLiveSuccessorSlot(const Node& n) const {
-  const Link* succs = SlotSuccessors(SlotIndexOf(n));
+  const Link* succs = SlotSuccessors(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.succ_count; ++i) {
-    const Slot slot = ResolveLink(succs[i]);
+    const Slot slot = slab_.Resolve(succs[i]);
     if (slot != kNoSlot) return slot;
     ++maintenance_.dead_links_skipped;
   }
   // Whole successor list died (only possible under extreme churn between
   // maintenance rounds): detect the failure and recover from the oracle,
   // as a real node would recover through its failure detector + backup list.
-  std::size_t idx = OracleUpperBound(n.id);
-  if (idx == oracle_.size()) idx = 0;
-  return oracle_[idx].second;
+  return oracle_[oracle_.SuccessorIndex(n.id)].slot;
 }
 
 ChordRing::Slot ChordRing::FirstLiveSuccessorSlotExcept(
     const Node& n, NodeAddr excluded) const {
-  const Link* succs = SlotSuccessors(SlotIndexOf(n));
+  const Link* succs = SlotSuccessors(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.succ_count; ++i) {
     const Link& s = succs[i];
     if (s.addr == excluded) continue;
-    const Slot slot = ResolveLink(s);
+    const Slot slot = slab_.Resolve(s);
     if (slot != kNoSlot) return slot;
   }
-  std::size_t idx = OracleUpperBound(n.id);
-  for (std::size_t guard = 0; guard <= oracle_.size(); ++guard) {
-    if (idx == oracle_.size()) idx = 0;
-    if (slots_[oracle_[idx].second].addr != excluded) return oracle_[idx].second;
-    ++idx;
-  }
-  return kNoSlot;
+  return oracle_.FirstFrom(slab_, oracle_.SuccessorIndex(n.id), excluded);
 }
 
 ChordRing::Slot ChordRing::ClosestPrecedingSlot(const Node& n, Key key) const {
@@ -588,23 +421,23 @@ ChordRing::Slot ChordRing::ClosestPrecedingSlot(const Node& n, Key key) const {
   // the live node whose ID most closely precedes the key. With a current
   // generation the target's ID comes straight from the link — the loop
   // touches no map.
-  const Slot self = SlotIndexOf(n);
+  const Slot self = slab_.SlotOf(n);
   const Link* fingers = SlotFingers(self);
   for (std::size_t i = n.finger_count; i-- > 0;) {
     const Link& f = fingers[i];
     if (f.addr == kNoNode || f.addr == n.addr) continue;
     Slot slot;
     Key fid;
-    if (f.slot != kNoSlot && slots_[f.slot].gen == f.gen) {
+    if (slab_.Current(f)) {
       slot = f.slot;
       fid = f.id;
     } else {
-      slot = SlotOf(f.addr);
+      slot = slab_.Find(f.addr);
       if (slot == kNoSlot) {
         ++maintenance_.dead_links_skipped;
         continue;
       }
-      fid = slots_[slot].id;  // the address rejoined with a different ID
+      fid = slab_[slot].id;  // the address rejoined with a different ID
     }
     if (InIntervalOO(fid, n.id, key)) return slot;
   }
@@ -616,13 +449,13 @@ ChordRing::Slot ChordRing::ClosestPrecedingSlot(const Node& n, Key key) const {
     if (s.addr == kNoNode || s.addr == n.addr) continue;
     Slot slot;
     Key sid;
-    if (s.slot != kNoSlot && slots_[s.slot].gen == s.gen) {
+    if (slab_.Current(s)) {
       slot = s.slot;
       sid = s.id;
     } else {
-      slot = SlotOf(s.addr);
+      slot = slab_.Find(s.addr);
       if (slot == kNoSlot) continue;
-      sid = slots_[slot].id;
+      sid = slab_[slot].id;
     }
     if (!InIntervalOO(sid, n.id, key)) continue;
     if (best == kNoSlot || InIntervalOO(best_id, n.id, sid)) {
@@ -640,7 +473,7 @@ const ChordRing::Link* ChordRing::ClosestPrecedingLinkFresh(const Node& n,
   // and slot come straight from the link. Same iteration order, same skip
   // conditions, same interval tests — returns the link the general scan's
   // returned slot belongs to (proved byte-identical in test_chord).
-  const Slot self = SlotIndexOf(n);
+  const Slot self = slab_.SlotOf(n);
   // Pure-id scan over the dense mirror: on a fresh ring every finger entry
   // is a live link (finger_count == bits), a self-pointing finger carries
   // id == n.id (which the open interval rejects), and kNoNode entries
@@ -682,15 +515,15 @@ void ChordRing::LookupBegin(Key key, NodeAddr origin, LookupResult& r,
   r.hops = 0;
   r.cache_hits = 0;
   r.path.clear();
-  st.cur = SlotOf(origin);
-  st.max_hops = by_addr_.size() + 4 * cfg_.bits + 8;
+  st.cur = slab_.Find(origin);
+  st.max_hops = slab_.size() + 4 * cfg_.bits + 8;
   st.done = st.cur == kNoSlot;
   if (!st.done) r.path.push_back(origin);
 }
 
 bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
-  if (OwnsNode(slots_[st.cur], r.key)) {
-    r.owner = slots_[st.cur].addr;
+  if (OwnsNode(slab_[st.cur], r.key)) {
+    r.owner = slab_[st.cur].addr;
     r.ok = true;
     return false;
   }
@@ -700,21 +533,20 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
       // Same liveness discipline as a finger, plus an ownership re-check
       // with the walk's own termination predicate: a stale or wrong
       // shortcut can never route to an owner the plain walk would reject.
-      if (shortcut.slot != kNoSlot && shortcut.slot != st.cur &&
-          slots_[shortcut.slot].gen == shortcut.gen &&
-          OwnsNode(slots_[shortcut.slot], r.key)) {
+      if (shortcut.slot != st.cur && slab_.Current(shortcut) &&
+          OwnsNode(slab_[shortcut.slot], r.key)) {
         cache::TickRouteHit();
         st.cur = shortcut.slot;
         ++r.hops;
         ++r.cache_hits;
-        r.path.push_back(slots_[st.cur].addr);
+        r.path.push_back(slab_[st.cur].addr);
         return true;
       }
       route_cache_.Evict(st.cur, r.key);
     }
     cache::TickRouteMiss();
   }
-  const Node& n = slots_[st.cur];
+  const Node& n = slab_[st.cur];
   if (links_fresh_ && n.succ_count != 0) {
     // Fresh ring: successors.front() is live and its cached id/addr are
     // current, so the hop needs no generation derefs at all — not even the
@@ -750,12 +582,12 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
   if (succ == st.cur) {
     // Sole member believes it owns everything; Owns() should have caught
     // this, but guard against a dangling predecessor pointer.
-    r.owner = slots_[st.cur].addr;
+    r.owner = slab_[st.cur].addr;
     r.ok = true;
     return false;
   }
   Slot next;
-  if (InIntervalOC(r.key, n.id, slots_[succ].id)) {
+  if (InIntervalOC(r.key, n.id, slab_[succ].id)) {
     next = succ;
   } else {
     next = ClosestPrecedingSlot(n, r.key);
@@ -763,7 +595,7 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
   }
   st.cur = next;
   ++r.hops;
-  r.path.push_back(slots_[st.cur].addr);
+  r.path.push_back(slab_[st.cur].addr);
   // Past the cap, ok stays false: routing failure (should not happen).
   return r.hops <= st.max_hops;
 }
@@ -790,9 +622,9 @@ void ChordRing::LookupFinish(LookupState& st) const {
   LookupResult& r = *st.out;
   if (r.ok && route_cache_.enabled() && r.hops > 0) {
     // Teach every node on the path a direct link to the owner.
-    const Link owner_link = MakeLink(st.cur);
+    const Link owner_link = slab_.MakeLink(st.cur);
     for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
-      const Slot s = SlotOf(r.path[i]);
+      const Slot s = slab_.Find(r.path[i]);
       if (s != kNoSlot && s != st.cur) {
         route_cache_.Insert(s, r.key, owner_link);
       }
@@ -822,7 +654,7 @@ void ChordRing::LookupFinish(LookupState& st) const {
 
 void ChordRing::LookupPrefetch(const LookupState& st, unsigned stage) const {
   if (st.done) return;
-  const Node& n = slots_[st.cur];
+  const Node& n = slab_[st.cur];
   switch (stage) {
     case 0: {
       // Every address below is computed from the slot index alone — no
@@ -855,18 +687,18 @@ void ChordRing::LookupPrefetch(const LookupState& st, unsigned stage) const {
       // every scanned finger; cover the targets the scan starts with.
       if (links_fresh_) break;
       if (n.predecessor.slot != kNoSlot) {
-        __builtin_prefetch(&slots_[n.predecessor.slot], 0, 3);
+        __builtin_prefetch(&slab_[n.predecessor.slot], 0, 3);
       }
       const Link* succs = SlotSuccessors(st.cur);
       if (n.succ_count != 0 && succs[0].slot != kNoSlot) {
-        __builtin_prefetch(&slots_[succs[0].slot], 0, 3);
+        __builtin_prefetch(&slab_[succs[0].slot], 0, 3);
       }
       const Link* fingers = SlotFingers(st.cur);
       const std::size_t fc = n.finger_count;
       const std::size_t top = fc > 4 ? fc - 4 : 0;
       for (std::size_t i = fc; i-- > top;) {
         if (fingers[i].slot != kNoSlot) {
-          __builtin_prefetch(&slots_[fingers[i].slot], 0, 3);
+          __builtin_prefetch(&slab_[fingers[i].slot], 0, 3);
         }
       }
       break;
@@ -885,54 +717,52 @@ void ChordRing::LookupInto(Key key, NodeAddr origin, LookupResult& r) const {
 }
 
 void ChordRing::SyncSucc0(Node& n) {
-  const Link& s0 = SlotSuccessors(SlotIndexOf(n))[0];
+  const Link& s0 = SlotSuccessors(slab_.SlotOf(n))[0];
   n.s0_id = s0.id;
   n.s0_slot = s0.slot;
   n.s0_addr = s0.addr;
 }
 
 void ChordRing::BuildState(Node& n) {
-  const Slot self = SlotIndexOf(n);
+  const Slot self = slab_.SlotOf(n);
   Link* fingers = SlotFingers(self);
   Key* fids = SlotFingerIds(self);
   for (unsigned i = 0; i < cfg_.bits; ++i) {
-    fingers[i] = MakeLink(OwnerSlotOf(FingerStart(n.id, i)));
+    fingers[i] = slab_.MakeLink(oracle_.OwnerSlot(FingerStart(n.id, i)));
     fids[i] = fingers[i].id;
   }
   n.finger_count = static_cast<std::uint16_t>(cfg_.bits);
   Link* succs = SlotSuccessors(self);
   n.succ_count = 0;
-  std::size_t idx = OracleUpperBound(n.id);
+  std::size_t idx = oracle_.SuccessorIndex(n.id);
   for (std::size_t k = 0; k < cfg_.successor_list; ++k) {
-    if (idx == oracle_.size()) idx = 0;
-    if (slots_[oracle_[idx].second].addr == n.addr) break;  // wrapped all the way
-    succs[n.succ_count++] = MakeLink(oracle_[idx].second);
-    ++idx;
+    if (oracle_[idx].slot == self) break;  // wrapped all the way
+    succs[n.succ_count++] = slab_.MakeLink(oracle_[idx].slot);
+    idx = oracle_.Next(idx);
   }
   if (n.succ_count == 0) {
-    succs[0] = MakeLink(SlotOf(n.addr));
+    succs[0] = slab_.MakeLink(self);
     n.succ_count = 1;
   }
   SyncSucc0(n);
 }
 
 void ChordRing::FixNode(NodeAddr addr) {
-  Node& n = MustGet(addr);
+  Node& n = slab_.MustGet(addr);
   BuildState(n);
   maintenance_.stabilize_messages += n.finger_count + n.succ_count + 1;
 }
 
 void ChordRing::StabilizeAll() {
-  for (Slot s = 0; s < slots_.size(); ++s) {
-    Node& node = slots_[s];
-    if (!node.live) continue;
+  for (Slot s = 0; s < slab_.slot_count(); ++s) {
+    Node& node = slab_[s];
+    if (node.addr == kNoNode) continue;  // vacated slot
     BuildState(node);
     maintenance_.stabilize_messages += node.finger_count + node.succ_count + 1;
     // Refresh the predecessor pointer to the oracle state as well; this is
     // what repeated stabilize() rounds converge to.
-    const std::size_t idx = OracleIndexOf(node.id);
-    node.predecessor = MakeLink(idx == 0 ? oracle_.back().second
-                                         : oracle_[idx - 1].second);
+    node.predecessor =
+        slab_.MakeLink(oracle_[oracle_.Prev(oracle_.IndexOf(node.id))].slot);
   }
   // Every link in every live node was just rebuilt from the oracle: all
   // generations current until the next membership change.
@@ -949,13 +779,8 @@ void ChordRing::RemoveObserver(MembershipObserver* obs) {
 }
 
 std::size_t ChordRing::ApproxMemoryBytes() const {
-  std::size_t bytes = slots_.capacity() * sizeof(Node);
-  bytes += links_.capacity() * sizeof(Link);
-  bytes += finger_ids_.capacity() * sizeof(Key);
-  bytes += free_slots_.capacity() * sizeof(Slot);
-  bytes += oracle_.capacity() * sizeof(std::pair<Key, Slot>);
-  bytes += by_addr_.MemoryBytes();
-  return bytes;
+  return slab_.MemoryBytes() + links_.capacity() * sizeof(Link) +
+         finger_ids_.capacity() * sizeof(Key) + oracle_.MemoryBytes();
 }
 
 void ChordRing::CollapseSlabs() {
@@ -974,15 +799,26 @@ void ChordRing::CollapseSlabs() {
       (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_COLLAPSE);
     }
   };
-  collapse(slots_.data(), slots_.size() * sizeof(Node));
+  collapse(slab_.data(), slab_.slot_count() * sizeof(Node));
   collapse(links_.data(), links_.size() * sizeof(Link));
 #endif
 }
 
-ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
-                   NodeAddr base_addr) {
-  ChordRing ring(cfg);
-  const std::uint64_t space = std::uint64_t{1} << cfg.bits;
+Key HashedId(NodeAddr addr, unsigned bits, std::uint64_t seed,
+             const std::function<bool(Key)>& taken) {
+  const auto base = static_cast<std::uint64_t>(addr) ^ seed;
+  Key id = ConsistentHash(bits)(base);
+  for (std::uint64_t salt = 1; taken(id); ++salt) {
+    id = MixHashes(base, salt) & ((std::uint64_t{1} << bits) - 1);
+  }
+  return id;
+}
+
+std::vector<std::pair<NodeAddr, Key>> InitialIds(std::size_t n, unsigned bits,
+                                                 std::uint64_t seed,
+                                                 bool deterministic_ids,
+                                                 NodeAddr base_addr) {
+  const std::uint64_t space = std::uint64_t{1} << bits;
   std::vector<std::pair<NodeAddr, Key>> members;
   members.reserve(n);
   if (deterministic_ids) {
@@ -991,7 +827,7 @@ ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
     // addresses at different (still evenly spaced) positions. Without this,
     // Mercury's m hubs would all map the same address to the same sector and
     // every hub's hot key region would land on the same node.
-    std::uint64_t st = cfg.seed;
+    std::uint64_t st = seed;
     const Key offset = SplitMix64(st) & (space - 1);
     for (std::size_t i = 0; i < n; ++i) {
       // Proportional placement floor(i * space / n): evenly spread over the
@@ -1001,27 +837,26 @@ ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
           (space - 1));
       members.push_back({static_cast<NodeAddr>(base_addr + i), id});
     }
-  } else {
-    // Replays AddNode's hash + collision-salting stream against a hash set
-    // instead of the growing oracle, so the assigned IDs are identical to n
-    // sequential AddNode calls.
-    const ConsistentHash ch(cfg.bits);
-    std::unordered_set<Key> used;
-    used.reserve(n * 2);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto addr = static_cast<NodeAddr>(base_addr + i);
-      Key id = ch(static_cast<std::uint64_t>(addr) ^ cfg.seed);
-      std::uint64_t salt = 0;
-      while (used.count(id) != 0) {
-        ++salt;
-        id = MixHashes(static_cast<std::uint64_t>(addr) ^ cfg.seed, salt) &
-             (space - 1);
-      }
-      used.insert(id);
-      members.push_back({addr, id});
-    }
+    return members;
   }
-  ring.BulkAssign(members);
+  // A hash set of the IDs so far stands in for the growing oracle.
+  std::unordered_set<Key> used;
+  used.reserve(n * 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto addr = static_cast<NodeAddr>(base_addr + i);
+    const Key id =
+        HashedId(addr, bits, seed, [&](Key k) { return used.count(k) != 0; });
+    used.insert(id);
+    members.push_back({addr, id});
+  }
+  return members;
+}
+
+ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
+                   NodeAddr base_addr) {
+  ChordRing ring(cfg);
+  ring.BulkAssign(InitialIds(n, cfg.bits, cfg.seed, deterministic_ids,
+                             base_addr));
   return ring;
 }
 

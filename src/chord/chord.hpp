@@ -15,20 +15,13 @@
 //  * a global sorted index of members serves purely as the maintenance
 //    oracle (what stabilization converges to) and for O(1) test assertions.
 //
-// Storage layout: nodes live in a contiguous slot slab (`slots_`, one
-// cache-line node header per slot) with a per-slot generation counter;
-// routing-table entries are `Link`s holding the resolved slot, the
-// generation observed when the link was built, and the target's cached ID.
+// Storage: nodes live in a `SlotSlab` of one-cache-line headers and
+// routing entries are its generation-checked `SlotLink`s; the sorted
+// membership is a `RingOracle` (common/slot_slab.hpp describes all three).
 // The links themselves live in a second contiguous slab (`links_`): every
 // slot owns a fixed extent of `bits + successor_list` entries — fingers
-// first, successor list after — so a node's routing arrays sit at an
-// address computable from its slot index alone, with no per-node heap
-// allocations to chase (and one flat range to promote to huge pages). On
-// the steady-state routing path liveness is a single generation compare and
-// IDs come from the link itself — no hash probes. Address-based resolution
-// (`by_addr_`) runs once per membership change and as the fallback for
-// stale links, which exactly reproduces address semantics when a node
-// departs (or departs and rejoins) between maintenance rounds.
+// first, successor list after — at an address computable from its slot
+// index alone (and one flat range to promote to huge pages).
 //
 // The ring is configurable between the paper's deterministic mode (an
 // 11-bit space holding all 2048 IDs) and the standard random-ID mode
@@ -42,9 +35,9 @@
 #include <vector>
 
 #include "cache/route_cache.hpp"
-#include "common/maintenance.hpp"
-#include "common/flat_map.hpp"
 #include "common/hugepage.hpp"
+#include "common/maintenance.hpp"
+#include "common/slot_slab.hpp"
 #include "common/types.hpp"
 
 namespace lorm::chord {
@@ -109,8 +102,8 @@ class ChordRing {
  public:
   /// Index into the node slot slab. Public so resumable lookup state (and
   /// the batch engine built on it) can carry slab positions across steps.
-  using Slot = std::uint32_t;
-  static constexpr Slot kNoSlot = 0xffffffffu;
+  using Slot = SlabSlot;
+  static constexpr Slot kNoSlot = kNoSlabSlot;
 
   /// Aliases the batch engine templates over (cycloid uses the same names).
   using LookupKeyType = Key;
@@ -145,9 +138,9 @@ class ChordRing {
   /// repairs them; anything it stored is lost (observers get OnFail).
   void FailNode(NodeAddr addr);
 
-  std::size_t size() const { return by_addr_.size(); }
-  bool Contains(NodeAddr addr) const { return by_addr_.Contains(addr); }
-  std::vector<NodeAddr> Members() const;
+  std::size_t size() const { return slab_.size(); }
+  bool Contains(NodeAddr addr) const { return slab_.Contains(addr); }
+  std::vector<NodeAddr> Members() const { return oracle_.Members(slab_); }
 
   // ---- Structure queries (oracle / protocol state) -----------------------
 
@@ -260,7 +253,7 @@ class ChordRing {
   /// issued later: a batch engine calls this one refill ahead so the next
   /// request's origin->slot resolution overlaps the walks in flight. Pure
   /// prefetch, no observable effect.
-  void PrefetchOrigin(NodeAddr origin) const { by_addr_.PrefetchFind(origin); }
+  void PrefetchOrigin(NodeAddr origin) const { slab_.PrefetchFind(origin); }
 
   // ---- Maintenance ------------------------------------------------------
 
@@ -290,19 +283,7 @@ class ChordRing {
   std::size_t ApproxMemoryBytes() const;
 
  private:
-  /// One routing-table entry: the target's slot and the slot generation at
-  /// link-build time, plus its address and ring ID cached from the same
-  /// moment. While the generation still matches, the target is alive and
-  /// `id` is its current ID — liveness costs one compare, zero probes. On a
-  /// mismatch the occupant changed, and resolution falls back to the
-  /// address (the target may have rejoined at another slot), reproducing
-  /// the address-keyed semantics exactly.
-  struct Link {
-    Slot slot = kNoSlot;
-    std::uint32_t gen = 0;
-    NodeAddr addr = kNoNode;
-    Key id = 0;
-  };
+  using Link = SlotLink<Key>;
 
   /// Node header: everything but the routing arrays, which live in the
   /// link slab at extent `slot * link_stride_` (fingers, then successors).
@@ -313,7 +294,6 @@ class ChordRing {
     std::uint32_t gen = 0;  ///< bumped every time the slot is vacated
     std::uint16_t finger_count = 0;  ///< live prefix of the finger extent
     std::uint16_t succ_count = 0;    ///< live prefix of the successor extent
-    bool live = false;
     /// In-header copy of the first successor link (kept in sync by
     /// SyncSucc0 at every write of the successor extent). Every routing
     /// step tests the key against successor(0) — caching its id/slot/addr
@@ -328,15 +308,9 @@ class ChordRing {
   };
   static_assert(sizeof(Node) == 64, "Node header must stay one cache line");
 
-  Node& MustGet(NodeAddr addr);
-  const Node& MustGet(NodeAddr addr) const;
   /// Re-caches successor(0) into the node header after a successor-extent
   /// write (see Node::s0_id).
   void SyncSucc0(Node& n);
-  /// The node's slot index, recovered from its slab position.
-  Slot SlotIndexOf(const Node& n) const {
-    return static_cast<Slot>(&n - slots_.data());
-  }
   /// The slot's finger extent (finger_count valid entries).
   Link* SlotFingers(Slot s) {
     return links_.data() + std::size_t{s} * link_stride_;
@@ -360,19 +334,10 @@ class ChordRing {
   /// pages: random-access prefetches are dropped on TLB misses, so large
   /// rings want the slabs TLB-resident. No observable effect on results.
   void CollapseSlabs();
-  /// addr -> slot, or kNoSlot when the address is not a member.
-  Slot SlotOf(NodeAddr addr) const;
-  /// Snapshot link to the slot's current occupant.
-  Link MakeLink(Slot s) const;
-  /// Live slot the link currently leads to, or kNoSlot if the target is
-  /// gone. Generation compare on the fast path; by_addr_ fallback for stale
-  /// links only.
-  Slot ResolveLink(const Link& l) const;
-  bool LinkAlive(const Link& l) const { return ResolveLink(l) != kNoSlot; }
+  /// Seats a member in the slab and sizes its link extent and route-cache
+  /// block; ReleaseSlot vacates it and drops what it had learned.
   Slot AllocateSlot(NodeAddr addr, Key id);
   void ReleaseSlot(Slot s);
-  /// Oracle owner of `key`, as a slot.
-  Slot OwnerSlotOf(Key key) const;
   bool OwnsNode(const Node& n, Key key) const;
   /// First live entry of the node's successor list (falls back to oracle if
   /// the whole list died; counts as a detected failure, not a hop).
@@ -391,17 +356,6 @@ class ChordRing {
   bool StepOnce(LookupState& st, LookupResult& r) const;
   void BuildState(Node& n);
   Key FingerStart(Key id, unsigned i) const;
-  /// Index of the first oracle entry with id > `id` (modular: size() wraps
-  /// to 0 at the caller), and the exact-match index (LORM_CHECKs presence).
-  std::size_t OracleUpperBound(Key id) const;
-  std::size_t OracleIndexOf(Key id) const;
-  bool OracleContains(Key id) const;
-  /// Splices one membership change into the sorted oracle. A contiguous
-  /// memmove beats the old rebuild-from-map: ring construction performs one
-  /// of these per join, and the rebuild made building n nodes O(n^2) map
-  /// walks (Mercury pays that once per attribute hub).
-  void OracleInsert(Key id, Slot slot);
-  void OracleErase(Key id);
 
   Config cfg_;
   std::uint64_t space_;
@@ -410,9 +364,9 @@ class ChordRing {
   /// x86 drops software prefetches whose page walk misses the TLB — which
   /// would defeat the batch engine's prefetch pipeline exactly where it
   /// matters most. 2 MiB pages keep both slabs TLB-resident.
-  std::vector<Node, HugePageAllocator<Node>> slots_;  // entries stay put
+  SlotSlab<Node, HugePageAllocator<Node>> slab_{"unknown chord node"};
   /// Routing-array slab: link_stride_ entries per slot (bits fingers, then
-  /// successor_list successors). Grows with slots_, entries stay put.
+  /// successor_list successors). Grows with the node slab, entries stay put.
   std::vector<Link, HugePageAllocator<Link>> links_;
   /// 8-byte mirror of the finger extents' ids (stride cfg_.bits per slot),
   /// written wherever the finger links are. The fresh-path
@@ -421,20 +375,14 @@ class ChordRing {
   /// scan can compare four at a time.
   std::vector<Key, HugePageAllocator<Key>> finger_ids_;
   std::size_t link_stride_ = 0;
-  std::vector<Slot> free_slots_;
-  /// The oracle index: all (id, slot) pairs sorted by id. Kept flat — every
-  /// consumer (OwnerOf, BuildState, the recovery fallbacks) binary-searches
-  /// or scans contiguously; iteration order matches the std::map it
-  /// replaced, so Members() and stabilization output are unchanged.
-  std::vector<std::pair<Key, Slot>> oracle_;
-  AddrIndexMap by_addr_;  // flat addr->slot table; resolved once per change
+  RingOracle oracle_;
   std::vector<MembershipObserver*> observers_;
   mutable MaintenanceStats maintenance_;  // mutable: routing is const
   /// Learned shortcuts (cfg_.route_cache); mutable: lookups teach it.
   mutable cache::RouteCacheTable<Link> route_cache_;
   /// Freshness invariant: true ⇒ every Link held by a live node (fingers,
   /// successor list, predecessor) still points at its original occupant,
-  /// i.e. slots_[l.slot].gen == l.gen for every stored link. StabilizeAll
+  /// i.e. slab_.Current(l) for every stored link. StabilizeAll
   /// establishes it (every link rebuilt from the oracle); any membership
   /// mutation clears it before touching state. While it holds, the lookup
   /// path skips every generation-validation deref — the checks would all
@@ -444,11 +392,24 @@ class ChordRing {
   bool links_fresh_ = false;
 };
 
-/// Populates a ring with `n` nodes and addresses base..base+n-1.
-/// In deterministic mode, IDs are evenly spaced over the full space (with
-/// bits = ceil(log2 n) and n a power of two this is the paper's fully
-/// populated ring); otherwise each ID is AddNode's hash of the address,
-/// salted on collision exactly as n sequential AddNode calls would.
+/// Random-ID placement: the consistent hash of `addr` (mixed with `seed`)
+/// in a 2^bits space, re-salted while `taken(id)` holds. AddNode on this
+/// ring and on the single-hop ring, and InitialIds, all place nodes here.
+Key HashedId(NodeAddr addr, unsigned bits, std::uint64_t seed,
+             const std::function<bool(Key)>& taken);
+
+/// IDs of a fresh ring of `n` members at addresses base..base+n-1, in
+/// address order. In deterministic mode they are evenly spaced over the
+/// full space after a seed-derived rotation (with bits = ceil(log2 n) and n
+/// a power of two this is the paper's fully populated ring); otherwise each
+/// is HashedId against the IDs before it, exactly as n sequential AddNode
+/// calls would assign them.
+std::vector<std::pair<NodeAddr, Key>> InitialIds(std::size_t n, unsigned bits,
+                                                 std::uint64_t seed,
+                                                 bool deterministic_ids,
+                                                 NodeAddr base_addr);
+
+/// Populates a ring with `n` nodes at InitialIds(n, cfg.bits, cfg.seed, ...).
 ///
 /// Built through the O(n log n) bulk path (BulkAssign): the converged
 /// routing state of n sequential joins plus StabilizeAll, without per-join

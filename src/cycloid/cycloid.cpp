@@ -27,58 +27,14 @@ CycloidNetwork::CycloidNetwork(Config cfg) : cfg_(cfg) {
   if (cfg_.route_cache) route_cache_.Enable();
 }
 
-CycloidNetwork::Slot CycloidNetwork::SlotOf(NodeAddr addr) const {
-  const std::uint32_t v = by_addr_.Find(addr);
-  return v == AddrIndexMap::kAbsent ? kNoSlot : static_cast<Slot>(v);
-}
-
-CycloidNetwork::Node& CycloidNetwork::MustGet(NodeAddr addr) {
-  const Slot s = SlotOf(addr);
-  LORM_CHECK_MSG(s != kNoSlot, "unknown cycloid node");
-  return slots_[s];
-}
-
-const CycloidNetwork::Node& CycloidNetwork::MustGet(NodeAddr addr) const {
-  const Slot s = SlotOf(addr);
-  LORM_CHECK_MSG(s != kNoSlot, "unknown cycloid node");
-  return slots_[s];
-}
-
-CycloidNetwork::Link CycloidNetwork::MakeLink(Slot s) const {
-  const Node& n = slots_[s];
-  return Link{s, n.gen, n.addr, n.id};
-}
-
-CycloidNetwork::Slot CycloidNetwork::ResolveLink(const Link& l) const {
-  if (l.slot != kNoSlot && slots_[l.slot].gen == l.gen) return l.slot;
-  return SlotOf(l.addr);  // stale: the address may have rejoined elsewhere
-}
-
 CycloidNetwork::Slot CycloidNetwork::AllocateSlot(NodeAddr addr, CycloidId id) {
-  Slot s;
-  if (!free_slots_.empty()) {
-    s = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    s = static_cast<Slot>(slots_.size());
-    slots_.emplace_back();
-  }
-  Node& n = slots_[s];
-  n.id = id;
-  n.addr = addr;
-  n.live = true;  // gen was already bumped when the slot was vacated
-  n.inside_succ = n.inside_pred = Link{};
-  n.outside_succ = n.outside_pred = Link{};
-  n.cubical = n.cyclic_succ = n.cyclic_pred = Link{};
-  route_cache_.EnsureSlots(slots_.size());
+  const Slot s = slab_.Allocate(addr, id);
+  route_cache_.EnsureSlots(slab_.slot_count());
   return s;
 }
 
 void CycloidNetwork::ReleaseSlot(Slot s) {
-  Node& n = slots_[s];
-  ++n.gen;  // invalidates every link that points here
-  n.live = false;
-  n.addr = kNoNode;
+  slab_.Release(s);
   // The generation bump already invalidates shortcuts *to* this slot; drop
   // what the departed occupant had learned as well.
   route_cache_.ClearNode(s);
@@ -133,7 +89,7 @@ CycloidId CycloidNetwork::AddNode(NodeAddr addr) {
   std::uint64_t pos =
       ch(static_cast<std::uint64_t>(addr) ^ cfg_.seed) % capacity();
   const std::uint64_t cap = capacity();
-  LORM_CHECK_MSG(by_addr_.size() < cap, "cycloid network full");
+  LORM_CHECK_MSG(slab_.size() < cap, "cycloid network full");
   for (;;) {
     const CycloidId id{static_cast<unsigned>(pos % cfg_.dimension),
                        pos / cfg_.dimension};
@@ -158,23 +114,21 @@ void CycloidNetwork::AddNodeWithId(NodeAddr addr, CycloidId id) {
 
   // Sources whose sectors may shrink: computed against the pre-join state.
   std::vector<NodeAddr> sources;
-  if (!by_addr_.empty()) {
+  if (!slab_.empty()) {
     if (cit != clusters_.end()) {
       // Cluster exists: only the cyclic successor's sector splits.
-      sources.push_back(slots_[OwnerInCluster(cit->second, id.k)].addr);
+      sources.push_back(slab_[OwnerInCluster(cit->second, id.k)].addr);
     } else {
       // New cluster: its cubical sector is carved out of every member of
       // the succeeding cluster.
       const std::uint64_t succ_a = OwnerClusterCubical(id.a);
       for (const auto& [k, member] : MustCluster(succ_a)) {
-        sources.push_back(slots_[member].addr);
+        sources.push_back(slab_[member].addr);
       }
     }
   }
 
-  const Slot slot = AllocateSlot(addr, id);
-  clusters_[id.a][id.k] = slot;
-  by_addr_.Put(addr, slot);
+  clusters_[id.a][id.k] = AllocateSlot(addr, id);
   // Join cost: the bootstrap lookup (~d hops) plus the leaf-set repair
   // messages charged inside RepairAround.
   maintenance_.join_messages += cfg_.dimension;
@@ -184,11 +138,10 @@ void CycloidNetwork::AddNodeWithId(NodeAddr addr, CycloidId id) {
 
 void CycloidNetwork::BulkAssign(
     const std::vector<std::pair<NodeAddr, CycloidId>>& members) {
-  LORM_CHECK_MSG(by_addr_.empty(), "BulkAssign requires an empty network");
+  LORM_CHECK_MSG(slab_.empty(), "BulkAssign requires an empty network");
   LORM_CHECK_MSG(observers_.empty(),
                  "BulkAssign does not notify membership observers");
-  slots_.reserve(members.size());
-  by_addr_.reserve(members.size());
+  slab_.reserve(members.size());
   for (const auto& [addr, id] : members) {
     if (id.k >= cfg_.dimension || id.a >= cluster_space_) {
       throw ConfigError("cycloid id outside the identifier space");
@@ -198,17 +151,14 @@ void CycloidNetwork::BulkAssign(
     if (cluster.count(id.k) != 0) {
       throw ConfigError("cycloid position already occupied");
     }
-    const Slot slot = AllocateSlot(addr, id);
-    cluster[id.k] = slot;
-    by_addr_.Put(addr, slot);
+    cluster[id.k] = AllocateSlot(addr, id);
   }
   StabilizeAll();
 }
 
 void CycloidNetwork::RemoveNode(NodeAddr addr) {
-  const Slot slot = SlotOf(addr);
-  LORM_CHECK_MSG(slot != kNoSlot, "unknown cycloid node");
-  const CycloidId id = slots_[slot].id;
+  const Slot slot = slab_.MustFind(addr);
+  const CycloidId id = slab_[slot].id;
   auto cit = clusters_.find(id.a);
   LORM_CHECK(cit != clusters_.end());
   cit->second.erase(id.k);
@@ -221,15 +171,13 @@ void CycloidNetwork::RemoveNode(NodeAddr addr) {
   // readable while they run.
   for (auto* obs : observers_) obs->OnLeave(addr);
 
-  by_addr_.Erase(addr);
   ReleaseSlot(slot);
   if (!clusters_.empty()) RepairAround(id.a);
 }
 
 void CycloidNetwork::FailNode(NodeAddr addr) {
-  const Slot slot = SlotOf(addr);
-  LORM_CHECK_MSG(slot != kNoSlot, "unknown cycloid node");
-  const CycloidId id = slots_[slot].id;
+  const Slot slot = slab_.MustFind(addr);
+  const CycloidId id = slab_[slot].id;
   auto cit = clusters_.find(id.a);
   LORM_CHECK(cit != clusters_.end());
   cit->second.erase(id.k);
@@ -239,7 +187,6 @@ void CycloidNetwork::FailNode(NodeAddr addr) {
   // is still readable — replicated services restore coverage from the
   // surviving copies here.
   for (auto* obs : observers_) obs->OnFail(addr);
-  by_addr_.Erase(addr);
   ReleaseSlot(slot);
   // No repair, no routing handoff: leaf sets pointing at the node go stale
   // until routing skips them and StabilizeAll/FixNode heals the
@@ -248,31 +195,33 @@ void CycloidNetwork::FailNode(NodeAddr addr) {
 
 std::vector<NodeAddr> CycloidNetwork::Members() const {
   std::vector<NodeAddr> out;
-  out.reserve(by_addr_.size());
+  out.reserve(slab_.size());
   for (const auto& [a, cluster] : clusters_) {
-    for (const auto& [k, slot] : cluster) out.push_back(slots_[slot].addr);
+    for (const auto& [k, slot] : cluster) out.push_back(slab_[slot].addr);
   }
   return out;
 }
 
-CycloidId CycloidNetwork::IdOf(NodeAddr addr) const { return MustGet(addr).id; }
+CycloidId CycloidNetwork::IdOf(NodeAddr addr) const {
+  return slab_.MustGet(addr).id;
+}
 
 NodeAddr CycloidNetwork::OwnerOf(CycloidId key) const {
   const std::uint64_t a = OwnerClusterCubical(key.a % cluster_space_);
-  return slots_[OwnerInCluster(MustCluster(a), key.k % cfg_.dimension)].addr;
+  return slab_[OwnerInCluster(MustCluster(a), key.k % cfg_.dimension)].addr;
 }
 
 bool CycloidNetwork::ClusterOwnsLocal(const Node& n, std::uint64_t a) const {
   if (n.outside_pred.addr == kNoNode) return true;
   std::uint64_t pred_a;
-  const Slot pred_slot = ResolveLink(n.outside_pred);
+  const Slot pred_slot = slab_.Resolve(n.outside_pred);
   if (pred_slot == kNoSlot) {
     // The preceding primary failed: adopt the live preceding cluster (the
     // state the next self-organization round converges to).
     ++maintenance_.dead_links_skipped;
     pred_a = PrecedingClusterCubical(n.id.a);  // own cluster always exists
   } else {
-    pred_a = slots_[pred_slot].id.a;
+    pred_a = slab_[pred_slot].id.a;
   }
   if (pred_a == n.id.a) return true;  // only one cluster exists
   return InOC(a, pred_a, n.id.a);
@@ -284,7 +233,7 @@ bool CycloidNetwork::OwnsNode(const Node& n, CycloidId key) const {
     return true;
   }
   unsigned pred_k;
-  const Slot pred_slot = ResolveLink(n.inside_pred);
+  const Slot pred_slot = slab_.Resolve(n.inside_pred);
   if (pred_slot == kNoSlot) {
     // The cyclic predecessor failed: adopt the live one.
     ++maintenance_.dead_links_skipped;
@@ -294,47 +243,47 @@ bool CycloidNetwork::OwnsNode(const Node& n, CycloidId key) const {
     pred_k = (it == c.begin()) ? c.rbegin()->first : std::prev(it)->first;
     if (pred_k == n.id.k) return true;  // alone in the cluster
   } else {
-    pred_k = slots_[pred_slot].id.k;
+    pred_k = slab_[pred_slot].id.k;
   }
   return InOC(key.k % cfg_.dimension, pred_k, n.id.k);
 }
 
 bool CycloidNetwork::Owns(NodeAddr addr, CycloidId key) const {
-  return OwnsNode(MustGet(addr), key);
+  return OwnsNode(slab_.MustGet(addr), key);
 }
 
 NodeAddr CycloidNetwork::ClusterSuccessorOf(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
+  const Node& n = slab_.MustGet(addr);
   const Cluster& c = MustCluster(n.id.a);
   auto it = c.find(n.id.k);
   LORM_CHECK(it != c.end());
   ++it;
   if (it == c.end()) it = c.begin();
-  return slots_[it->second].addr;
+  return slab_[it->second].addr;
 }
 
 std::vector<NodeAddr> CycloidNetwork::ClusterMembersOf(std::uint64_t a) const {
   const std::uint64_t owner_a = OwnerClusterCubical(a % cluster_space_);
   std::vector<NodeAddr> out;
   for (const auto& [k, slot] : MustCluster(owner_a)) {
-    out.push_back(slots_[slot].addr);
+    out.push_back(slab_[slot].addr);
   }
   return out;
 }
 
 NodeAddr CycloidNetwork::InsideSuccessor(NodeAddr addr) const {
-  return MustGet(addr).inside_succ.addr;
+  return slab_.MustGet(addr).inside_succ.addr;
 }
 
 NodeAddr CycloidNetwork::InsidePredecessor(NodeAddr addr) const {
-  return MustGet(addr).inside_pred.addr;
+  return slab_.MustGet(addr).inside_pred.addr;
 }
 
 std::size_t CycloidNetwork::Outlinks(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
+  const Node& n = slab_.MustGet(addr);
   std::vector<NodeAddr> distinct;
   auto consider = [&](const Link& l) {
-    if (l.addr == kNoNode || l.addr == addr || ResolveLink(l) == kNoSlot) {
+    if (l.addr == kNoNode || l.addr == addr || slab_.Resolve(l) == kNoSlot) {
       return;
     }
     if (std::find(distinct.begin(), distinct.end(), l.addr) ==
@@ -353,7 +302,7 @@ std::size_t CycloidNetwork::Outlinks(NodeAddr addr) const {
 }
 
 std::vector<NodeAddr> CycloidNetwork::NeighborsOf(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
+  const Node& n = slab_.MustGet(addr);
   std::vector<NodeAddr> out;
   auto consider = [&](const Link& l) {
     if (l.addr == kNoNode || l.addr == addr) return;
@@ -381,15 +330,15 @@ void CycloidNetwork::BuildState(Node& n) {
     LORM_CHECK(it != c.end());
     auto next = std::next(it);
     n.inside_succ =
-        MakeLink((next == c.end()) ? c.begin()->second : next->second);
-    n.inside_pred = MakeLink(
+        slab_.MakeLink((next == c.end()) ? c.begin()->second : next->second);
+    n.inside_pred = slab_.MakeLink(
         (it == c.begin()) ? c.rbegin()->second : std::prev(it)->second);
   }
 
   const unsigned kb = (n.id.k + d - 1) % d;  // bit flippable from this node
 
   if (clusters_.size() == 1) {
-    const Link primary = MakeLink(PrimaryOf(c));
+    const Link primary = slab_.MakeLink(PrimaryOf(c));
     n.outside_succ = primary;
     n.outside_pred = primary;
     n.cyclic_succ = Link{};
@@ -400,10 +349,10 @@ void CycloidNetwork::BuildState(Node& n) {
 
   const std::uint64_t succ_a = SucceedingClusterCubical(n.id.a);
   const std::uint64_t pred_a = PrecedingClusterCubical(n.id.a);
-  n.outside_succ = MakeLink(PrimaryOf(MustCluster(succ_a)));
-  n.outside_pred = MakeLink(PrimaryOf(MustCluster(pred_a)));
-  n.cyclic_succ = MakeLink(OwnerInCluster(MustCluster(succ_a), kb));
-  n.cyclic_pred = MakeLink(OwnerInCluster(MustCluster(pred_a), kb));
+  n.outside_succ = slab_.MakeLink(PrimaryOf(MustCluster(succ_a)));
+  n.outside_pred = slab_.MakeLink(PrimaryOf(MustCluster(pred_a)));
+  n.cyclic_succ = slab_.MakeLink(OwnerInCluster(MustCluster(succ_a), kb));
+  n.cyclic_pred = slab_.MakeLink(OwnerInCluster(MustCluster(pred_a), kb));
 
   // Cubical neighbor: cluster with bit kb of the cubical index flipped,
   // bits above kb unchanged, bits below kb don't-care (nearest existing).
@@ -418,7 +367,7 @@ void CycloidNetwork::BuildState(Node& n) {
       return;
     }
   }
-  n.cubical = MakeLink(OwnerInCluster(cit->second, kb));
+  n.cubical = slab_.MakeLink(OwnerInCluster(cit->second, kb));
   if (n.cubical.addr == n.addr) n.cubical = Link{};
 }
 
@@ -432,7 +381,7 @@ void CycloidNetwork::RepairAround(std::uint64_t a) {
                  affected.end());
   for (std::uint64_t cubical : affected) {
     for (const auto& [k, slot] : MustCluster(cubical)) {
-      BuildState(slots_[slot]);
+      BuildState(slab_[slot]);
       // One leaf-set update message per repaired neighbor. (The in-memory
       // rebuild refreshes the whole 7-entry table for simplicity, but the
       // protocol equivalent is a single notify carrying the change.)
@@ -448,7 +397,7 @@ CycloidNetwork::Slot CycloidNetwork::NextHopSlot(const Node& n, CycloidId key,
 
   if (ClusterOwnsLocal(n, a_t)) {
     if (n.inside_succ.addr == n.addr) return kNoSlot;
-    const Slot succ_slot = ResolveLink(n.inside_succ);
+    const Slot succ_slot = slab_.Resolve(n.inside_succ);
     if (succ_slot == kNoSlot) {
       // The cyclic successor failed and self-organization has not healed the
       // small cycle yet: the query cannot be forwarded reliably.
@@ -461,12 +410,12 @@ CycloidNetwork::Slot CycloidNetwork::NextHopSlot(const Node& n, CycloidId key,
     // direction and bounce; force_walk pins the rotation to successor-only,
     // which is bounded by the cluster size and always reaches the owner.
     if (!force_walk) {
-      const Slot pred_slot = ResolveLink(n.inside_pred);
+      const Slot pred_slot = slab_.Resolve(n.inside_pred);
       if (pred_slot != kNoSlot) {
         const unsigned k = n.id.k;
         const bool contiguous =
-            slots_[succ_slot].id.k == (k + 1) % d &&
-            slots_[pred_slot].id.k == (k + d - 1) % d;
+            slab_[succ_slot].id.k == (k + 1) % d &&
+            slab_[pred_slot].id.k == (k + d - 1) % d;
         if (contiguous) {
           const unsigned fwd = (key.k + d - k) % d;
           const unsigned bwd = (k + d - key.k) % d;
@@ -483,13 +432,13 @@ CycloidNetwork::Slot CycloidNetwork::NextHopSlot(const Node& n, CycloidId key,
     // Flip the bit reachable from this cyclic position if it differs; the
     // cubical XOR distance strictly decreases.
     if (((x >> kb) & 1u) != 0 && n.cubical.addr != kNoNode) {
-      const Slot cub = ResolveLink(n.cubical);
+      const Slot cub = slab_.Resolve(n.cubical);
       if (cub != kNoSlot) return cub;
     }
     // Otherwise rotate downward (k-1) and try the next bit; one lap of the
     // small cycle visits every bit position.
     if (n.inside_pred.addr != n.addr) {
-      const Slot pred_slot = ResolveLink(n.inside_pred);
+      const Slot pred_slot = slab_.Resolve(n.inside_pred);
       if (pred_slot != kNoSlot) return pred_slot;
       ++maintenance_.dead_links_skipped;
     }
@@ -504,21 +453,21 @@ CycloidNetwork::Slot CycloidNetwork::NextHopSlot(const Node& n, CycloidId key,
   const Link& first = forward ? n.cyclic_succ : n.cyclic_pred;
   const Link& second = forward ? n.outside_succ : n.outside_pred;
   if (first.addr != kNoNode && first.addr != n.addr) {
-    const Slot s = ResolveLink(first);
+    const Slot s = slab_.Resolve(first);
     if (s != kNoSlot) return s;
   }
   if (second.addr != kNoNode && second.addr != n.addr) {
-    const Slot s = ResolveLink(second);
+    const Slot s = slab_.Resolve(second);
     if (s != kNoSlot) return s;
   }
   // Last resort (heavy churn): any live neighbor that leaves the cluster.
   const Link& third = forward ? n.outside_pred : n.outside_succ;
   if (third.addr != kNoNode && third.addr != n.addr) {
-    const Slot s = ResolveLink(third);
+    const Slot s = slab_.Resolve(third);
     if (s != kNoSlot) return s;
   }
   if (n.inside_succ.addr != n.addr) {
-    const Slot s = ResolveLink(n.inside_succ);
+    const Slot s = slab_.Resolve(n.inside_succ);
     if (s != kNoSlot) return s;
   }
   ++maintenance_.dead_links_skipped;
@@ -544,7 +493,7 @@ void CycloidNetwork::LookupBegin(CycloidId key, NodeAddr origin,
   r.hops = 0;
   r.cache_hits = 0;
   r.path.clear();
-  st.cur = SlotOf(origin);
+  st.cur = slab_.Find(origin);
   st.prev = kNoSlot;
   st.structured_cap = 4 * cfg_.dimension + 8;
   st.total_cap =
@@ -558,8 +507,8 @@ void CycloidNetwork::LookupBegin(CycloidId key, NodeAddr origin,
 }
 
 bool CycloidNetwork::StepOnce(LookupState& st, LookupResult& r) const {
-  if (OwnsNode(slots_[st.cur], r.key)) {
-    r.owner = slots_[st.cur].addr;
+  if (OwnsNode(slab_[st.cur], r.key)) {
+    r.owner = slab_[st.cur].addr;
     r.ok = true;
     return false;
   }
@@ -572,22 +521,21 @@ bool CycloidNetwork::StepOnce(LookupState& st, LookupResult& r) const {
       // re-check with the walk's own termination predicate: a stale or
       // wrong shortcut can never route to an owner the plain walk would
       // reject.
-      if (shortcut.slot != kNoSlot && shortcut.slot != st.cur &&
-          slots_[shortcut.slot].gen == shortcut.gen &&
-          OwnsNode(slots_[shortcut.slot], r.key)) {
+      if (shortcut.slot != st.cur && slab_.Current(shortcut) &&
+          OwnsNode(slab_[shortcut.slot], r.key)) {
         cache::TickRouteHit();
         st.prev = st.cur;
         st.cur = shortcut.slot;
         ++r.hops;
         ++r.cache_hits;
-        r.path.push_back(slots_[st.cur].addr);
+        r.path.push_back(slab_[st.cur].addr);
         return true;
       }
       route_cache_.Evict(st.cur, cache_key);
     }
     cache::TickRouteMiss();
   }
-  const Node& n = slots_[st.cur];
+  const Node& n = slab_[st.cur];
   st.walk_mode = st.walk_mode || r.hops >= st.structured_cap;
   Slot next = NextHopSlot(n, r.key, st.walk_mode);
   if (!st.walk_mode && st.prev != kNoSlot && next == st.prev) {
@@ -598,7 +546,7 @@ bool CycloidNetwork::StepOnce(LookupState& st, LookupResult& r) const {
   st.prev = st.cur;
   st.cur = next;
   ++r.hops;
-  r.path.push_back(slots_[st.cur].addr);
+  r.path.push_back(slab_[st.cur].addr);
   return r.hops <= st.total_cap;  // past the cap, ok stays false
 }
 
@@ -618,9 +566,9 @@ void CycloidNetwork::LookupFinish(LookupState& st) const {
   if (r.ok && route_cache_.enabled() && r.hops > 0) {
     // Teach every node on the path a direct link to the owner.
     const std::uint64_t cache_key = r.key.a * cfg_.dimension + r.key.k;
-    const Link owner_link = MakeLink(st.cur);
+    const Link owner_link = slab_.MakeLink(st.cur);
     for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
-      const Slot s = SlotOf(r.path[i]);
+      const Slot s = slab_.Find(r.path[i]);
       if (s != kNoSlot && s != st.cur) {
         route_cache_.Insert(s, cache_key, owner_link);
       }
@@ -651,9 +599,9 @@ void CycloidNetwork::LookupFinish(LookupState& st) const {
 void CycloidNetwork::LookupPrefetch(const LookupState& st,
                                     unsigned stage) const {
   if (st.done) return;
-  const Node& n = slots_[st.cur];
+  const Node& n = slab_[st.cur];
   auto fetch_target = [&](const Link& l) {
-    if (l.slot != kNoSlot) __builtin_prefetch(&slots_[l.slot], 0, 3);
+    if (l.slot != kNoSlot) __builtin_prefetch(&slab_[l.slot], 0, 3);
   };
   switch (stage) {
     case 0: {
@@ -693,14 +641,14 @@ void CycloidNetwork::LookupInto(CycloidId key, NodeAddr origin,
 }
 
 void CycloidNetwork::FixNode(NodeAddr addr) {
-  BuildState(MustGet(addr));
+  BuildState(slab_.MustGet(addr));
   maintenance_.stabilize_messages += 7;  // one refresh per routing entry
 }
 
 void CycloidNetwork::StabilizeAll() {
-  for (Slot s = 0; s < slots_.size(); ++s) {
-    if (!slots_[s].live) continue;
-    BuildState(slots_[s]);
+  for (Slot s = 0; s < slab_.slot_count(); ++s) {
+    if (slab_[s].addr == kNoNode) continue;  // vacated slot
+    BuildState(slab_[s]);
     maintenance_.stabilize_messages += 7;
   }
 }
@@ -715,13 +663,11 @@ void CycloidNetwork::RemoveObserver(MembershipObserver* obs) {
 }
 
 std::size_t CycloidNetwork::ApproxMemoryBytes() const {
-  std::size_t bytes = slots_.capacity() * sizeof(Node);
-  bytes += free_slots_.capacity() * sizeof(Slot);
+  std::size_t bytes = slab_.MemoryBytes();
   // std::map node estimate: payload plus three tree pointers + color.
   const std::size_t map_node = 4 * sizeof(void*);
   bytes += clusters_.size() * (sizeof(std::pair<std::uint64_t, Cluster>) +
                                map_node);
-  bytes += by_addr_.MemoryBytes();
   return bytes;
 }
 

@@ -38,12 +38,8 @@
 // This realizes the paper's "a key is assigned to the node whose ID is
 // closest to its ID" with exact, locally testable sectors.
 //
-// Storage layout mirrors ChordRing's: nodes live in a contiguous slot slab
-// with per-slot generation counters, and the 7 routing entries are `Link`s
-// carrying (slot, generation, addr, cached id). Steady-state routing does a
-// generation compare per liveness check and reads IDs out of the slab — no
-// hash probes; `by_addr_` resolution happens once per membership change and
-// on stale links only.
+// Storage: nodes live in a `SlotSlab` and the 7 routing entries are its
+// generation-checked `SlotLink`s (common/slot_slab.hpp), as on ChordRing.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +48,7 @@
 
 #include "cache/route_cache.hpp"
 #include "common/maintenance.hpp"
-#include "common/flat_map.hpp"
+#include "common/slot_slab.hpp"
 #include "common/types.hpp"
 
 namespace lorm::cycloid {
@@ -116,8 +112,8 @@ class CycloidNetwork {
  public:
   /// Index into the node slot slab. Public so resumable lookup state (and
   /// the batch engine built on it) can carry slab positions across steps.
-  using Slot = std::uint32_t;
-  static constexpr Slot kNoSlot = 0xffffffffu;
+  using Slot = SlabSlot;
+  static constexpr Slot kNoSlot = kNoSlabSlot;
 
   /// Aliases the batch engine templates over (chord uses the same names).
   using LookupKeyType = CycloidId;
@@ -150,8 +146,8 @@ class CycloidNetwork {
   /// self-organization repairs them; its stored objects are lost.
   void FailNode(NodeAddr addr);
 
-  std::size_t size() const { return by_addr_.size(); }
-  bool Contains(NodeAddr addr) const { return by_addr_.Contains(addr); }
+  std::size_t size() const { return slab_.size(); }
+  bool Contains(NodeAddr addr) const { return slab_.Contains(addr); }
   std::vector<NodeAddr> Members() const;
 
   // ---- Structure queries --------------------------------------------------
@@ -242,7 +238,7 @@ class CycloidNetwork {
   /// issued later: a batch engine calls this one refill ahead so the next
   /// request's origin->slot resolution overlaps the walks in flight. Pure
   /// prefetch, no observable effect.
-  void PrefetchOrigin(NodeAddr origin) const { by_addr_.PrefetchFind(origin); }
+  void PrefetchOrigin(NodeAddr origin) const { slab_.PrefetchFind(origin); }
 
   // ---- Maintenance --------------------------------------------------------
 
@@ -267,22 +263,15 @@ class CycloidNetwork {
   std::size_t ApproxMemoryBytes() const;
 
  private:
-  /// One routing-table entry (see chord::ChordRing::Link): generation match
-  /// means the target is alive at `slot` with id `id`; mismatch falls back
-  /// to by_addr_, reproducing the address-keyed semantics exactly. A null
-  /// entry is Link{} (addr == kNoNode).
-  struct Link {
-    Slot slot = kNoSlot;
-    std::uint32_t gen = 0;
-    NodeAddr addr = kNoNode;
-    CycloidId id;
-  };
+  using Link = SlotLink<CycloidId>;  ///< a null entry is Link{}
 
   struct Node {
     CycloidId id;
     NodeAddr addr = kNoNode;
     std::uint32_t gen = 0;  ///< bumped every time the slot is vacated
-    bool live = false;
+    /// Keeps the links at offset 32 and the node at four cache lines; the
+    /// unpadded 248-byte node measured slower LORM lookups in fig_scale.
+    std::uint64_t pad = 0;
     Link inside_succ;
     Link inside_pred;
     Link outside_succ;  // primary of succeeding cluster
@@ -291,16 +280,12 @@ class CycloidNetwork {
     Link cyclic_succ;   // ~k-1 in succeeding cluster
     Link cyclic_pred;   // ~k-1 in preceding cluster
   };
+  static_assert(sizeof(Node) == 256, "Node must stay four cache lines");
 
   using Cluster = std::map<unsigned, Slot>;  // cyclic index -> slot
 
-  Node& MustGet(NodeAddr addr);
-  const Node& MustGet(NodeAddr addr) const;
-  Slot SlotOf(NodeAddr addr) const;
-  Link MakeLink(Slot s) const;
-  /// Live slot the link currently leads to, or kNoSlot if the target is
-  /// gone (generation compare fast path, by_addr_ fallback on staleness).
-  Slot ResolveLink(const Link& l) const;
+  /// Seats a member in the slab and sizes its route-cache block;
+  /// ReleaseSlot vacates it and drops what it had learned.
   Slot AllocateSlot(NodeAddr addr, CycloidId id);
   void ReleaseSlot(Slot s);
 
@@ -333,10 +318,8 @@ class CycloidNetwork {
 
   Config cfg_;
   std::uint64_t cluster_space_;
-  std::vector<Node> slots_;       // slot slab; entries stay put for life
-  std::vector<Slot> free_slots_;
+  SlotSlab<Node> slab_{"unknown cycloid node"};
   std::map<std::uint64_t, Cluster> clusters_;   // oracle index
-  AddrIndexMap by_addr_;  // flat addr->slot table; resolved once per change
   std::vector<MembershipObserver*> observers_;
   mutable MaintenanceStats maintenance_;  // mutable: routing is const
   /// Learned shortcuts (cfg_.route_cache); mutable: lookups teach it.

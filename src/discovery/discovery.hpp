@@ -112,7 +112,13 @@ class DiscoveryService {
 
   /// Routes one advertised tuple from its provider to the responsible
   /// directory node. Returns the routing hops spent. The stored entry is
-  /// stamped with the current soft-state epoch.
+  /// stamped with the current soft-state epoch. When the route fails (LORM's
+  /// Cycloid lookups can, through crashed nodes not yet repaired), nothing
+  /// is stored, the result cache is left alone, and the hops spent are
+  /// returned: the provider's next periodic re-advertisement places the
+  /// tuple (soft state, below). The Chord-keyed systems' lookups fall back
+  /// on successor lists or the full table, so a live provider's route
+  /// cannot fail there; they keep checking it as an invariant.
   virtual HopCount Advertise(const resource::ResourceInfo& info) = 0;
 
   // ---- Soft state (periodic re-advertisement, paper §III) -----------------

@@ -77,7 +77,9 @@ HopCount LormService::Advertise(const resource::ResourceInfo& info) {
                  "provider is not a member of the overlay");
   const auto key = KeyFor(info.attr, info.value);
   const auto res = net_.Lookup(key, info.provider);
-  LORM_CHECK_MSG(res.ok, "LORM advertise lookup failed to route");
+  // A route through unrepaired crashes can fail: store nothing and let the
+  // provider's next periodic re-advertisement place the tuple.
+  if (!res.ok) return res.hops;
   HopCount hops = res.hops;
   NodeAddr target = res.owner;
   for (std::size_t copy = 0; copy < cfg_.replicas; ++copy) {

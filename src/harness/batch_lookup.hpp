@@ -32,8 +32,9 @@
 //   * cache on: walks interact through the shared route cache (a walk's
 //     teach changes what later walks probe), so pipelined interleaving
 //     would reorder those interactions. The engine detects route_cache in
-//     the ring config and runs cache-on walks to completion in submission
-//     order instead — correctness first, pipelining where it is sound.
+//     the ring config (rings without the option have no cache) and runs
+//     cache-on walks to completion in submission order instead —
+//     correctness first, pipelining where it is sound.
 //
 // Allocation: the lane ring is sized once in the constructor and lane
 // results keep their path capacity across refills, so a warm engine runs
@@ -83,9 +84,11 @@ class BatchLookupEngine {
   void Run(const Ring& ring, const Request* reqs, std::size_t count,
            OnDone&& done) {
     if (count == 0) return;
-    if (ring.config().route_cache) {
-      RunSequential(ring, reqs, count, done);
-      return;
+    if constexpr (requires { ring.config().route_cache; }) {
+      if (ring.config().route_cache) {
+        RunSequential(ring, reqs, count, done);
+        return;
+      }
     }
     const std::size_t lanes = std::min(lanes_.size(), count);
     std::size_t submitted = 0;

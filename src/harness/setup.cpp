@@ -39,7 +39,9 @@ std::unique_ptr<discovery::DiscoveryService> MakeRingService(
   typename Service::Config cfg;
   cfg.ring.bits = setup.chord_bits;
   cfg.ring.seed = setup.seed;
-  cfg.ring.route_cache = setup.cache;
+  if constexpr (requires { cfg.ring.route_cache; }) {
+    cfg.ring.route_cache = setup.cache;  // the single-hop ring has none
+  }
   cfg.replicas = setup.replicas;
   cfg.result_cache = setup.cache;
   cfg.plan = setup.plan;
@@ -67,9 +69,8 @@ std::deque<RegistryEntry> MakeBuiltins() {
                  MakeRingService<discovery::SwordService>});
   reg.push_back({SystemKind::kMaan, "MAAN",
                  MakeRingService<discovery::MaanService>});
-  // D1HT's ring config has no `bits` knob mismatch — singlehop::Config uses
-  // the same field names, so the generic wiring applies. Its full-view table
-  // ignores route_cache (every lookup already resolves locally).
+  // singlehop::Config shares chord::Config's `bits` and `seed` names, so the
+  // generic wiring applies to D1HT too.
   reg.push_back({SystemKind::kD1ht, "D1HT",
                  MakeRingService<discovery::D1htService>});
   return reg;

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/hashing.hpp"
-#include "common/random.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -16,104 +14,9 @@ SingleHopRing::SingleHopRing(Config cfg) : cfg_(cfg) {
   space_ = std::uint64_t{1} << cfg_.bits;
 }
 
-SingleHopRing::Slot SingleHopRing::SlotOf(NodeAddr addr) const {
-  const std::uint32_t idx = by_addr_.Find(addr);
-  return idx == AddrIndexMap::kAbsent ? kNoSlot : static_cast<Slot>(idx);
-}
-
-SingleHopRing::Link SingleHopRing::MakeLink(Slot s) const {
-  const Node& n = slots_[s];
-  return Link{s, n.gen, n.addr, n.id};
-}
-
-SingleHopRing::Slot SingleHopRing::ResolveLink(const Link& l) const {
-  if (l.slot != kNoSlot && slots_[l.slot].gen == l.gen) return l.slot;
-  return SlotOf(l.addr);
-}
-
-SingleHopRing::Slot SingleHopRing::AllocateSlot(NodeAddr addr, Key id) {
-  Slot s;
-  if (!free_slots_.empty()) {
-    s = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    s = static_cast<Slot>(slots_.size());
-    slots_.emplace_back();
-  }
-  Node& n = slots_[s];
-  n.id = id;
-  n.addr = addr;  // gen was already bumped when the slot was vacated
-  n.successor = Link{};
-  n.predecessor = Link{};
-  return s;
-}
-
-void SingleHopRing::ReleaseSlot(Slot s) {
-  Node& n = slots_[s];
-  ++n.gen;  // invalidates every link that points here
-  n.addr = kNoNode;
-  n.successor = Link{};
-  n.predecessor = Link{};
-  free_slots_.push_back(s);
-}
-
-const SingleHopRing::Node& SingleHopRing::MustGet(NodeAddr addr) const {
-  const Slot s = SlotOf(addr);
-  LORM_CHECK_MSG(s != kNoSlot, "unknown single-hop node");
-  return slots_[s];
-}
-
-SingleHopRing::Node& SingleHopRing::MustGet(NodeAddr addr) {
-  const Slot s = SlotOf(addr);
-  LORM_CHECK_MSG(s != kNoSlot, "unknown single-hop node");
-  return slots_[s];
-}
-
-std::size_t SingleHopRing::OracleIndexOf(Key id) const {
-  const auto it = std::lower_bound(
-      oracle_.begin(), oracle_.end(), id,
-      [](const auto& e, Key k) { return e.first < k; });
-  LORM_CHECK_MSG(it != oracle_.end() && it->first == id,
-                 "id missing from the membership view");
-  return static_cast<std::size_t>(it - oracle_.begin());
-}
-
-bool SingleHopRing::OracleContains(Key id) const {
-  const auto it = std::lower_bound(
-      oracle_.begin(), oracle_.end(), id,
-      [](const auto& e, Key k) { return e.first < k; });
-  return it != oracle_.end() && it->first == id;
-}
-
-void SingleHopRing::OracleInsert(Key id, Slot slot) {
-  const auto it = std::lower_bound(
-      oracle_.begin(), oracle_.end(), id,
-      [](const auto& e, Key k) { return e.first < k; });
-  oracle_.insert(it, {id, slot});
-}
-
-void SingleHopRing::OracleErase(Key id) {
-  oracle_.erase(oracle_.begin() +
-                static_cast<std::ptrdiff_t>(OracleIndexOf(id)));
-}
-
-SingleHopRing::Slot SingleHopRing::OwnerSlotOf(Key key) const {
-  if (oracle_.empty()) return kNoSlot;
-  const auto it = std::lower_bound(
-      oracle_.begin(), oracle_.end(), key,
-      [](const auto& e, Key k) { return e.first < k; });
-  return it == oracle_.end() ? oracle_.front().second : it->second;
-}
-
 Key SingleHopRing::AddNode(NodeAddr addr) {
-  const ConsistentHash ch(cfg_.bits);
-  Key id = ch(static_cast<std::uint64_t>(addr) ^ cfg_.seed);
-  std::uint64_t salt = 0;
-  while (OracleContains(id)) {
-    ++salt;
-    id = MixHashes(static_cast<std::uint64_t>(addr) ^ cfg_.seed, salt) &
-         (space_ - 1);
-  }
+  const Key id = chord::HashedId(addr, cfg_.bits, cfg_.seed,
+                                 [this](Key k) { return oracle_.Contains(k); });
   AddNodeWithId(addr, id);
   return id;
 }
@@ -121,166 +24,124 @@ Key SingleHopRing::AddNode(NodeAddr addr) {
 void SingleHopRing::AddNodeWithId(NodeAddr addr, Key id) {
   LORM_CHECK_MSG(id < space_, "single-hop id outside the identifier space");
   if (Contains(addr)) throw ConfigError("node address already in ring");
-  if (OracleContains(id)) throw ConfigError("single-hop id collision");
+  if (oracle_.Contains(id)) throw ConfigError("single-hop id collision");
 
-  const bool first = by_addr_.empty();
+  const bool first = slab_.empty();
   // Every existing member's view gains this entry: one EDRA event report
   // per member, plus the joiner's bootstrap lookup and bulk table transfer
   // (one message — the table rides in one stream).
-  maintenance_.join_messages += by_addr_.size() + 2;
-  const Slot self_slot = AllocateSlot(addr, id);
-  OracleInsert(id, self_slot);
-  by_addr_.Put(addr, self_slot);
+  maintenance_.join_messages += slab_.size() + 2;
+  const Slot self_slot = slab_.Allocate(addr, id);
+  oracle_.Insert(id, self_slot);
   SpliceNeighbors(self_slot);
 
   if (first) {
     for (auto* obs : observers_) obs->OnJoin(addr, addr);
     return;
   }
-  const std::size_t idx = OracleIndexOf(id);
-  const Slot succ_slot =
-      oracle_[(idx + 1) % oracle_.size()].second;
-  for (auto* obs : observers_) obs->OnJoin(addr, slots_[succ_slot].addr);
+  const NodeAddr succ = slab_[oracle_[oracle_.SuccessorIndex(id)].slot].addr;
+  for (auto* obs : observers_) obs->OnJoin(addr, succ);
+}
+
+void SingleHopRing::BulkAssign(
+    const std::vector<std::pair<NodeAddr, Key>>& members) {
+  LORM_CHECK_MSG(slab_.empty(), "BulkAssign requires an empty ring");
+  LORM_CHECK_MSG(observers_.empty(),
+                 "BulkAssign does not notify membership observers");
+  slab_.reserve(members.size());
+  oracle_.reserve(members.size());
+  for (const auto& [addr, id] : members) {
+    LORM_CHECK_MSG(id < space_, "single-hop id outside the identifier space");
+    if (Contains(addr)) throw ConfigError("node address already in ring");
+    oracle_.Append(id, slab_.Allocate(addr, id));
+  }
+  if (!oracle_.SortDistinct()) throw ConfigError("single-hop id collision");
+  StabilizeAll();
 }
 
 void SingleHopRing::RemoveNode(NodeAddr addr) {
-  const Slot self_slot = SlotOf(addr);
-  LORM_CHECK_MSG(self_slot != kNoSlot, "unknown single-hop node");
-  Node& n = slots_[self_slot];
-  const bool last = by_addr_.size() == 1;
+  const Slot self_slot = slab_.MustFind(addr);
+  const Node& n = slab_[self_slot];
+  const bool last = slab_.size() == 1;
   // One departure report per surviving member, plus the key handoff.
-  maintenance_.leave_messages += (by_addr_.size() - 1) + 1;
-  NodeAddr succ = kNoNode;
-  if (!last) {
-    const std::size_t idx = OracleIndexOf(n.id);
-    succ = slots_[oracle_[(idx + 1) % oracle_.size()].second].addr;
-  }
+  maintenance_.leave_messages += (slab_.size() - 1) + 1;
+  const NodeAddr succ =
+      last ? kNoNode : slab_[oracle_[oracle_.SuccessorIndex(n.id)].slot].addr;
   for (auto* obs : observers_) obs->OnLeave(addr, succ);
 
-  OracleErase(n.id);
-  by_addr_.Erase(addr);
-  ReleaseSlot(self_slot);
-  if (!last) {
-    const Slot succ_slot = SlotOf(succ);
-    if (succ_slot != kNoSlot) SpliceNeighbors(succ_slot);
-  }
+  oracle_.Erase(n.id);
+  slab_.Release(self_slot);
+  if (!last) SpliceNeighbors(slab_.MustFind(succ));
 }
 
 void SingleHopRing::FailNode(NodeAddr addr) {
-  const Slot self_slot = SlotOf(addr);
-  LORM_CHECK_MSG(self_slot != kNoSlot, "unknown single-hop node");
+  const Slot self_slot = slab_.MustFind(addr);
   links_fresh_ = false;  // neighbor links to the vacated slot go stale
   for (auto* obs : observers_) obs->OnFail(addr);
   // Nothing is charged now — nobody has been told. The detection +
   // dissemination bill lands on the next maintenance window.
   ++pending_fail_events_;
-  OracleErase(slots_[self_slot].id);
-  by_addr_.Erase(addr);
-  ReleaseSlot(self_slot);
+  oracle_.Erase(slab_[self_slot].id);
+  slab_.Release(self_slot);
 }
 
-std::vector<NodeAddr> SingleHopRing::Members() const {
-  std::vector<NodeAddr> out;
-  out.reserve(oracle_.size());
-  for (const auto& [id, slot] : oracle_) out.push_back(slots_[slot].addr);
-  return out;
-}
-
-Key SingleHopRing::IdOf(NodeAddr addr) const { return MustGet(addr).id; }
+Key SingleHopRing::IdOf(NodeAddr addr) const { return slab_.MustGet(addr).id; }
 
 NodeAddr SingleHopRing::OwnerOf(Key key) const {
-  const Slot s = OwnerSlotOf(key & (space_ - 1));
-  return s == kNoSlot ? kNoNode : slots_[s].addr;
+  const Slot s = oracle_.OwnerSlot(key & (space_ - 1));
+  return s == kNoSlot ? kNoNode : slab_[s].addr;
 }
 
 NodeAddr SingleHopRing::OwnerOfExcluding(Key key, NodeAddr excluded) const {
-  if (excluded == kNoNode || !Contains(excluded)) return OwnerOf(key);
-  if (oracle_.size() == 1) return kNoNode;
-  const Slot s = OwnerSlotOf(key & (space_ - 1));
-  if (s == kNoSlot) return kNoNode;
-  if (slots_[s].addr != excluded) return slots_[s].addr;
-  const std::size_t idx = OracleIndexOf(slots_[s].id);
-  return slots_[oracle_[(idx + 1) % oracle_.size()].second].addr;
+  return oracle_.OwnerOfExcluding(slab_, key & (space_ - 1), excluded);
 }
 
 NodeAddr SingleHopRing::NthOracleSuccessor(NodeAddr addr, std::size_t steps,
                                            NodeAddr excluded) const {
-  const Node& n = MustGet(addr);
-  std::size_t idx = OracleIndexOf(n.id);
-  NodeAddr cur = addr;
-  std::size_t taken = 0;
-  for (std::size_t walked = 0; taken < steps && walked < oracle_.size();
-       ++walked) {
-    idx = (idx + 1) % oracle_.size();
-    const NodeAddr cand = slots_[oracle_[idx].second].addr;
-    if (cand == excluded) continue;
-    cur = cand;
-    ++taken;
-    if (cur == addr) break;  // capped at one revolution
-  }
-  return cur;
+  return oracle_.NthSuccessor(slab_, addr, steps, excluded);
 }
 
 NodeAddr SingleHopRing::NthOraclePredecessor(NodeAddr addr, std::size_t steps,
                                              NodeAddr excluded) const {
-  const Node& n = MustGet(addr);
-  std::size_t idx = OracleIndexOf(n.id);
-  NodeAddr cur = addr;
-  std::size_t taken = 0;
-  for (std::size_t walked = 0; taken < steps && walked < oracle_.size();
-       ++walked) {
-    idx = (idx + oracle_.size() - 1) % oracle_.size();
-    const NodeAddr cand = slots_[oracle_[idx].second].addr;
-    if (cand == excluded) continue;
-    cur = cand;
-    ++taken;
-    if (cur == addr) break;
-  }
-  return cur;
+  return oracle_.NthPredecessor(slab_, addr, steps, excluded);
 }
 
 NodeAddr SingleHopRing::Successor(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
-  const Slot s = ResolveLink(n.successor);
-  if (s != kNoSlot) return slots_[s].addr;
+  const Node& n = slab_.MustGet(addr);
+  const Slot s = slab_.Resolve(n.successor);
+  if (s != kNoSlot) return slab_[s].addr;
   // Stale link (the successor crashed since the last window): the full
   // table supplies the next live member, one detected failure, zero hops.
   maintenance_.dead_links_skipped += 1;
-  const std::size_t idx = OracleIndexOf(n.id);
-  return slots_[oracle_[(idx + 1) % oracle_.size()].second].addr;
+  return slab_[oracle_[oracle_.SuccessorIndex(n.id)].slot].addr;
 }
 
 NodeAddr SingleHopRing::Predecessor(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
-  const Slot s = ResolveLink(n.predecessor);
-  if (s != kNoSlot) return slots_[s].addr;
+  const Node& n = slab_.MustGet(addr);
+  const Slot s = slab_.Resolve(n.predecessor);
+  if (s != kNoSlot) return slab_[s].addr;
   maintenance_.dead_links_skipped += 1;
-  const std::size_t idx = OracleIndexOf(n.id);
-  return slots_[oracle_[(idx + oracle_.size() - 1) % oracle_.size()].second]
-      .addr;
+  return slab_[oracle_[oracle_.Prev(oracle_.IndexOf(n.id))].slot].addr;
 }
 
 bool SingleHopRing::Owns(NodeAddr addr, Key key) const {
-  const Node& n = MustGet(addr);
+  const Node& n = slab_.MustGet(addr);
   if (oracle_.size() == 1) return true;
-  const std::size_t idx = OracleIndexOf(n.id);
-  const Key pred_id =
-      oracle_[(idx + oracle_.size() - 1) % oracle_.size()].first;
+  const Key pred_id = oracle_[oracle_.Prev(oracle_.IndexOf(n.id))].id;
   return chord::InIntervalOC(key & (space_ - 1), pred_id, n.id);
 }
 
 std::size_t SingleHopRing::Outlinks(NodeAddr addr) const {
-  MustGet(addr);  // membership check
-  return by_addr_.size() - 1;
+  slab_.MustFind(addr);  // membership check
+  return slab_.size() - 1;
 }
 
 std::vector<NodeAddr> SingleHopRing::FullViewOf(NodeAddr addr) const {
-  const Node& n = MustGet(addr);
-  const std::size_t idx = OracleIndexOf(n.id);
+  std::size_t idx = oracle_.IndexOf(slab_.MustGet(addr).id);
   std::vector<NodeAddr> out;
   out.reserve(oracle_.size());
-  for (std::size_t i = 0; i < oracle_.size(); ++i) {
-    out.push_back(slots_[oracle_[(idx + i) % oracle_.size()].second].addr);
+  for (std::size_t i = 0; i < oracle_.size(); ++i, idx = oracle_.Next(idx)) {
+    out.push_back(slab_[oracle_[idx].slot].addr);
   }
   return out;
 }
@@ -313,7 +174,7 @@ void SingleHopRing::LookupBegin(Key key, NodeAddr origin, LookupResult& r,
   r.hops = 0;
   r.cache_hits = 0;
   r.path.clear();
-  st.cur = SlotOf(origin);
+  st.cur = slab_.Find(origin);
   st.max_hops = 1;
   st.done = st.cur == kNoSlot;
   if (!st.done) r.path.push_back(origin);
@@ -322,11 +183,11 @@ void SingleHopRing::LookupBegin(Key key, NodeAddr origin, LookupResult& r,
 bool SingleHopRing::LookupStep(LookupState& st) const {
   if (st.done) return false;
   LookupResult& r = *st.out;
-  const Slot owner_slot = OwnerSlotOf(r.key);
+  const Slot owner_slot = oracle_.OwnerSlot(r.key);
   // The full table names the owner directly: zero hops when the origin
   // owns the key itself, one hop otherwise.
   if (owner_slot != kNoSlot) {
-    const Node& owner = slots_[owner_slot];
+    const Node& owner = slab_[owner_slot];
     r.owner = owner.addr;
     r.ok = true;
     if (owner_slot != st.cur) {
@@ -360,27 +221,24 @@ void SingleHopRing::LookupFinish(LookupState& st) const {
 void SingleHopRing::LookupPrefetch(const LookupState& st,
                                    unsigned stage) const {
   if (stage != 0 || st.done || st.cur == kNoSlot) return;
-  __builtin_prefetch(&slots_[st.cur]);
+  __builtin_prefetch(&slab_[st.cur]);
 }
 
 // ---- Maintenance ----------------------------------------------------------
 
 void SingleHopRing::SpliceNeighbors(Slot slot) {
-  Node& n = slots_[slot];
-  const std::size_t count = oracle_.size();
-  const std::size_t idx = OracleIndexOf(n.id);
-  const Slot succ = oracle_[(idx + 1) % count].second;
-  const Slot pred = oracle_[(idx + count - 1) % count].second;
-  n.successor = MakeLink(succ);
-  n.predecessor = MakeLink(pred);
-  slots_[pred].successor = MakeLink(slot);
-  slots_[succ].predecessor = MakeLink(slot);
+  Node& n = slab_[slot];
+  const std::size_t idx = oracle_.IndexOf(n.id);
+  const Slot succ = oracle_[oracle_.Next(idx)].slot;
+  const Slot pred = oracle_[oracle_.Prev(idx)].slot;
+  n.successor = slab_.MakeLink(succ);
+  n.predecessor = slab_.MakeLink(pred);
+  slab_[pred].successor = slab_.MakeLink(slot);
+  slab_[succ].predecessor = slab_.MakeLink(slot);
 }
 
 void SingleHopRing::FixNode(NodeAddr addr) {
-  const Slot s = SlotOf(addr);
-  LORM_CHECK_MSG(s != kNoSlot, "unknown single-hop node");
-  SpliceNeighbors(s);
+  SpliceNeighbors(slab_.MustFind(addr));
   maintenance_.stabilize_messages += 1;  // the node's heartbeat ping
 }
 
@@ -392,10 +250,9 @@ void SingleHopRing::StabilizeAll() {
       pending_fail_events_ * oracle_.size() + oracle_.size();
   pending_fail_events_ = 0;
   for (std::size_t i = 0; i < oracle_.size(); ++i) {
-    const std::size_t next = (i + 1) % oracle_.size();
-    Node& n = slots_[oracle_[i].second];
-    n.successor = MakeLink(oracle_[next].second);
-    slots_[oracle_[next].second].predecessor = MakeLink(oracle_[i].second);
+    const Slot next = oracle_[oracle_.Next(i)].slot;
+    slab_[oracle_[i].slot].successor = slab_.MakeLink(next);
+    slab_[next].predecessor = slab_.MakeLink(oracle_[i].slot);
   }
   links_fresh_ = true;
 }
@@ -410,35 +267,14 @@ void SingleHopRing::RemoveObserver(MembershipObserver* obs) {
 }
 
 std::size_t SingleHopRing::ApproxMemoryBytes() const {
-  std::size_t bytes = slots_.capacity() * sizeof(Node);
-  bytes += free_slots_.capacity() * sizeof(Slot);
-  bytes += oracle_.capacity() * sizeof(std::pair<Key, Slot>);
-  bytes += by_addr_.MemoryBytes();
-  return bytes;
+  return slab_.MemoryBytes() + oracle_.MemoryBytes();
 }
 
 SingleHopRing MakeSingleHopRing(std::size_t n, Config cfg,
                                 bool deterministic_ids, NodeAddr base_addr) {
   SingleHopRing ring(cfg);
-  if (deterministic_ids) {
-    const std::uint64_t space = std::uint64_t{1} << cfg.bits;
-    if (n > space) throw ConfigError("more nodes than identifiers");
-    // Same seed-derived rotation + proportional placement as chord's
-    // MakeRing, so the two substrates are comparable point for point.
-    std::uint64_t st = cfg.seed;
-    const Key offset = SplitMix64(st) & (space - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto id = static_cast<Key>(
-          (static_cast<unsigned __int128>(i) * space / n + offset) &
-          (space - 1));
-      ring.AddNodeWithId(static_cast<NodeAddr>(base_addr + i), id);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      ring.AddNode(static_cast<NodeAddr>(base_addr + i));
-    }
-  }
-  ring.StabilizeAll();
+  ring.BulkAssign(chord::InitialIds(n, cfg.bits, cfg.seed, deterministic_ids,
+                                    base_addr));
   return ring;
 }
 

@@ -12,10 +12,10 @@
 // and the simulator advances in discrete steps (membership events are
 // instantaneous and never interleave with queries), every node's full table
 // is identical between steps. The simulator therefore stores the shared view
-// once — the sorted `oracle_` of (id, slot) pairs, exactly the structure
-// chord/cycloid use as their maintenance oracle — and it *is* each node's
-// routing table. What distinguishes honest single-hop accounting is the
-// message meter, not per-node table copies:
+// once — the `RingOracle` of (id, slot) pairs, the same structure chord uses
+// as its maintenance oracle — and it *is* each node's routing table. What
+// distinguishes honest single-hop accounting is the message meter, not
+// per-node table copies:
 //
 //   * a join charges its bootstrap lookup plus one event-report message per
 //     existing member (the joiner's table is transferred in bulk and every
@@ -29,19 +29,17 @@
 //     whole point of event dissemination is that n-entry tables are kept
 //     current without pinging n entries.
 //
-// Storage layout mirrors chord/cycloid: a contiguous slot slab of 64-byte
-// node headers with a per-slot generation counter, and generation-checked
-// `Link`s (slot, gen, addr, id) for the successor/predecessor pointers the
-// range walks traverse. Stale links (a crash between maintenance rounds)
-// fall back to the oracle, reproducing address semantics exactly as the
-// other rings do.
+// Storage: a `SlotSlab` of 64-byte node headers whose generation-checked
+// `SlotLink`s are the successor/predecessor pointers the range walks
+// traverse (common/slot_slab.hpp). Stale links (a crash between maintenance
+// rounds) fall back to the oracle.
 //
 // The resumable LookupBegin/Step/Finish state machine conforms to the batch
 // engine contract (harness/batch_lookup.hpp): a lookup completes in one
 // Step — origin consults its full table and hops straight to the owner —
 // and Finish reports the same metrics/trace surface as the other rings
-// ("singlehop.lookup.*"). The route cache flag is accepted for config parity
-// but changes nothing: a complete table cannot be shortcut.
+// ("singlehop.lookup.*"). There is no route cache: a complete table cannot
+// be shortcut.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +47,8 @@
 #include <vector>
 
 #include "chord/chord.hpp"
-#include "common/flat_map.hpp"
 #include "common/maintenance.hpp"
+#include "common/slot_slab.hpp"
 #include "common/types.hpp"
 
 namespace lorm::singlehop {
@@ -70,15 +68,12 @@ struct Config {
   unsigned bits = 24;
   /// Seed for ID assignment in random-ID mode.
   std::uint64_t seed = 0x5EEDC0DEull;
-  /// Accepted for Setup parity with the other rings; routing ignores it
-  /// (every lookup is already one hop off a complete table).
-  bool route_cache = false;
 };
 
 class SingleHopRing {
  public:
-  using Slot = std::uint32_t;
-  static constexpr Slot kNoSlot = 0xffffffffu;
+  using Slot = SlabSlot;
+  static constexpr Slot kNoSlot = kNoSlabSlot;
 
   /// Aliases the batch engine templates over (chord/cycloid use the same).
   using LookupKeyType = Key;
@@ -96,6 +91,12 @@ class SingleHopRing {
   /// on ID collision.
   void AddNodeWithId(NodeAddr addr, Key id);
 
+  /// Bulk membership for a fresh ring (chord::ChordRing::BulkAssign's
+  /// contract): one sort builds the view, one StabilizeAll links the
+  /// neighbors — the state n sequential joins plus StabilizeAll reach, with
+  /// no join messages billed. Requires an empty ring with no observers.
+  void BulkAssign(const std::vector<std::pair<NodeAddr, Key>>& members);
+
   /// Graceful departure: every view drops the entry; observers notified.
   void RemoveNode(NodeAddr addr);
 
@@ -104,9 +105,9 @@ class SingleHopRing {
   /// stale until then.
   void FailNode(NodeAddr addr);
 
-  std::size_t size() const { return by_addr_.size(); }
-  bool Contains(NodeAddr addr) const { return by_addr_.Contains(addr); }
-  std::vector<NodeAddr> Members() const;
+  std::size_t size() const { return slab_.size(); }
+  bool Contains(NodeAddr addr) const { return slab_.Contains(addr); }
+  std::vector<NodeAddr> Members() const { return oracle_.Members(slab_); }
 
   // ---- Structure queries -------------------------------------------------
 
@@ -170,7 +171,7 @@ class SingleHopRing {
   void LookupPrefetch(const LookupState& st, unsigned stage) const;
 
   /// Warms the membership-probe line for a later LookupBegin (see chord).
-  void PrefetchOrigin(NodeAddr origin) const { by_addr_.PrefetchFind(origin); }
+  void PrefetchOrigin(NodeAddr origin) const { slab_.PrefetchFind(origin); }
 
   // ---- Maintenance ------------------------------------------------------
 
@@ -198,18 +199,11 @@ class SingleHopRing {
   std::size_t ApproxMemoryBytes() const;
 
  private:
-  /// Generation-checked routing link (same layout as chord's).
-  struct Link {
-    Slot slot = kNoSlot;
-    std::uint32_t gen = 0;
-    NodeAddr addr = kNoNode;
-    Key id = 0;
-  };
+  using Link = SlotLink<Key>;
 
-  /// Node header: one cache line, as on the other rings. The full routing
-  /// table is the shared oracle (see file comment); the header carries the
-  /// spliced neighbor links the range walks chase. Liveness is encoded as
-  /// addr != kNoNode — the two 24-byte links leave no room for a flag.
+  /// Node header: one cache line. The full routing table is the shared
+  /// oracle (see file comment); the header carries the spliced neighbor
+  /// links the range walks chase.
   struct alignas(64) Node {
     Key id = 0;
     NodeAddr addr = kNoNode;
@@ -219,30 +213,14 @@ class SingleHopRing {
   };
   static_assert(sizeof(Node) == 64, "Node header must stay one cache line");
 
-  Slot SlotOf(NodeAddr addr) const;
-  Link MakeLink(Slot s) const;
-  /// Live slot a link leads to; kNoSlot when the target is gone.
-  Slot ResolveLink(const Link& l) const;
-  Slot AllocateSlot(NodeAddr addr, Key id);
-  void ReleaseSlot(Slot s);
-  const Node& MustGet(NodeAddr addr) const;
-  Node& MustGet(NodeAddr addr);
-  Slot OwnerSlotOf(Key key) const;
   /// Splices `slot`'s successor/predecessor links from the oracle and
   /// repairs its ring neighbors' links to it.
   void SpliceNeighbors(Slot slot);
-  std::size_t OracleIndexOf(Key id) const;
-  bool OracleContains(Key id) const;
-  void OracleInsert(Key id, Slot slot);
-  void OracleErase(Key id);
 
   Config cfg_;
   std::uint64_t space_;
-  std::vector<Node> slots_;
-  std::vector<Slot> free_slots_;
-  /// The shared full view: all (id, slot) pairs sorted by id.
-  std::vector<std::pair<Key, Slot>> oracle_;
-  AddrIndexMap by_addr_;
+  SlotSlab<Node> slab_{"unknown single-hop node"};
+  RingOracle oracle_;  ///< the shared full view
   std::vector<MembershipObserver*> observers_;
   mutable MaintenanceStats maintenance_;  // mutable: routing is const
   /// Crashes since the last StabilizeAll whose dissemination bill is still
@@ -251,9 +229,9 @@ class SingleHopRing {
   bool links_fresh_ = false;
 };
 
-/// Populates a ring with `n` nodes and addresses base..base+n-1; in
-/// deterministic mode IDs are evenly spaced with the same seed-derived
-/// rotation chord uses.
+/// Populates a ring with `n` nodes at chord::InitialIds(n, cfg.bits,
+/// cfg.seed, ...) — the same placement chord::MakeRing uses, so the two
+/// substrates are comparable point for point — through BulkAssign.
 SingleHopRing MakeSingleHopRing(std::size_t n, Config cfg,
                                 bool deterministic_ids, NodeAddr base_addr = 0);
 

@@ -125,7 +125,9 @@ TEST(FlightRing, ConcurrentWritersNeverTearASlot) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].b, events[i].a * 3);  // payload never torn
     EXPECT_EQ(events[i].kind, FlightEventKind::kHandoff);
-    if (i > 0) EXPECT_LT(events[i - 1].seq, events[i].seq);
+    if (i > 0) {
+      EXPECT_LT(events[i - 1].seq, events[i].seq);
+    }
   }
 }
 

@@ -394,14 +394,11 @@ void CheckSingleHopStructure(const singlehop::SingleHopRing& ring,
   }
 }
 
-class SingleHopInvariants : public ::testing::TestWithParam<bool> {};
-
-TEST_P(SingleHopInvariants, RandomizedChurnPreservesFullViews) {
+TEST(SingleHopInvariants, RandomizedChurnPreservesFullViews) {
   for (const std::uint64_t seed : {31ull, 32ull, 33ull}) {
     singlehop::Config cfg;
     cfg.bits = 14;
     cfg.seed = seed;
-    cfg.route_cache = GetParam();
     auto ring =
         singlehop::MakeSingleHopRing(96, cfg, /*deterministic_ids=*/false);
 
@@ -445,11 +442,6 @@ TEST_P(SingleHopInvariants, RandomizedChurnPreservesFullViews) {
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(RouteCache, SingleHopInvariants, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "CacheOn" : "CacheOff";
-                         });
 
 }  // namespace
 }  // namespace lorm

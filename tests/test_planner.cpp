@@ -269,8 +269,8 @@ TEST(Join, IntersectSortedMatchesSetIntersection) {
     acc.clear();
     cur.clear();
     for (NodeAddr p = 0; p < 120; ++p) {
-      if (rng.NextBelow(100) < 1 + round % 50) acc.push_back(p);
-      if (rng.NextBelow(100) < 1 + (round * 7) % 60) cur.push_back(p);
+      if (rng.NextBelow(100) < 1u + round % 50) acc.push_back(p);
+      if (rng.NextBelow(100) < 1u + (round * 7) % 60) cur.push_back(p);
     }
     expect.clear();
     std::set_intersection(acc.begin(), acc.end(), cur.begin(), cur.end(),

@@ -19,8 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "discovery/d1ht_service.hpp"
@@ -100,6 +102,165 @@ TEST(SingleHopRing, MembershipEventsChargeLinearMessages) {
             svc.MaintenanceMessages() *
                 discovery::DiscoveryService::kMaintenanceMessageBytes);
 }
+
+// ---- Bulk build and the shared membership oracle ---------------------------
+
+// MakeSingleHopRing builds through BulkAssign; the result must be the ring
+// that n sequential joins plus one maintenance window converge to, in both
+// ID modes (hashed mode replays AddNode's collision salting), minus the
+// join bill.
+class SingleHopBulkBuild : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SingleHopBulkBuild, MatchesSequentialJoinsPlusStabilize) {
+  const bool deterministic = GetParam();
+  singlehop::Config cfg;
+  cfg.bits = deterministic ? 9 : 12;
+  cfg.seed = 0xB01Cu;
+  const std::size_t n = 300;
+  const auto bulk = singlehop::MakeSingleHopRing(n, cfg, deterministic);
+
+  singlehop::SingleHopRing seq(cfg);
+  for (NodeAddr addr = 0; addr < n; ++addr) {
+    if (deterministic) {
+      seq.AddNodeWithId(addr, bulk.IdOf(addr));
+    } else {
+      seq.AddNode(addr);
+    }
+  }
+  seq.StabilizeAll();
+
+  ASSERT_EQ(bulk.Members(), seq.Members());
+  for (const NodeAddr addr : seq.Members()) {
+    EXPECT_EQ(bulk.IdOf(addr), seq.IdOf(addr));
+    EXPECT_EQ(bulk.Successor(addr), seq.Successor(addr));
+    EXPECT_EQ(bulk.Predecessor(addr), seq.Predecessor(addr));
+    EXPECT_EQ(bulk.FullViewOf(addr), seq.FullViewOf(addr));
+  }
+  Rng rng(7);
+  singlehop::LookupResult a;
+  singlehop::LookupResult b;
+  for (int i = 0; i < 500; ++i) {
+    const singlehop::Key key = rng.NextBelow(bulk.space());
+    const auto origin = static_cast<NodeAddr>(rng.NextBelow(n));
+    ASSERT_EQ(bulk.Owns(origin, key), seq.Owns(origin, key));
+    bulk.LookupInto(key, origin, a);
+    seq.LookupInto(key, origin, b);
+    ASSERT_EQ(a.ok, b.ok);
+    ASSERT_EQ(a.owner, b.owner);
+    ASSERT_EQ(a.hops, b.hops);
+    ASSERT_EQ(a.path, b.path);
+  }
+  EXPECT_EQ(bulk.maintenance().stabilize_messages,
+            seq.maintenance().stabilize_messages);
+  EXPECT_EQ(bulk.maintenance().join_messages, 0u);
+  EXPECT_GT(seq.maintenance().join_messages, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(IdModes, SingleHopBulkBuild, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Deterministic" : "Hashed";
+                         });
+
+// Chord and the single-hop ring share one membership oracle. Both rings,
+// built from the same chord::InitialIds in an 8-bit space, must answer the
+// owner and replica-placement walks exactly as a brute-force scan of the
+// sorted member list does.
+using SortedMembers = std::vector<std::pair<chord::Key, NodeAddr>>;
+
+NodeAddr ModelOwner(const SortedMembers& members, chord::Key key,
+                    NodeAddr excluded) {
+  for (const auto& [id, addr] : members) {
+    if (id >= key && addr != excluded) return addr;
+  }
+  for (const auto& [id, addr] : members) {
+    if (addr != excluded) return addr;
+  }
+  return kNoNode;
+}
+
+// One revolution clockwise (or counterclockwise) from `from`, ending on
+// `from` itself, minus `excluded`; the walk stops at the last survivor.
+NodeAddr ModelNth(const SortedMembers& members, std::size_t from,
+                  std::size_t steps, NodeAddr excluded, bool clockwise) {
+  const std::size_t n = members.size();
+  std::vector<NodeAddr> lap;
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::size_t at = clockwise ? (from + i) % n : (from + n - i) % n;
+    if (members[at].second != excluded) lap.push_back(members[at].second);
+  }
+  if (steps == 0 || lap.empty()) return members[from].second;
+  return lap[std::min(steps, lap.size()) - 1];
+}
+
+template <typename Ring>
+void CheckOracleWalks(const Ring& ring, const SortedMembers& members) {
+  const NodeAddr stranger = 9999;
+  ASSERT_FALSE(ring.Contains(stranger));
+  for (chord::Key key = 0; key < 256; ++key) {
+    const NodeAddr owner = ModelOwner(members, key, kNoNode);
+    ASSERT_EQ(ring.OwnerOf(key), owner) << "key " << key;
+    for (const NodeAddr excluded : {kNoNode, owner, stranger}) {
+      ASSERT_EQ(ring.OwnerOfExcluding(key, excluded),
+                ModelOwner(members, key, excluded))
+          << "key " << key << " excluding " << excluded;
+    }
+  }
+  const std::size_t n = members.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeAddr self = members[i].second;
+    const NodeAddr succ = members[(i + 1) % n].second;
+    for (const NodeAddr excluded : {kNoNode, self, succ}) {
+      for (std::size_t steps = 0; steps <= n + 1; ++steps) {
+        ASSERT_EQ(ring.NthOracleSuccessor(self, steps, excluded),
+                  ModelNth(members, i, steps, excluded, true))
+            << "node " << self << " steps " << steps << " excl " << excluded;
+        ASSERT_EQ(ring.NthOraclePredecessor(self, steps, excluded),
+                  ModelNth(members, i, steps, excluded, false))
+            << "node " << self << " steps " << steps << " excl " << excluded;
+      }
+    }
+  }
+}
+
+class SharedOracle : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SharedOracle, WalksMatchBruteForceOnBothRings) {
+  const bool deterministic = GetParam();
+  for (const std::size_t n : {std::size_t{40}, std::size_t{1}}) {
+    SCOPED_TRACE(n);
+    const auto ids = chord::InitialIds(n, /*bits=*/8, /*seed=*/0x0AC1Eu,
+                                       deterministic, /*base_addr=*/100);
+    SortedMembers members;
+    for (const auto& [addr, id] : ids) members.push_back({id, addr});
+    std::sort(members.begin(), members.end());
+
+    chord::Config ccfg;
+    ccfg.bits = 8;
+    chord::ChordRing chord_ring(ccfg);
+    chord_ring.BulkAssign(ids);
+    singlehop::Config scfg;
+    scfg.bits = 8;
+    singlehop::SingleHopRing single(scfg);
+    single.BulkAssign(ids);
+    for (const auto& [addr, id] : ids) {
+      ASSERT_EQ(chord_ring.IdOf(addr), id);
+      ASSERT_EQ(single.IdOf(addr), id);
+    }
+    {
+      SCOPED_TRACE("chord");
+      CheckOracleWalks(chord_ring, members);
+    }
+    {
+      SCOPED_TRACE("single-hop");
+      CheckOracleWalks(single, members);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(IdModes, SharedOracle, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Deterministic" : "Hashed";
+                         });
 
 // ---- D1HT service semantics ------------------------------------------------
 

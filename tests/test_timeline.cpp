@@ -38,7 +38,9 @@ TEST(LatencyHistogram, BucketGeometryIsMonotoneAndCovering) {
     const std::size_t idx = LatencyHistogram::BucketIndex(v);
     ASSERT_LT(idx, LatencyHistogram::kBuckets);
     EXPECT_GE(LatencyHistogram::BucketUpperBound(idx), v);
-    if (idx > 0) EXPECT_LT(LatencyHistogram::BucketUpperBound(idx - 1), v);
+    if (idx > 0) {
+      EXPECT_LT(LatencyHistogram::BucketUpperBound(idx - 1), v);
+    }
   }
   // The top bucket covers the largest representable value.
   EXPECT_LT(LatencyHistogram::BucketIndex(~std::uint64_t{0}),
@@ -53,10 +55,10 @@ TEST(LatencyHistogram, QuantileErrorIsBoundedByBucketWidth) {
   EXPECT_EQ(h.max(), 10000u);
   // Exact-bucket-bound quantiles sit at most one sub-bucket (~3%) above
   // the true sample quantile and never below it.
-  for (const auto [q, exact] : {std::pair{0.5, 5000.0},
-                                std::pair{0.9, 9000.0},
-                                std::pair{0.99, 9900.0},
-                                std::pair{0.999, 9990.0}}) {
+  for (const auto& [q, exact] : {std::pair{0.5, 5000.0},
+                                 std::pair{0.9, 9000.0},
+                                 std::pair{0.99, 9900.0},
+                                 std::pair{0.999, 9990.0}}) {
     const double got = static_cast<double>(h.ValueAtQuantile(q));
     EXPECT_GE(got, exact) << "q=" << q;
     EXPECT_LE(got, exact * 1.04) << "q=" << q;
