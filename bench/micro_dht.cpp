@@ -425,6 +425,38 @@ void BM_ChordChurnCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_ChordChurnCycle);
 
+// One StabilizeAll after a burst of `events` leaves and joins (alternating,
+// so n stays put) on the Quick (n = 384, 9 bits) and paper-scale (n = 2048,
+// a full 11-bit ring) rings. Below events x (bits + successor_list + 3) = n
+// the round repairs only the moved arcs and its time grows with the burst;
+// from there on it is one sweep of the ring, whose time does not. The two
+// sides should meet near the cutoff (22 vs 24 events at n = 384, 112 vs
+// 114 at n = 2048) if it sits where the sweep overtakes the repair.
+void BM_ChordStabilizeAfterBurst(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto events = static_cast<int>(state.range(1));
+  chord::Config cfg;
+  cfg.bits = n == 2048 ? 11 : 9;
+  auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/n == 2048);
+  Rng rng(23);
+  NodeAddr next = 100000;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int e = 0; e < events; e += 2) {
+      const auto members = ring.Members();
+      ring.RemoveNode(members[rng.NextBelow(members.size())]);
+      ring.AddNode(next++);
+    }
+    state.ResumeTiming();
+    ring.StabilizeAll();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ChordStabilizeAfterBurst)
+    ->ArgsProduct({{384}, {2, 8, 16, 22, 24, 64}})
+    ->ArgsProduct({{2048}, {2, 16, 64, 112, 114, 256}})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_CycloidChurnCycle(benchmark::State& state) {
   cycloid::Config cfg;
   cfg.dimension = 8;

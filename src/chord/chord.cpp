@@ -98,6 +98,11 @@ ChordRing::ChordRing(Config cfg) : cfg_(cfg) {
   }
   space_ = std::uint64_t{1} << cfg_.bits;
   link_stride_ = cfg_.bits + cfg_.successor_list;
+  // Reserved here so that the first join or leave after a build does not
+  // grow them: on a cold heap that cost ~1 µs per ring (standalone, 40
+  // rings of 384), which Mercury pays once per hub.
+  moved_arcs_.reserve(8);
+  repointed_.reserve(8);
   if (cfg_.route_cache) route_cache_.Enable();
 }
 
@@ -121,8 +126,7 @@ Key ChordRing::FingerStart(Key id, unsigned i) const {
 }
 
 Key ChordRing::AddNode(NodeAddr addr) {
-  const Key id = HashedId(addr, cfg_.bits, cfg_.seed,
-                          [this](Key k) { return oracle_.Contains(k); });
+  const Key id = JoinerId(oracle_, addr, cfg_.bits, cfg_.seed);
   AddNodeWithId(addr, id);
   return id;
 }
@@ -136,7 +140,8 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
   links_fresh_ = false;
   const bool first = slab_.empty();
   const Slot self_slot = AllocateSlot(addr, id);
-  oracle_.Insert(id, self_slot);
+  const std::size_t pos = oracle_.Insert(id, self_slot);
+  NoteMovedArc(pos, oracle_.size() - 1);
 
   if (first) {
     Node& n = slab_[self_slot];
@@ -160,7 +165,9 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
   // Splice into the successor/predecessor ring (the protocol's join+notify
   // step, done atomically because departures here are graceful).
   Node& self = slab_[self_slot];
-  BuildState(self);  // routes through the oracle, which already includes us
+  // Routes through the oracle, which already includes us.
+  BuildFingers(self);
+  BuildSuccessors(self, pos);
   // Join cost: the bootstrap lookup (~log n hops), one message per table
   // entry built, and the two notify messages below.
   maintenance_.join_messages +=
@@ -201,6 +208,9 @@ void ChordRing::BulkAssign(
     oracle_.Append(id, AllocateSlot(addr, id));
   }
   if (!oracle_.SortDistinct()) throw ConfigError("chord id collision");
+  moved_arcs_.clear();
+  repointed_.clear();
+  sweep_pending_ = true;
   StabilizeAll();
   CollapseSlabs();
 }
@@ -220,6 +230,7 @@ void ChordRing::RemoveNode(NodeAddr addr) {
   if (!last) {
     const Link pred = n.predecessor;
     Node& s = slab_[succ_slot];
+    NoteRepointed(succ_slot);
     if (pred.addr != kNoNode && pred.addr != addr) {
       s.predecessor = pred;
       // A crashed predecessor has nothing to splice (see AddNodeWithId).
@@ -234,7 +245,9 @@ void ChordRing::RemoveNode(NodeAddr addr) {
       s.predecessor = slab_.MakeLink(succ_slot);  // degenerate two-node case
     }
   }
-  oracle_.Erase(n.id);
+  const std::size_t pos = oracle_.IndexOf(n.id);
+  NoteMovedArc(pos, oracle_.size());
+  oracle_.EraseAt(pos);
   ReleaseSlot(self_slot);
 }
 
@@ -243,7 +256,9 @@ void ChordRing::FailNode(NodeAddr addr) {
   links_fresh_ = false;  // links to the vacated slot go stale
   for (auto* obs : observers_) obs->OnFail(addr);
   // No splice, no handoff: neighbors discover the failure lazily.
-  oracle_.Erase(slab_[self_slot].id);
+  const std::size_t pos = oracle_.IndexOf(slab_[self_slot].id);
+  NoteMovedArc(pos, oracle_.size());
+  oracle_.EraseAt(pos);
   ReleaseSlot(self_slot);
 }
 
@@ -723,7 +738,7 @@ void ChordRing::SyncSucc0(Node& n) {
   n.s0_addr = s0.addr;
 }
 
-void ChordRing::BuildState(Node& n) {
+void ChordRing::BuildFingers(Node& n) {
   const Slot self = slab_.SlotOf(n);
   Link* fingers = SlotFingers(self);
   Key* fids = SlotFingerIds(self);
@@ -732,9 +747,13 @@ void ChordRing::BuildState(Node& n) {
     fids[i] = fingers[i].id;
   }
   n.finger_count = static_cast<std::uint16_t>(cfg_.bits);
+}
+
+void ChordRing::BuildSuccessors(Node& n, std::size_t pos) {
+  const Slot self = slab_.SlotOf(n);
   Link* succs = SlotSuccessors(self);
   n.succ_count = 0;
-  std::size_t idx = oracle_.SuccessorIndex(n.id);
+  std::size_t idx = oracle_.Next(pos);
   for (std::size_t k = 0; k < cfg_.successor_list; ++k) {
     if (oracle_[idx].slot == self) break;  // wrapped all the way
     succs[n.succ_count++] = slab_.MakeLink(oracle_[idx].slot);
@@ -747,26 +766,161 @@ void ChordRing::BuildState(Node& n) {
   SyncSucc0(n);
 }
 
-void ChordRing::FixNode(NodeAddr addr) {
-  Node& n = slab_.MustGet(addr);
-  BuildState(n);
-  maintenance_.stabilize_messages += n.finger_count + n.succ_count + 1;
+void ChordRing::BuildPredecessor(Node& n, std::size_t pos) {
+  // What repeated stabilize() rounds converge to.
+  n.predecessor = slab_.MakeLink(oracle_[oracle_.Prev(pos)].slot);
+}
+
+void ChordRing::NoteMovedArc(std::size_t pos, std::size_t found) {
+  if (sweep_pending_) return;
+  // With fewer than two members the event moved every key: no arc to
+  // repair. Otherwise count an event's repair as bits + successor_list + 3
+  // node updates against the sweep's n: timed with either path forced on
+  // standalone rings (n = 384 at 9 bits, 1024 at 14, 2048 at 11), the
+  // repair of k events overtook the sweep between k (bits + successor_list
+  // + 3) = 0.9 n and 1.9 n (micro_dht's BM_ChordStabilizeAfterBurst shows
+  // the two sides of this cutoff). From there on the sweep is cheaper, and
+  // the lists stop growing.
+  if (found > 1) {
+    moved_arcs_.push_back({oracle_[oracle_.Prev(pos)].id, oracle_[pos].id});
+    const std::size_t per_arc = cfg_.bits + cfg_.successor_list + 3;
+    if (moved_arcs_.size() * per_arc < slab_.size()) return;
+  }
+  moved_arcs_.clear();
+  repointed_.clear();
+  sweep_pending_ = true;
+}
+
+void ChordRing::NoteRepointed(Slot s) {
+  if (!sweep_pending_) repointed_.push_back(slab_.MakeLink(s));
+}
+
+void ChordRing::RepairArc(Key lo, Key hi) {
+  // Owners changed exactly for the keys in (lo, hi]. Finger i of y targets
+  // owner(y + 2^i), so it moved iff y lies in the arc shifted back by 2^i.
+  const Key mask = space_ - 1;
+  const std::size_t n = oracle_.size();
+  for (unsigned i = 0; i < cfg_.bits; ++i) {
+    const Key step = Key{1} << i;
+    const Key ylo = (lo - step) & mask;
+    const Key yhi = (hi - step) & mask;
+    std::size_t pos = oracle_.OwnerIndex((ylo + 1) & mask);
+    for (std::size_t k = 0; k < n && InIntervalOC(oracle_[pos].id, ylo, yhi);
+         ++k, pos = oracle_.Next(pos)) {
+      const Slot y = oracle_[pos].slot;
+      const Link f =
+          slab_.MakeLink(oracle_.OwnerSlot(FingerStart(oracle_[pos].id, i)));
+      SlotFingers(y)[i] = f;
+      SlotFingerIds(y)[i] = f.id;
+    }
+  }
+  // The arc's current owner o: the successor_list members before it list
+  // it (or listed what left it), and o's successor list and predecessor
+  // moved. o's fingers need nothing more: a joiner built its own, and the
+  // loop above re-derived every other finger whose start lies in the arc.
+  // o's successor needs nothing either: a join set its predecessor to the
+  // joiner, and what a later leave wrote there is in repointed_.
+  const std::size_t o = oracle_.OwnerIndex(hi);
+  std::size_t pos = o;
+  for (std::size_t k = 0; k < cfg_.successor_list && k < n; ++k) {
+    pos = oracle_.Prev(pos);
+    BuildSuccessors(slab_[oracle_[pos].slot], pos);
+  }
+  Node& owner = slab_[oracle_[o].slot];
+  BuildSuccessors(owner, o);
+  BuildPredecessor(owner, o);
+}
+
+void ChordRing::RebuildAll() {
+  // Members in id order. Virtual position v in [0, 2n) is oracle_[v mod n]
+  // lifted by space_ on the second lap, so ids grow strictly along it and
+  // the owner of every finger start id + 2^i (< id + space_) lies within
+  // one lap ahead. Starts grow with the member id, so one cursor per finger
+  // index only ever moves forward: about 2n steps each, and no search.
+  const std::size_t n = oracle_.size();
+  auto lifted = [&](std::size_t v) {
+    return v < n ? oracle_[v].id : oracle_[v - n].id + space_;
+  };
+  std::array<std::size_t, 64> cursor{};
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const Slot self = oracle_[pos].slot;
+    Node& node = slab_[self];
+    Link* fingers = SlotFingers(self);
+    Key* fids = SlotFingerIds(self);
+    for (unsigned i = 0; i < cfg_.bits; ++i) {
+      const Key start = node.id + (Key{1} << i);
+      std::size_t& c = cursor[i];
+      while (lifted(c) < start) ++c;
+      fingers[i] = slab_.MakeLink(oracle_[c < n ? c : c - n].slot);
+      fids[i] = fingers[i].id;
+    }
+    node.finger_count = static_cast<std::uint16_t>(cfg_.bits);
+    BuildSuccessors(node, pos);
+    BuildPredecessor(node, pos);
+  }
 }
 
 void ChordRing::StabilizeAll() {
-  for (Slot s = 0; s < slab_.slot_count(); ++s) {
-    Node& node = slab_[s];
-    if (node.addr == kNoNode) continue;  // vacated slot
-    BuildState(node);
-    maintenance_.stabilize_messages += node.finger_count + node.succ_count + 1;
-    // Refresh the predecessor pointer to the oracle state as well; this is
-    // what repeated stabilize() rounds converge to.
-    node.predecessor =
-        slab_.MakeLink(oracle_[oracle_.Prev(oracle_.IndexOf(node.id))].slot);
+  if (sweep_pending_) {
+    RebuildAll();
+  } else {
+    for (const MovedArc& arc : moved_arcs_) RepairArc(arc.lo, arc.hi);
+    for (const Link& l : repointed_) {
+      const Slot s = slab_.Resolve(l);
+      if (s == kNoSlot) continue;  // left since; its arc was repaired
+      Node& node = slab_[s];
+      BuildPredecessor(node, oracle_.IndexOf(node.id));
+    }
   }
-  // Every link in every live node was just rebuilt from the oracle: all
+  moved_arcs_.clear();
+  repointed_.clear();
+  sweep_pending_ = false;
+  // The protocol's bill: every live node refreshes its bits fingers, its
+  // successor list (min(successor_list, n - 1) entries; itself when alone)
+  // and its predecessor, whatever the repair above had to touch.
+  const std::size_t n = slab_.size();
+  const std::size_t succs = n > 1 ? std::min(cfg_.successor_list, n - 1) : 1;
+  maintenance_.stabilize_messages += n * (cfg_.bits + succs + 1);
+  // Every link in every live node now equals its oracle derivation: all
   // generations current until the next membership change.
   links_fresh_ = true;
+}
+
+bool ChordRing::LinksMatchOracle() const {
+  // Deliberately independent of RebuildAll/RepairArc: one owner search per
+  // finger and modular positions, as the converged state is defined.
+  auto same = [](const Link& a, const Link& b) {
+    return a.slot == b.slot && a.gen == b.gen && a.addr == b.addr &&
+           a.id == b.id;
+  };
+  const std::size_t n = oracle_.size();
+  if (slab_.size() != n) return false;
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const Slot self = oracle_[pos].slot;
+    const Node& node = slab_[self];
+    if (node.finger_count != cfg_.bits) return false;
+    for (unsigned i = 0; i < cfg_.bits; ++i) {
+      const Link want =
+          slab_.MakeLink(oracle_.OwnerSlot(FingerStart(node.id, i)));
+      if (!same(SlotFingers(self)[i], want)) return false;
+      if (SlotFingerIds(self)[i] != want.id) return false;
+    }
+    const std::size_t count =
+        n > 1 ? std::min(cfg_.successor_list, n - 1) : 1;
+    if (node.succ_count != count) return false;
+    const Link* succs = SlotSuccessors(self);
+    for (std::size_t k = 0; k < count; ++k) {
+      const Slot want = n > 1 ? oracle_[(pos + 1 + k) % n].slot : self;
+      if (!same(succs[k], slab_.MakeLink(want))) return false;
+    }
+    if (node.s0_id != succs[0].id || node.s0_slot != succs[0].slot ||
+        node.s0_addr != succs[0].addr) {
+      return false;
+    }
+    const Link pred = slab_.MakeLink(oracle_[(pos + n - 1) % n].slot);
+    if (!same(node.predecessor, pred)) return false;
+  }
+  return true;
 }
 
 void ChordRing::AddObserver(MembershipObserver* obs) {
@@ -804,14 +958,30 @@ void ChordRing::CollapseSlabs() {
 #endif
 }
 
-Key HashedId(NodeAddr addr, unsigned bits, std::uint64_t seed,
-             const std::function<bool(Key)>& taken) {
-  const auto base = static_cast<std::uint64_t>(addr) ^ seed;
-  Key id = ConsistentHash(bits)(base);
-  for (std::uint64_t salt = 1; taken(id); ++salt) {
-    id = MixHashes(base, salt) & ((std::uint64_t{1} << bits) - 1);
+Key JoinerId(const RingOracle& members, NodeAddr addr, unsigned bits,
+             std::uint64_t seed) {
+  const std::uint64_t space = std::uint64_t{1} << bits;
+  const std::uint64_t free_ids = space - members.size();
+  if (free_ids == 0) throw ConfigError("no free id left in the ring");
+  // HashedId draws space / free_ids times on average. On a nearly full ring
+  // — the paper's 11-bit ring at n = 2048 has one free id after a leave —
+  // that is thousands of draws, so answer them from a bitmap of the taken
+  // ids instead of one oracle search each. Below the threshold (Quick's
+  // 75%-full rings draw 4 times) filling the bitmap costs more than it
+  // saves. Both predicates give the same answers: same salts, same id.
+  constexpr std::uint64_t kBitmapDraws = 16;
+  if (space / free_ids >= kBitmapDraws) {
+    std::vector<std::uint64_t> taken((space + 63) / 64);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const Key id = members[i].id;
+      taken[id >> 6] |= std::uint64_t{1} << (id & 63);
+    }
+    return HashedId(addr, bits, seed, [&](Key k) {
+      return ((taken[k >> 6] >> (k & 63)) & 1) != 0;
+    });
   }
-  return id;
+  return HashedId(addr, bits, seed,
+                  [&](Key k) { return members.Contains(k); });
 }
 
 std::vector<std::pair<NodeAddr, Key>> InitialIds(std::size_t n, unsigned bits,

@@ -10,10 +10,27 @@
 //    and path — hop metrics in the figures come from here, never formulas;
 //  * joins and graceful departures splice the successor/predecessor ring
 //    immediately (the protocol's notify step) and leave finger tables stale
-//    until FixFingers/StabilizeAll runs, so churn experiments exercise
-//    routing through partially stale state, as in the paper's §V-C;
+//    until the next StabilizeAll, so churn experiments exercise routing
+//    through partially stale state, as in the paper's §V-C;
 //  * a global sorted index of members serves purely as the maintenance
 //    oracle (what stabilization converges to) and for O(1) test assertions.
+//
+// Maintenance: StabilizeAll bills the protocol's round — every live node
+// refreshes each finger, each successor-list entry and its predecessor —
+// but only does the work the membership change made necessary. A join at x
+// with predecessor p moves the key arc (p, x]; a leave or crash of x moves
+// the same arc. Each event records its arc, and the next StabilizeAll
+// re-derives only what those arcs touch: finger i of every member in
+// (p - 2^i, x - 2^i], the successor lists of the successor_list members
+// before the arc's current owner, and that owner's successor list and
+// predecessor. A leave splices through its possibly stale successor list,
+// so the member it repointed is recorded too and gets its predecessor
+// rebuilt. The round after BulkAssign, after an event that
+// found fewer than two members, or once events x (bits + successor_list +
+// 3) reach n (where the sweep was timed to overtake the repair) instead
+// takes one id-order sweep with a forward-only cursor per finger index.
+// Both paths leave exactly the links a full rebuild from the oracle would
+// (LinksMatchOracle).
 //
 // Storage: nodes live in a `SlotSlab` of one-cache-line headers and
 // routing entries are its generation-checked `SlotLink`s; the sorted
@@ -29,12 +46,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "cache/route_cache.hpp"
+#include "common/hashing.hpp"
 #include "common/hugepage.hpp"
 #include "common/maintenance.hpp"
 #include "common/slot_slab.hpp"
@@ -257,10 +274,10 @@ class ChordRing {
 
   // ---- Maintenance ------------------------------------------------------
 
-  /// Rebuilds one node's fingers/successor-list to the converged state
-  /// (what repeated fix_fingers would reach).
-  void FixNode(NodeAddr addr);
-  /// One maintenance round over every node.
+  /// One maintenance round: bills every live node's refresh of its
+  /// fingers, successor list and predecessor, and converges every link to
+  /// the oracle — by repairing the arcs moved since the last round, or by
+  /// one full sweep (see the file comment).
   void StabilizeAll();
 
   void AddObserver(MembershipObserver* obs);
@@ -272,6 +289,12 @@ class ChordRing {
   /// True while every stored link is known current (see links_fresh_).
   /// Exposed so tests can assert the invariant toggles where expected.
   bool LinksFresh() const { return links_fresh_; }
+
+  /// Re-derives every live node's fingers, finger-id mirror, successor
+  /// list, cached successor(0) and predecessor from the oracle, and reports
+  /// whether each stored link matches in slot, generation, address and id.
+  /// For tests: holds after every StabilizeAll, whichever path it took.
+  bool LinksMatchOracle() const;
 
   unsigned bits() const { return cfg_.bits; }
   /// 2^bits as a value; bits == 64 is not supported for rings.
@@ -354,7 +377,23 @@ class ChordRing {
   /// One iteration of the lookup loop (hop, cache shortcut, or
   /// termination); returns false when the walk completed.
   bool StepOnce(LookupState& st, LookupResult& r) const;
-  void BuildState(Node& n);
+  /// A member's converged routing state, from the oracle: BuildFingers
+  /// searches each finger's owner; BuildSuccessors (header copy included)
+  /// and BuildPredecessor read the positions next to `pos`, the member's
+  /// own oracle position.
+  void BuildFingers(Node& n);
+  void BuildSuccessors(Node& n, std::size_t pos);
+  void BuildPredecessor(Node& n, std::size_t pos);
+  /// Records the arc a join, leave or crash of the member at oracle
+  /// position `pos` moves; `found` is the member count the event found.
+  void NoteMovedArc(std::size_t pos, std::size_t found);
+  /// Records the member a leave pointed at the leaver's predecessor.
+  void NoteRepointed(Slot s);
+  /// Re-derives every link the moved arc (lo, hi] can have changed, save
+  /// the predecessors in repointed_.
+  void RepairArc(Key lo, Key hi);
+  /// Rebuilds every live node's links in one id-order sweep.
+  void RebuildAll();
   Key FingerStart(Key id, unsigned i) const;
 
   Config cfg_;
@@ -390,13 +429,43 @@ class ChordRing {
   /// leaving results, counters and traces bit-identical. Stale rings take
   /// the unmodified general path.
   bool links_fresh_ = false;
+  /// Key arcs (lo, hi] whose owner changed since the last StabilizeAll,
+  /// which repairs these — unless sweep_pending_, in which case the list
+  /// is empty and the next round rebuilds everything.
+  struct MovedArc {
+    Key lo;
+    Key hi;
+  };
+  std::vector<MovedArc> moved_arcs_;
+  /// Members a leave pointed at its stored predecessor since the last
+  /// StabilizeAll. The leave splices the first *live* member of its own,
+  /// possibly stale, successor list, which can sit past members it never
+  /// listed: that member's predecessor turns wrong although no arc moved
+  /// next to it, so the repair rebuilds these predecessors. Every other
+  /// splice write lands where the arcs' repair reaches anyway (DESIGN.md
+  /// §5 item 7). Empty while sweep_pending_.
+  std::vector<Link> repointed_;
+  bool sweep_pending_ = true;
 };
 
 /// Random-ID placement: the consistent hash of `addr` (mixed with `seed`)
 /// in a 2^bits space, re-salted while `taken(id)` holds. AddNode on this
 /// ring and on the single-hop ring, and InitialIds, all place nodes here.
+template <typename Taken>
 Key HashedId(NodeAddr addr, unsigned bits, std::uint64_t seed,
-             const std::function<bool(Key)>& taken);
+             const Taken& taken) {
+  const auto base = static_cast<std::uint64_t>(addr) ^ seed;
+  Key id = ConsistentHash(bits)(base);
+  for (std::uint64_t salt = 1; taken(id); ++salt) {
+    id = MixHashes(base, salt) & ((std::uint64_t{1} << bits) - 1);
+  }
+  return id;
+}
+
+/// HashedId against the current members of a 2^bits ring: the id AddNode
+/// assigns. Throws ConfigError when every id is taken.
+Key JoinerId(const RingOracle& members, NodeAddr addr, unsigned bits,
+             std::uint64_t seed);
 
 /// IDs of a fresh ring of `n` members at addresses base..base+n-1, in
 /// address order. In deterministic mode they are evenly spaced over the

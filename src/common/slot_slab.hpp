@@ -203,11 +203,15 @@ class RingOracle {
     return entries_.empty() ? kNoSlabSlot : entries_[OwnerIndex(key)].slot;
   }
 
-  /// One membership change: a contiguous splice per join or leave.
-  void Insert(Key id, Slot slot) {
-    entries_.insert(At(LowerBound(id)), Entry{id, slot});
+  /// One membership change: a contiguous splice per join or leave. Insert
+  /// returns the new member's position; EraseAt takes one.
+  std::size_t Insert(Key id, Slot slot) {
+    const std::size_t i = LowerBound(id);
+    entries_.insert(At(i), Entry{id, slot});
+    return i;
   }
-  void Erase(Key id) { entries_.erase(At(IndexOf(id))); }
+  void Erase(Key id) { EraseAt(IndexOf(id)); }
+  void EraseAt(std::size_t i) { entries_.erase(At(i)); }
 
   /// Bulk load: Append every member, then sort once. SortDistinct returns
   /// false when two members share an id.

@@ -189,8 +189,7 @@ void CycloidNetwork::FailNode(NodeAddr addr) {
   for (auto* obs : observers_) obs->OnFail(addr);
   ReleaseSlot(slot);
   // No repair, no routing handoff: leaf sets pointing at the node go stale
-  // until routing skips them and StabilizeAll/FixNode heals the
-  // neighborhood.
+  // until routing skips them and StabilizeAll heals the neighborhood.
 }
 
 std::vector<NodeAddr> CycloidNetwork::Members() const {
@@ -638,11 +637,6 @@ void CycloidNetwork::LookupInto(CycloidId key, NodeAddr origin,
   while (LookupStep(st)) {
   }
   LookupFinish(st);
-}
-
-void CycloidNetwork::FixNode(NodeAddr addr) {
-  BuildState(slab_.MustGet(addr));
-  maintenance_.stabilize_messages += 7;  // one refresh per routing entry
 }
 
 void CycloidNetwork::StabilizeAll() {

@@ -242,8 +242,6 @@ class CycloidNetwork {
 
   // ---- Maintenance --------------------------------------------------------
 
-  /// Rebuilds one node's routing state to the converged value.
-  void FixNode(NodeAddr addr);
   /// Maintenance round over every node (self-organization fixed point).
   void StabilizeAll();
 

@@ -15,8 +15,7 @@ SingleHopRing::SingleHopRing(Config cfg) : cfg_(cfg) {
 }
 
 Key SingleHopRing::AddNode(NodeAddr addr) {
-  const Key id = chord::HashedId(addr, cfg_.bits, cfg_.seed,
-                                 [this](Key k) { return oracle_.Contains(k); });
+  const Key id = chord::JoinerId(oracle_, addr, cfg_.bits, cfg_.seed);
   AddNodeWithId(addr, id);
   return id;
 }
@@ -235,11 +234,6 @@ void SingleHopRing::SpliceNeighbors(Slot slot) {
   n.predecessor = slab_.MakeLink(pred);
   slab_[pred].successor = slab_.MakeLink(slot);
   slab_[succ].predecessor = slab_.MakeLink(slot);
-}
-
-void SingleHopRing::FixNode(NodeAddr addr) {
-  SpliceNeighbors(slab_.MustFind(addr));
-  maintenance_.stabilize_messages += 1;  // the node's heartbeat ping
 }
 
 void SingleHopRing::StabilizeAll() {

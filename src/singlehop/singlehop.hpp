@@ -175,8 +175,6 @@ class SingleHopRing {
 
   // ---- Maintenance ------------------------------------------------------
 
-  /// Rebuilds one node's neighbor links from the shared view.
-  void FixNode(NodeAddr addr);
   /// One EDRA maintenance window: charges the heartbeat sweep plus the
   /// deferred dissemination bill of every crash since the last round, then
   /// refreshes all neighbor links.

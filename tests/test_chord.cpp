@@ -231,6 +231,55 @@ TEST(ChordRing, StabilizeRefreshesFingers) {
   }
 }
 
+// A leave splices the first *live* entry of its successor list, which can
+// be stale. Here c crashes, w joins between c and d, and x — whose list
+// still reads [c, d, ...] — leaves: d is pointed back at x's predecessor p
+// although w now precedes it. Three moved arcs on a 255-member ring stay
+// below the sweep threshold, so the repair itself must give d its
+// predecessor back, though d owns none of the arcs (w owns all three).
+TEST(ChordRing, ArcRepairFixesALeaveSplicedPastAJoin) {
+  ChordRing ring(SmallCfg(10));
+  std::vector<std::pair<NodeAddr, Key>> members;
+  for (NodeAddr a = 0; a < 256; ++a) members.push_back({a, Key{4} * a});
+  ring.BulkAssign(members);
+  const NodeAddr p = 24, x = 25, c = 26, d = 27, w = 1000;  // ids 96..108
+  ring.FailNode(c);
+  ring.AddNodeWithId(w, 106);
+  ring.RemoveNode(x);
+  ASSERT_EQ(ring.Predecessor(d), p);  // the stale splice
+  ring.StabilizeAll();
+  EXPECT_TRUE(ring.LinksMatchOracle());
+  EXPECT_EQ(ring.Predecessor(d), w);
+  EXPECT_EQ(ring.Predecessor(w), p);
+  EXPECT_EQ(ring.Successor(p), w);
+}
+
+// The node a leave splices can sit several positions past every moved arc's
+// owner. x lists [j2, b, ...] after j1 and then j2 join in front of a (a
+// join rewrites only entry 0 of its predecessor's list); j2 crashes and x
+// leaves, so b — not j1, the true successor — is pointed back at p. All
+// four arcs are owned by j1, whose successor is a, not b: the repair must
+// still rebuild the predecessor the splice wrote.
+TEST(ChordRing, ArcRepairFixesASpliceBeyondTheArcOwner) {
+  ChordRing ring(SmallCfg(12));
+  std::vector<std::pair<NodeAddr, Key>> members;
+  for (NodeAddr k = 0; k < 1024; ++k) members.push_back({k, Key{4} * k});
+  ring.BulkAssign(members);
+  const NodeAddr p = 24, x = 25, a = 26, b = 27, j1 = 2000, j2 = 2001;
+  ring.AddNodeWithId(j1, 103);
+  ring.AddNodeWithId(j2, 101);
+  ring.FailNode(j2);
+  ring.RemoveNode(x);
+  ASSERT_EQ(ring.Predecessor(b), p);  // the stale splice
+  ring.StabilizeAll();
+  EXPECT_TRUE(ring.LinksMatchOracle());
+  EXPECT_EQ(ring.Predecessor(b), a);
+  EXPECT_EQ(ring.Predecessor(j1), p);
+  EXPECT_EQ(ring.Successor(p), j1);
+  EXPECT_FALSE(ring.Owns(b, 100));
+  EXPECT_TRUE(ring.Owns(j1, 100));
+}
+
 class RecordingObserver : public MembershipObserver {
  public:
   void OnJoin(NodeAddr node, NodeAddr successor) override {

@@ -105,6 +105,22 @@ TEST(CycloidFailure, PreRepairLookupsMayFailButNeverMisroute) {
 
 // ---- Maintenance accounting -------------------------------------------------
 
+/// One Chord round's bill: each of the n live nodes refreshes its `bits`
+/// fingers, its successor list (min(S, n - 1) entries, or itself when
+/// alone) and its predecessor.
+std::uint64_t ChordRoundBill(std::size_t n, const chord::Config& cfg) {
+  const std::size_t succs =
+      n > 1 ? std::min(cfg.successor_list, n - 1) : std::size_t{1};
+  return n * (cfg.bits + succs + 1);
+}
+
+/// Stabilization messages one StabilizeAll adds.
+std::uint64_t ChordRound(chord::ChordRing& ring) {
+  const std::uint64_t before = ring.maintenance().stabilize_messages;
+  ring.StabilizeAll();
+  return ring.maintenance().stabilize_messages - before;
+}
+
 TEST(MaintenanceAccounting, StabilizationChargesPerEntry) {
   chord::Config cfg;
   cfg.bits = 10;
@@ -113,9 +129,61 @@ TEST(MaintenanceAccounting, StabilizationChargesPerEntry) {
   ring.StabilizeAll();
   const auto& m = ring.maintenance();
   // Each of the 64 nodes refreshes its fingers (10), successors and pred.
-  EXPECT_GE(m.stabilize_messages, 64u * 11u);
-  EXPECT_LE(m.stabilize_messages, 64u * (10u + cfg.successor_list + 1u));
+  EXPECT_EQ(m.stabilize_messages, 64u * (10u + cfg.successor_list + 1u));
   EXPECT_EQ(m.join_messages, 0u);
+}
+
+// The bill is the protocol's, not the repair's: after joins, leaves and
+// crashes every live node still pays a full refresh, whether the round
+// repaired a few moved arcs or swept the ring.
+TEST(MaintenanceAccounting, ChurnedRoundsChargeEveryLiveNode) {
+  chord::Config cfg;
+  cfg.bits = 12;
+  auto ring = chord::MakeRing(300, cfg, /*deterministic_ids=*/false);
+  Rng rng(17);
+  NodeAddr next = 5000;
+  for (int round = 0; round < 30; ++round) {
+    const auto events = 1 + rng.NextBelow(round < 15 ? 3 : 30);
+    for (std::uint64_t e = 0; e < events; ++e) {
+      const auto op = rng.NextBelow(3);
+      if (op == 0 || ring.size() < 100) {
+        ring.AddNode(next++);
+        continue;
+      }
+      const auto members = ring.Members();
+      const NodeAddr victim = members[rng.NextBelow(members.size())];
+      if (op == 1) {
+        ring.RemoveNode(victim);
+      } else {
+        ring.FailNode(victim);
+      }
+    }
+    EXPECT_EQ(ChordRound(ring), ChordRoundBill(ring.size(), cfg))
+        << "round " << round;
+    EXPECT_EQ(ChordRound(ring), ChordRoundBill(ring.size(), cfg))
+        << "quiet round " << round;
+  }
+}
+
+TEST(MaintenanceAccounting, SmallRingsChargeTheirShortSuccessorLists) {
+  chord::Config cfg;
+  cfg.bits = 8;
+  cfg.successor_list = 4;
+  // n <= S: each node lists the n - 1 others.
+  for (std::size_t n = 2; n <= cfg.successor_list + 1; ++n) {
+    auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/false);
+    EXPECT_EQ(ChordRound(ring), n * (8u + (n - 1) + 1u)) << "n = " << n;
+  }
+  // One member: its successor list is itself, so bits + 2.
+  auto alone = chord::MakeRing(1, cfg, /*deterministic_ids=*/false);
+  EXPECT_EQ(ChordRound(alone), 8u + 2u);
+  // Shrunk to one member by a leave and a crash.
+  auto shrunk = chord::MakeRing(3, cfg, /*deterministic_ids=*/false);
+  const auto members = shrunk.Members();
+  shrunk.RemoveNode(members[0]);
+  shrunk.FailNode(members[1]);
+  EXPECT_EQ(ChordRound(shrunk), 8u + 2u);
+  EXPECT_TRUE(shrunk.LinksMatchOracle());
 }
 
 TEST(MaintenanceAccounting, CycloidConstantPerNodeRound) {

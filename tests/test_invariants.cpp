@@ -10,8 +10,10 @@
 //
 // and, after one self-organization round,
 //
-//   * Chord's successor/predecessor ring is exactly the sorted ID circle
-//     and every finger i points to OwnerOf(id + 2^i);
+//   * Chord's successor/predecessor ring is exactly the sorted ID circle,
+//     every finger i of every node points to OwnerOf(id + 2^i), and every
+//     stored link equals its oracle derivation (LinksMatchOracle) — whether
+//     the round repaired only the moved arcs or swept the whole ring;
 //   * Cycloid's inside leaf sets are a symmetric cyclic permutation of each
 //     cluster and ClusterMembersOf matches the model.
 //
@@ -27,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -64,7 +67,7 @@ void CheckChordOracle(const chord::ChordRing& ring, const ChordModel& model,
 
 /// Protocol-state invariants; hold once stabilization has converged.
 void CheckChordStructure(const chord::ChordRing& ring,
-                         const ChordModel& model, Rng& rng) {
+                         const ChordModel& model) {
   std::vector<std::pair<chord::Key, NodeAddr>> sorted(model.begin(),
                                                       model.end());
   const std::size_t n = sorted.size();
@@ -79,10 +82,9 @@ void CheckChordStructure(const chord::ChordRing& ring,
       ASSERT_FALSE(ring.Owns(addr, (id + 1) & (ring.space() - 1)));
     }
   }
-  // Finger invariant on a sample of nodes: entry i targets the owner of
-  // id + 2^i (FingersOf reports raw table order).
-  for (int s = 0; s < 6; ++s) {
-    const auto [id, addr] = sorted[rng.NextBelow(n)];
+  // Finger invariant on every node: entry i targets the owner of id + 2^i
+  // (FingersOf reports raw table order).
+  for (const auto& [id, addr] : sorted) {
     const auto fingers = ring.FingersOf(addr);
     ASSERT_EQ(fingers.size(), ring.bits());
     for (unsigned i = 0; i < ring.bits(); ++i) {
@@ -91,6 +93,9 @@ void CheckChordStructure(const chord::ChordRing& ring,
           << "finger " << i << " of node " << addr << " is stale";
     }
   }
+  // Every link, generations and cached ids included, equals what a full
+  // rebuild from the oracle writes.
+  ASSERT_TRUE(ring.LinksMatchOracle());
 }
 
 void CheckChordLookups(const chord::ChordRing& ring, const ChordModel& model,
@@ -155,11 +160,160 @@ void RunChordChurn(bool route_cache, int stabilize_every) {
           << "seed " << seed << " step " << step;
       if ((step + 1) % stabilize_every != 0) continue;
       ring.StabilizeAll();
-      ASSERT_NO_FATAL_FAILURE(CheckChordStructure(ring, model, rng))
+      ASSERT_NO_FATAL_FAILURE(CheckChordStructure(ring, model))
           << "seed " << seed << " step " << step;
       ASSERT_NO_FATAL_FAILURE(
           CheckChordLookups(ring, model, rng, /*converged=*/true))
           << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+/// Bursts of 1 to 40 joins, leaves and crashes between StabilizeAll calls
+/// on a 512-member ring. The sweep takes over once events x (bits +
+/// successor_list + 3) reach n: bursts of up to about 24 events (sparse
+/// 14-bit ring) or 32 (full 9-bit ring) are repaired arc by arc, longer
+/// ones swept, so both paths must leave exactly the full rebuild's links.
+/// On the full ring every arc is one id wide and a join can only take an id
+/// a leave or crash freed.
+void RunChordBursts(bool route_cache, bool full_ring) {
+  for (const std::uint64_t seed : {21ull, 22ull, 23ull}) {
+    chord::Config cfg;
+    cfg.bits = full_ring ? 9 : 14;
+    cfg.seed = seed;
+    cfg.route_cache = route_cache;
+    auto ring = chord::MakeRing(512, cfg, /*deterministic_ids=*/full_ring);
+
+    ChordModel model;
+    for (const NodeAddr addr : ring.Members()) model[ring.IdOf(addr)] = addr;
+
+    Rng rng(seed * 104729);
+    NodeAddr next_addr = 10'000;
+    for (int burst = 0; burst < 24; ++burst) {
+      const auto events = 1 + rng.NextBelow(40);
+      for (std::uint64_t e = 0; e < events; ++e) {
+        const auto op = rng.NextBelow(10);
+        const bool full = ring.size() == ring.space();
+        if ((op < 4 && !full) || ring.size() < 64) {
+          const NodeAddr addr = next_addr++;
+          model[ring.AddNode(addr)] = addr;
+          continue;
+        }
+        const auto members = ring.Members();
+        const NodeAddr victim = members[rng.NextBelow(members.size())];
+        model.erase(ring.IdOf(victim));
+        if (op < 7) {
+          ring.RemoveNode(victim);
+        } else {
+          ring.FailNode(victim);
+        }
+      }
+      ring.StabilizeAll();
+      ASSERT_NO_FATAL_FAILURE(CheckChordOracle(ring, model, rng))
+          << "seed " << seed << " burst " << burst;
+      ASSERT_NO_FATAL_FAILURE(CheckChordStructure(ring, model))
+          << "seed " << seed << " burst " << burst << " of " << events;
+      ASSERT_NO_FATAL_FAILURE(
+          CheckChordLookups(ring, model, rng, /*converged=*/true))
+          << "seed " << seed << " burst " << burst;
+    }
+  }
+}
+
+/// Churn packed around one gap per round — the pattern that makes splices
+/// write through stale links. Each round picks a member u and the gap
+/// (u, v) up to its successor; 2 to 5 joins land in the gap (a join
+/// rewrites only entry 0 of its predecessor's list, so u's list keeps
+/// members the later joins shadow), one joiner crashes, and u leaves: the
+/// leave splices the first live member u still lists, which can lie past
+/// a joiner. Random joins, crashes and leaves around the gap are mixed in
+/// before each step. Rounds of 4 to 13 events on 1024 members 16 ids
+/// apart stay far below the sweep cutoff (about 48 events), so the arc
+/// repair and the rebuild of repointed predecessors alone must give the
+/// full rebuild's links. Between rounds only the oracle is checked: until
+/// the repair, lookups through such splices can end at the wrong member,
+/// an open defect of the splices themselves.
+void RunChordGapChurn(bool route_cache) {
+  for (const std::uint64_t seed : {41ull, 42ull, 43ull}) {
+    chord::Config cfg;
+    cfg.bits = 14;
+    cfg.seed = seed;
+    cfg.route_cache = route_cache;
+    auto ring = chord::MakeRing(1024, cfg, /*deterministic_ids=*/true);
+    const chord::Key mask = ring.space() - 1;
+
+    ChordModel model;
+    for (const NodeAddr addr : ring.Members()) model[ring.IdOf(addr)] = addr;
+
+    Rng rng(seed * 6151);
+    NodeAddr next_addr = 10'000;
+    auto join_at = [&](chord::Key id) {
+      const NodeAddr addr = next_addr++;
+      ring.AddNodeWithId(addr, id);
+      model[id] = addr;
+      return addr;
+    };
+    auto depart = [&](NodeAddr victim, bool crash) {
+      model.erase(ring.IdOf(victim));
+      if (crash) {
+        ring.FailNode(victim);
+      } else {
+        ring.RemoveNode(victim);
+      }
+    };
+    for (int round = 0; round < 60; ++round) {
+      // u and the gap (u, v) to its successor, at least 8 ids wide.
+      chord::Key u_id = 0;
+      chord::Key width = 0;
+      while (width < 8) {
+        auto it = model.begin();
+        std::advance(it, rng.NextBelow(model.size()));
+        auto next = std::next(it);
+        if (next == model.end()) next = model.begin();
+        u_id = it->first;
+        width = (next->first - u_id) & mask;
+      }
+      const NodeAddr u = model.at(u_id);
+      std::size_t events = 0;
+      // A random join, crash or leave within two gaps of u, never u itself.
+      auto stray = [&] {
+        ++events;
+        const chord::Key at = (u_id - 16 + rng.NextBelow(48)) & mask;
+        const auto it = model.find(at);
+        if (it == model.end()) {
+          join_at(at);
+        } else if (it->second != u) {
+          depart(it->second, rng.NextBelow(2) == 0);
+        }
+      };
+      std::vector<NodeAddr> joiners;
+      const auto joins = 2 + rng.NextBelow(4);
+      for (std::uint64_t j = 0; j < joins; ++j) {
+        if (rng.NextBelow(10) < 3) stray();
+        const chord::Key id = (u_id + 1 + rng.NextBelow(width - 1)) & mask;
+        if (model.count(id) != 0) continue;
+        ++events;
+        joiners.push_back(join_at(id));
+      }
+      if (rng.NextBelow(10) < 3) stray();
+      if (!joiners.empty()) {
+        const NodeAddr victim = joiners[rng.NextBelow(joiners.size())];
+        if (ring.Contains(victim)) {
+          ++events;
+          depart(victim, /*crash=*/true);
+        }
+      }
+      if (rng.NextBelow(10) < 3) stray();
+      ++events;
+      depart(u, /*crash=*/false);
+      ASSERT_NO_FATAL_FAILURE(CheckChordOracle(ring, model, rng))
+          << "seed " << seed << " round " << round;
+      ring.StabilizeAll();
+      ASSERT_NO_FATAL_FAILURE(CheckChordStructure(ring, model))
+          << "seed " << seed << " round " << round << " of " << events;
+      ASSERT_NO_FATAL_FAILURE(
+          CheckChordLookups(ring, model, rng, /*converged=*/true))
+          << "seed " << seed << " round " << round;
     }
   }
 }
@@ -174,6 +328,18 @@ TEST_P(ChordInvariants, RandomizedChurnPreservesStructure) {
 // around its stale link instead of aborting.
 TEST_P(ChordInvariants, LazyRepairChurnPreservesStructure) {
   RunChordChurn(GetParam(), /*stabilize_every=*/5);
+}
+
+TEST_P(ChordInvariants, BurstRepairMatchesFullRebuildOnSparseRing) {
+  RunChordBursts(GetParam(), /*full_ring=*/false);
+}
+
+TEST_P(ChordInvariants, BurstRepairMatchesFullRebuildOnFullRing) {
+  RunChordBursts(GetParam(), /*full_ring=*/true);
+}
+
+TEST_P(ChordInvariants, GapChurnRepairMatchesFullRebuild) {
+  RunChordGapChurn(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(RouteCache, ChordInvariants, ::testing::Bool(),

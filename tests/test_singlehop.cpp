@@ -13,6 +13,8 @@
 //     maintenance messages where Chord charges Θ(log n);
 //   * engine contract — the resumable lookup and walk state machines are
 //     byte-identical through the batch engines at widths 1/8/32;
+//   * placement — both rings' joiners take chord::HashedId's id against
+//     the taken ids, on full and sparse rings alike;
 //   * registry — a sixth system can be registered without touching the
 //     harness, and the canonical five are unperturbed.
 #include "singlehop/singlehop.hpp"
@@ -20,11 +22,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/random.hpp"
 #include "discovery/d1ht_service.hpp"
 #include "discovery/ring_walk.hpp"
 #include "harness/batch_lookup.hpp"
@@ -261,6 +266,69 @@ INSTANTIATE_TEST_SUITE_P(IdModes, SharedOracle, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "Deterministic" : "Hashed";
                          });
+
+// Both rings place a joiner with chord::JoinerId, which answers HashedId's
+// draws from a bitmap of the taken ids on a nearly full ring and from the
+// oracle otherwise. Either way the id must be HashedId's against an
+// independent model of the taken ids. Removes `removed` members (leaves and
+// crashes), joins as many new addresses, and, once the ring is full again,
+// expects the next join to be refused.
+template <typename Ring>
+void CheckJoinerIds(Ring ring, std::size_t removed) {
+  const unsigned bits = ring.bits();
+  const std::uint64_t seed = ring.config().seed;
+  std::set<chord::Key> taken;
+  auto members = ring.Members();
+  for (const NodeAddr addr : members) taken.insert(ring.IdOf(addr));
+  Rng rng(seed);
+  for (std::size_t k = 0; k < removed; ++k) {
+    const std::size_t at = rng.NextBelow(members.size());
+    const NodeAddr victim = members[at];
+    members.erase(members.begin() + static_cast<std::ptrdiff_t>(at));
+    taken.erase(ring.IdOf(victim));
+    if (k % 2 == 0) {
+      ring.RemoveNode(victim);
+    } else {
+      ring.FailNode(victim);
+    }
+  }
+  for (std::size_t k = 0; k < removed; ++k) {
+    const NodeAddr addr = static_cast<NodeAddr>(50'000 + k);
+    const chord::Key want = chord::HashedId(
+        addr, bits, seed, [&](chord::Key id) { return taken.count(id) != 0; });
+    ASSERT_EQ(ring.AddNode(addr), want) << "joiner " << k;
+    taken.insert(want);
+  }
+  if (taken.size() == ring.space()) {
+    EXPECT_THROW(ring.AddNode(99'999), ConfigError);
+  }
+}
+
+TEST(JoinerIds, FullRingJoinersTakeTheHashedFreeIds) {
+  for (const std::size_t removed : {std::size_t{12}, std::size_t{40}}) {
+    SCOPED_TRACE(removed);
+    chord::Config ccfg;
+    ccfg.bits = 8;
+    CheckJoinerIds(chord::MakeRing(256, ccfg, /*deterministic_ids=*/true),
+                   removed);
+    singlehop::Config scfg;
+    scfg.bits = 8;
+    CheckJoinerIds(
+        singlehop::MakeSingleHopRing(256, scfg, /*deterministic_ids=*/true),
+        removed);
+  }
+}
+
+TEST(JoinerIds, SparseRingJoinersTakeTheHashedIds) {
+  chord::Config ccfg;
+  ccfg.bits = 24;
+  CheckJoinerIds(chord::MakeRing(500, ccfg, /*deterministic_ids=*/false), 20);
+  singlehop::Config scfg;
+  scfg.bits = 24;
+  CheckJoinerIds(
+      singlehop::MakeSingleHopRing(500, scfg, /*deterministic_ids=*/false),
+      20);
+}
 
 // ---- D1HT service semantics ------------------------------------------------
 
