@@ -20,8 +20,6 @@
 #include "common/error.hpp"
 #include "common/hashing.hpp"
 #include "common/random.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace lorm::chord {
 
@@ -86,7 +84,8 @@ inline int ScanFingerIds(const Key* ids, std::size_t count, Key lo, Key hi) {
 
 }  // namespace
 
-ChordRing::ChordRing(Config cfg) : cfg_(cfg) {
+ChordRing::ChordRing(Config cfg)
+    : Route("unknown chord node", cfg.route_cache), cfg_(cfg) {
   if (cfg_.bits == 0 || cfg_.bits > 63) {
     throw ConfigError("ChordRing bits must be in [1, 63]");
   }
@@ -103,22 +102,13 @@ ChordRing::ChordRing(Config cfg) : cfg_(cfg) {
   // rings of 384), which Mercury pays once per hub.
   moved_arcs_.reserve(8);
   repointed_.reserve(8);
-  if (cfg_.route_cache) route_cache_.Enable();
 }
 
 ChordRing::Slot ChordRing::AllocateSlot(NodeAddr addr, Key id) {
-  const Slot s = slab_.Allocate(addr, id);
+  const Slot s = Route::AllocateSlot(addr, id);
   links_.resize(slab_.slot_count() * link_stride_);
   finger_ids_.resize(slab_.slot_count() * cfg_.bits);
-  route_cache_.EnsureSlots(slab_.slot_count());
   return s;
-}
-
-void ChordRing::ReleaseSlot(Slot s) {
-  slab_.Release(s);
-  // The generation bump already invalidates shortcuts *to* this slot; drop
-  // what the departed occupant had learned as well.
-  route_cache_.ClearNode(s);
 }
 
 Key ChordRing::FingerStart(Key id, unsigned i) const {
@@ -158,7 +148,7 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
     }
     n.finger_count = static_cast<std::uint16_t>(cfg_.bits);
     maintenance_.join_messages += 1;  // bootstrap announcement
-    for (auto* obs : observers_) obs->OnJoin(addr, addr);
+    if (observer_ != nullptr) observer_->OnJoin(addr, addr);
     return;
   }
 
@@ -190,13 +180,13 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
       SyncSucc0(p);
     }
   }
-  for (auto* obs : observers_) obs->OnJoin(addr, succ);
+  if (observer_ != nullptr) observer_->OnJoin(addr, succ);
 }
 
 void ChordRing::BulkAssign(
     const std::vector<std::pair<NodeAddr, Key>>& members) {
   LORM_CHECK_MSG(slab_.empty(), "BulkAssign requires an empty ring");
-  LORM_CHECK_MSG(observers_.empty(),
+  LORM_CHECK_MSG(observer_ == nullptr,
                  "BulkAssign does not notify membership observers");
   slab_.reserve(members.size());
   links_.reserve(members.size() * link_stride_);
@@ -225,7 +215,7 @@ void ChordRing::RemoveNode(NodeAddr addr) {
   const NodeAddr succ = succ_slot == kNoSlot ? kNoNode : slab_[succ_slot].addr;
   // Two notify messages (pred, succ) plus the key-handoff transfer.
   maintenance_.leave_messages += 3;
-  for (auto* obs : observers_) obs->OnLeave(addr, succ);
+  if (observer_ != nullptr) observer_->OnLeave(addr, succ);
 
   if (!last) {
     const Link pred = n.predecessor;
@@ -254,15 +244,13 @@ void ChordRing::RemoveNode(NodeAddr addr) {
 void ChordRing::FailNode(NodeAddr addr) {
   const Slot self_slot = slab_.MustFind(addr);
   links_fresh_ = false;  // links to the vacated slot go stale
-  for (auto* obs : observers_) obs->OnFail(addr);
+  if (observer_ != nullptr) observer_->OnFail(addr);
   // No splice, no handoff: neighbors discover the failure lazily.
   const std::size_t pos = oracle_.IndexOf(slab_[self_slot].id);
   NoteMovedArc(pos, oracle_.size());
   oracle_.EraseAt(pos);
   ReleaseSlot(self_slot);
 }
-
-Key ChordRing::IdOf(NodeAddr addr) const { return slab_.MustGet(addr).id; }
 
 NodeAddr ChordRing::OwnerOf(Key key) const {
   const Slot s = oracle_.OwnerSlot(key);
@@ -315,10 +303,6 @@ bool ChordRing::OwnsNode(const Node& n, Key key) const {
     pred_id = slab_[pred_slot].id;
   }
   return InIntervalOC(key, pred_id, n.id);
-}
-
-bool ChordRing::Owns(NodeAddr addr, Key key) const {
-  return OwnsNode(slab_.MustGet(addr), key);
 }
 
 namespace {
@@ -511,56 +495,9 @@ const ChordRing::Link* ChordRing::ClosestPrecedingLinkFresh(const Node& n,
   return best;
 }
 
-LookupResult ChordRing::Lookup(Key key, NodeAddr origin) const {
-  LookupResult r;
-  LookupInto(key, origin, r);
-  return r;
-}
-
-void ChordRing::LookupBegin(Key key, NodeAddr origin, LookupResult& r,
-                            LookupState& st) const {
-  st.out = &r;
-  st.dead_skips = 0;
-  // Timestamp taken only while a trace is active on this thread, so the
-  // off-state cost stays the TLS null check.
-  st.start_ns = obs::TracingActive() ? obs::MonotonicNowNs() : 0;
-  r.ok = false;
-  r.key = key & (space_ - 1);
-  r.owner = kNoNode;
-  r.hops = 0;
-  r.cache_hits = 0;
-  r.path.clear();
-  st.cur = slab_.Find(origin);
-  st.max_hops = slab_.size() + 4 * cfg_.bits + 8;
-  st.done = st.cur == kNoSlot;
-  if (!st.done) r.path.push_back(origin);
-}
-
 bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
-  if (OwnsNode(slab_[st.cur], r.key)) {
-    r.owner = slab_[st.cur].addr;
-    r.ok = true;
-    return false;
-  }
-  if (route_cache_.enabled()) {
-    Link shortcut;
-    if (route_cache_.Probe(st.cur, r.key, shortcut)) {
-      // Same liveness discipline as a finger, plus an ownership re-check
-      // with the walk's own termination predicate: a stale or wrong
-      // shortcut can never route to an owner the plain walk would reject.
-      if (shortcut.slot != st.cur && slab_.Current(shortcut) &&
-          OwnsNode(slab_[shortcut.slot], r.key)) {
-        cache::TickRouteHit();
-        st.cur = shortcut.slot;
-        ++r.hops;
-        ++r.cache_hits;
-        r.path.push_back(slab_[st.cur].addr);
-        return true;
-      }
-      route_cache_.Evict(st.cur, r.key);
-    }
-    cache::TickRouteMiss();
-  }
+  if (OwnsNode(slab_[st.cur], r.key)) return Arrive(st, r);
+  if (Shortcut(st, r)) return true;
   const Node& n = slab_[st.cur];
   if (links_fresh_ && n.succ_count != 0) {
     // Fresh ring: successors.front() is live and its cached id/addr are
@@ -568,11 +505,7 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
     // next node's header (its address comes from the link). The walk's only
     // serialized load is this node's own state, which the batch engine
     // prefetches a full pipeline round ahead.
-    if (n.s0_slot == st.cur) {
-      r.owner = n.addr;
-      r.ok = true;
-      return false;
-    }
+    if (n.s0_slot == st.cur) return Arrive(st, r);
     Slot next;
     NodeAddr next_addr;
     if (InIntervalOC(r.key, n.id, n.s0_id)) {
@@ -588,19 +521,13 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
         next_addr = cp->addr;
       }
     }
-    st.cur = next;
-    ++r.hops;
-    r.path.push_back(next_addr);
+    Hop(st, r, next, next_addr);
     return r.hops <= st.max_hops;
   }
   const Slot succ = FirstLiveSuccessorSlot(n);
-  if (succ == st.cur) {
-    // Sole member believes it owns everything; Owns() should have caught
-    // this, but guard against a dangling predecessor pointer.
-    r.owner = slab_[st.cur].addr;
-    r.ok = true;
-    return false;
-  }
+  // Sole member believes it owns everything; Owns() should have caught
+  // this, but guard against a dangling predecessor pointer.
+  if (succ == st.cur) return Arrive(st, r);
   Slot next;
   if (InIntervalOC(r.key, n.id, slab_[succ].id)) {
     next = succ;
@@ -608,63 +535,15 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
     next = ClosestPrecedingSlot(n, r.key);
     if (next == kNoSlot || next == st.cur) next = succ;
   }
-  st.cur = next;
-  ++r.hops;
-  r.path.push_back(slab_[st.cur].addr);
+  Hop(st, r, next, slab_[next].addr);
   // Past the cap, ok stays false: routing failure (should not happen).
   return r.hops <= st.max_hops;
 }
 
 bool ChordRing::LookupStep(LookupState& st) const {
-  if (st.done) return false;
-  if (links_fresh_) {
-    // A fresh ring resolves every link from its cached fields — no dead
-    // links can be detected, so skip the counter bookkeeping below.
-    const bool more = StepOnce(st, *st.out);
-    if (!more) st.done = true;
-    return more;
-  }
-  // Attribute dead-link detections to this walk step by step: exact even
-  // when a batch engine interleaves walks over the shared counter.
-  const std::uint64_t dead_before = maintenance_.dead_links_skipped;
-  const bool more = StepOnce(st, *st.out);
-  st.dead_skips += maintenance_.dead_links_skipped - dead_before;
-  if (!more) st.done = true;
-  return more;
-}
-
-void ChordRing::LookupFinish(LookupState& st) const {
-  LookupResult& r = *st.out;
-  if (r.ok && route_cache_.enabled() && r.hops > 0) {
-    // Teach every node on the path a direct link to the owner.
-    const Link owner_link = slab_.MakeLink(st.cur);
-    for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
-      const Slot s = slab_.Find(r.path[i]);
-      if (s != kNoSlot && s != st.cur) {
-        route_cache_.Insert(s, r.key, owner_link);
-      }
-    }
-  }
-  // Report to the observability layer on every exit path. Costs one flag
-  // load + one thread-local null check when obs is off; records nothing
-  // else, so routing behavior and results are untouched.
-  if (obs::MetricsEnabled()) {
-    static obs::Histogram& hops = obs::Registry::Global().GetHistogram(
-        "chord.lookup.hops", obs::Histogram::LinearBounds(0.0, 1.0, 32));
-    static obs::Counter& lookups =
-        obs::Registry::Global().GetCounter("chord.lookups");
-    static obs::Counter& failures =
-        obs::Registry::Global().GetCounter("chord.lookup.failures");
-    static obs::Counter& dead_skips = obs::Registry::Global().GetCounter(
-        "chord.lookup.dead_links_skipped");
-    lookups.AddUnchecked(1);
-    hops.RecordUnchecked(static_cast<double>(r.hops));
-    if (!r.ok) failures.AddUnchecked(1);
-    if (st.dead_skips != 0) dead_skips.AddUnchecked(st.dead_skips);
-  }
-  const std::uint64_t dur_ns =
-      st.start_ns != 0 ? obs::MonotonicNowNs() - st.start_ns : 0;
-  obs::OnLookup(r.path, r.hops, r.ok, st.dead_skips, dur_ns, r.cache_hits);
+  if (!links_fresh_ || st.done) return Route::LookupStep(st);
+  st.done = !StepOnce(st, *st.out);
+  return !st.done;
 }
 
 void ChordRing::LookupPrefetch(const LookupState& st, unsigned stage) const {
@@ -721,14 +600,6 @@ void ChordRing::LookupPrefetch(const LookupState& st, unsigned stage) const {
     default:
       break;  // the two stages above cover the whole chase
   }
-}
-
-void ChordRing::LookupInto(Key key, NodeAddr origin, LookupResult& r) const {
-  LookupState st;
-  LookupBegin(key, origin, r, st);
-  while (LookupStep(st)) {
-  }
-  LookupFinish(st);
 }
 
 void ChordRing::SyncSucc0(Node& n) {
@@ -923,15 +794,6 @@ bool ChordRing::LinksMatchOracle() const {
   return true;
 }
 
-void ChordRing::AddObserver(MembershipObserver* obs) {
-  observers_.push_back(obs);
-}
-
-void ChordRing::RemoveObserver(MembershipObserver* obs) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), obs),
-                   observers_.end());
-}
-
 std::size_t ChordRing::ApproxMemoryBytes() const {
   return slab_.MemoryBytes() + links_.capacity() * sizeof(Link) +
          finger_ids_.capacity() * sizeof(Key) + oracle_.MemoryBytes();
@@ -1031,3 +893,9 @@ ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
 }
 
 }  // namespace lorm::chord
+
+namespace lorm {
+template class RingRoute<chord::ChordRing, chord::ChordNode,
+                         chord::MembershipObserver,
+                         HugePageAllocator<chord::ChordNode>>;
+}  // namespace lorm

@@ -32,6 +32,11 @@
 // Both paths leave exactly the links a full rebuild from the oracle would
 // (LinksMatchOracle).
 //
+// Routing core: the lookup loop, its begin and finish, the route-cache
+// shortcut, the maintenance meter and the membership observer are the
+// shared `RingRoute` (common/ring_route.hpp); this ring supplies the step,
+// its termination predicate and its tables.
+//
 // Storage: nodes live in a `SlotSlab` of one-cache-line headers and
 // routing entries are its generation-checked `SlotLink`s; the sorted
 // membership is a `RingOracle` (common/slot_slab.hpp describes all three).
@@ -50,10 +55,10 @@
 #include <utility>
 #include <vector>
 
-#include "cache/route_cache.hpp"
 #include "common/hashing.hpp"
 #include "common/hugepage.hpp"
 #include "common/maintenance.hpp"
+#include "common/ring_route.hpp"
 #include "common/slot_slab.hpp"
 #include "common/types.hpp"
 
@@ -83,15 +88,7 @@ struct Config {
 };
 
 /// Result of routing a lookup through the overlay.
-struct LookupResult {
-  bool ok = false;
-  Key key = 0;                  ///< the looked-up key
-  NodeAddr owner = kNoNode;     ///< node whose ID sector contains the key
-  HopCount hops = 0;            ///< inter-node hops from origin to owner
-  std::vector<NodeAddr> path;   ///< origin first, owner last
-  /// Hops taken through route-cache shortcuts (0 with the cache off).
-  std::uint64_t cache_hits = 0;
-};
+using LookupResult = RouteResult<Key>;
 
 /// Observer of ring membership changes; the discovery layer uses this to
 /// re-home stored resource information when key ownership moves.
@@ -114,18 +111,38 @@ class MembershipObserver {
   virtual void OnFail(NodeAddr node) { (void)node; }
 };
 
+/// Node header: everything but the routing arrays, which live in the ring's
+/// link slab at extent `slot * link_stride_` (fingers, then successors).
+/// Line-aligned so the walk's header read is exactly one cache line.
+struct alignas(64) ChordNode {
+  Key id = 0;
+  NodeAddr addr = kNoNode;
+  std::uint32_t gen = 0;  ///< bumped every time the slot is vacated
+  std::uint16_t finger_count = 0;  ///< live prefix of the finger extent
+  std::uint16_t succ_count = 0;    ///< live prefix of the successor extent
+  /// In-header copy of the first successor link (kept in sync by
+  /// SyncSucc0 at every write of the successor extent). Every routing
+  /// step tests the key against successor(0) — caching its id/slot/addr
+  /// here keeps the whole test on the header line instead of touching
+  /// the successor extent, one fewer line per hop for the fresh path.
+  /// No generation field: the fresh path performs no staleness checks,
+  /// and the stale path reads the real extent entry instead.
+  Key s0_id = 0;
+  SlabSlot s0_slot = kNoSlabSlot;
+  NodeAddr s0_addr = kNoNode;
+  SlotLink<Key> predecessor;
+};
+static_assert(sizeof(ChordNode) == 64, "Node header must stay one cache line");
 
-class ChordRing {
+/// Both slabs (the nodes and links_) live on hugepage-backed mappings (see
+/// common/hugepage.hpp): large rings span thousands of 4 KiB pages, beyond
+/// TLB coverage, and x86 drops software prefetches whose page walk misses
+/// the TLB — which would defeat the batch engine's prefetch pipeline exactly
+/// where it matters most. 2 MiB pages keep both slabs TLB-resident.
+class ChordRing
+    : public RingRoute<ChordRing, ChordNode, MembershipObserver,
+                       HugePageAllocator<ChordNode>> {
  public:
-  /// Index into the node slot slab. Public so resumable lookup state (and
-  /// the batch engine built on it) can carry slab positions across steps.
-  using Slot = SlabSlot;
-  static constexpr Slot kNoSlot = kNoSlabSlot;
-
-  /// Aliases the batch engine templates over (cycloid uses the same names).
-  using LookupKeyType = Key;
-  using LookupResultType = LookupResult;
-
   explicit ChordRing(Config cfg);
 
   // ---- Membership -------------------------------------------------------
@@ -155,13 +172,10 @@ class ChordRing {
   /// repairs them; anything it stored is lost (observers get OnFail).
   void FailNode(NodeAddr addr);
 
-  std::size_t size() const { return slab_.size(); }
-  bool Contains(NodeAddr addr) const { return slab_.Contains(addr); }
   std::vector<NodeAddr> Members() const { return oracle_.Members(slab_); }
 
   // ---- Structure queries (oracle / protocol state) -----------------------
 
-  Key IdOf(NodeAddr addr) const;
   /// Oracle: the current owner (successor) of `key`.
   NodeAddr OwnerOf(Key key) const;
   /// Oracle owner of `key` as if `excluded` had already left the ring.
@@ -181,8 +195,6 @@ class ChordRing {
   /// The node's own successor pointer (protocol state).
   NodeAddr Successor(NodeAddr addr) const;
   NodeAddr Predecessor(NodeAddr addr) const;
-  /// True iff `key` is in (pred(node), node] per the node's own state.
-  bool Owns(NodeAddr addr, Key key) const;
 
   /// Number of distinct live remote nodes in the routing state (fingers,
   /// successor list, predecessor). This is the "outlinks" metric of Fig 3(a).
@@ -205,53 +217,14 @@ class ChordRing {
   std::vector<NodeAddr> SuccessorListOf(NodeAddr addr) const;
 
   // ---- Routing ----------------------------------------------------------
-
-  /// Iterative Chord lookup from `origin`, using only per-node tables.
-  LookupResult Lookup(Key key, NodeAddr origin) const;
-
-  /// Same walk, but reuses `out` (notably its path buffer) instead of
-  /// returning a fresh result: after warm-up the steady-state query path
-  /// performs no heap allocation. Implemented as LookupBegin + LookupStep
-  /// to exhaustion + LookupFinish — the resumable API below is the walk.
-  void LookupInto(Key key, NodeAddr origin, LookupResult& out) const;
-
-  // ---- Resumable lookup (single-hop state machine) ----------------------
   //
-  // The monolithic walk factored into Begin / Step* / Finish so a batch
-  // engine can interleave B independent walks and hide the slab's DRAM
-  // latency behind useful work (see harness/batch_lookup.hpp). The
-  // decomposition is exact: LookupInto is a thin loop over LookupStep, and
-  // every observable — LookupResult bytes, route-cache probe/teach order,
-  // maintenance counters, obs traces/metrics — is identical to the old
-  // single-function walk.
+  // Lookup, LookupInto and the resumable LookupBegin / LookupStep /
+  // LookupFinish come from RingRoute: the iterative Chord walk from
+  // `origin`, using only per-node tables.
 
-  /// One in-flight walk. Plain value state; reusable across lookups. The
-  /// bound LookupResult must outlive the walk (Begin .. Finish).
-  struct LookupState {
-    LookupResult* out = nullptr;  ///< bound result, valid Begin..Finish
-    Slot cur = kNoSlot;           ///< slab position of the walk head
-    std::size_t max_hops = 0;     ///< routing-failure cap for this walk
-    bool done = true;             ///< no more steps (out->ok says how)
-    /// Dead links this walk detected (exact even when walks interleave:
-    /// accumulated per step, not diffed across the whole walk).
-    std::uint64_t dead_skips = 0;
-    std::uint64_t start_ns = 0;   ///< trace timestamp (0 when tracing off)
-  };
-
-  /// Binds `out` to `st` and positions the walk at `origin`. A missing
-  /// origin completes the walk immediately (ok stays false).
-  void LookupBegin(Key key, NodeAddr origin, LookupResult& out,
-                   LookupState& st) const;
-
-  /// Advances the walk by at most one hop. Returns true while the walk has
-  /// more steps; false once it completed (owner found, routing dead end, or
-  /// hop cap exceeded). Calling it on a completed walk is a no-op.
+  /// LookupStep, skipping the dead-link bookkeeping on a fresh ring, where
+  /// every link resolves from its cached fields and none can be dead.
   bool LookupStep(LookupState& st) const;
-
-  /// Completes the walk: teaches the route cache (on success, cache on) and
-  /// reports to the metrics/trace layer — everything the monolithic walk did
-  /// after its loop. Must be called exactly once per Begin.
-  void LookupFinish(LookupState& st) const;
 
   /// Issues __builtin_prefetch for the slab lines the walk's next LookupStep
   /// will read. Stages pipeline the pointer chase (each stage only
@@ -266,12 +239,6 @@ class ChordRing {
   /// Pure prefetch: no observable effect, safe to skip or repeat.
   void LookupPrefetch(const LookupState& st, unsigned stage) const;
 
-  /// Warms the membership-table probe line for a LookupBegin(.., origin, ..)
-  /// issued later: a batch engine calls this one refill ahead so the next
-  /// request's origin->slot resolution overlaps the walks in flight. Pure
-  /// prefetch, no observable effect.
-  void PrefetchOrigin(NodeAddr origin) const { slab_.PrefetchFind(origin); }
-
   // ---- Maintenance ------------------------------------------------------
 
   /// One maintenance round: bills every live node's refresh of its
@@ -279,12 +246,6 @@ class ChordRing {
   /// the oracle — by repairing the arcs moved since the last round, or by
   /// one full sweep (see the file comment).
   void StabilizeAll();
-
-  void AddObserver(MembershipObserver* obs);
-  void RemoveObserver(MembershipObserver* obs);
-
-  const MaintenanceStats& maintenance() const { return maintenance_; }
-  void ResetMaintenanceStats() { maintenance_ = {}; }
 
   /// True while every stored link is known current (see links_fresh_).
   /// Exposed so tests can assert the invariant toggles where expected.
@@ -306,30 +267,10 @@ class ChordRing {
   std::size_t ApproxMemoryBytes() const;
 
  private:
-  using Link = SlotLink<Key>;
-
-  /// Node header: everything but the routing arrays, which live in the
-  /// link slab at extent `slot * link_stride_` (fingers, then successors).
-  /// Line-aligned so the walk's header read is exactly one cache line.
-  struct alignas(64) Node {
-    Key id = 0;
-    NodeAddr addr = kNoNode;
-    std::uint32_t gen = 0;  ///< bumped every time the slot is vacated
-    std::uint16_t finger_count = 0;  ///< live prefix of the finger extent
-    std::uint16_t succ_count = 0;    ///< live prefix of the successor extent
-    /// In-header copy of the first successor link (kept in sync by
-    /// SyncSucc0 at every write of the successor extent). Every routing
-    /// step tests the key against successor(0) — caching its id/slot/addr
-    /// here keeps the whole test on the header line instead of touching
-    /// the successor extent, one fewer line per hop for the fresh path.
-    /// No generation field: the fresh path performs no staleness checks,
-    /// and the stale path reads the real extent entry instead.
-    Key s0_id = 0;
-    Slot s0_slot = kNoSlot;
-    NodeAddr s0_addr = kNoNode;
-    Link predecessor;
-  };
-  static_assert(sizeof(Node) == 64, "Node header must stay one cache line");
+  using Route = RingRoute<ChordRing, ChordNode, MembershipObserver,
+                          HugePageAllocator<ChordNode>>;
+  friend Route;
+  static constexpr const char* kMetricPrefix = "chord";
 
   /// Re-caches successor(0) into the node header after a successor-extent
   /// write (see Node::s0_id).
@@ -357,10 +298,13 @@ class ChordRing {
   /// pages: random-access prefetches are dropped on TLB misses, so large
   /// rings want the slabs TLB-resident. No observable effect on results.
   void CollapseSlabs();
-  /// Seats a member in the slab and sizes its link extent and route-cache
-  /// block; ReleaseSlot vacates it and drops what it had learned.
+  /// RingRoute's seating, plus the slot's link extent.
   Slot AllocateSlot(NodeAddr addr, Key id);
-  void ReleaseSlot(Slot s);
+  Key NormalizeKey(Key key) const { return key & (space_ - 1); }
+  void BeginWalk(LookupState& st) const {
+    st.max_hops = slab_.size() + 4 * cfg_.bits + 8;
+  }
+  /// True iff `key` is in (pred(node), node] per the node's own state.
   bool OwnsNode(const Node& n, Key key) const;
   /// First live entry of the node's successor list (falls back to oracle if
   /// the whole list died; counts as a detected failure, not a hop).
@@ -398,12 +342,6 @@ class ChordRing {
 
   Config cfg_;
   std::uint64_t space_;
-  /// Slabs live on hugepage-backed mappings (see common/hugepage.hpp):
-  /// large rings span thousands of 4 KiB pages, beyond TLB coverage, and
-  /// x86 drops software prefetches whose page walk misses the TLB — which
-  /// would defeat the batch engine's prefetch pipeline exactly where it
-  /// matters most. 2 MiB pages keep both slabs TLB-resident.
-  SlotSlab<Node, HugePageAllocator<Node>> slab_{"unknown chord node"};
   /// Routing-array slab: link_stride_ entries per slot (bits fingers, then
   /// successor_list successors). Grows with the node slab, entries stay put.
   std::vector<Link, HugePageAllocator<Link>> links_;
@@ -415,10 +353,6 @@ class ChordRing {
   std::vector<Key, HugePageAllocator<Key>> finger_ids_;
   std::size_t link_stride_ = 0;
   RingOracle oracle_;
-  std::vector<MembershipObserver*> observers_;
-  mutable MaintenanceStats maintenance_;  // mutable: routing is const
-  /// Learned shortcuts (cfg_.route_cache); mutable: lookups teach it.
-  mutable cache::RouteCacheTable<Link> route_cache_;
   /// Freshness invariant: true ⇒ every Link held by a live node (fingers,
   /// successor list, predecessor) still points at its original occupant,
   /// i.e. slab_.Current(l) for every stored link. StabilizeAll
@@ -489,3 +423,9 @@ ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
                    NodeAddr base_addr = 0);
 
 }  // namespace lorm::chord
+
+namespace lorm {
+extern template class RingRoute<chord::ChordRing, chord::ChordNode,
+                                chord::MembershipObserver,
+                                HugePageAllocator<chord::ChordNode>>;
+}  // namespace lorm

@@ -4,8 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/hashing.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace lorm::cycloid {
 namespace {
@@ -19,25 +17,12 @@ bool InOC(std::uint64_t x, std::uint64_t lo, std::uint64_t hi) {
 
 }  // namespace
 
-CycloidNetwork::CycloidNetwork(Config cfg) : cfg_(cfg) {
+CycloidNetwork::CycloidNetwork(Config cfg)
+    : Route("unknown cycloid node", cfg.route_cache), cfg_(cfg) {
   if (cfg_.dimension < 2 || cfg_.dimension > 24) {
     throw ConfigError("Cycloid dimension must be in [2, 24]");
   }
   cluster_space_ = std::uint64_t{1} << cfg_.dimension;
-  if (cfg_.route_cache) route_cache_.Enable();
-}
-
-CycloidNetwork::Slot CycloidNetwork::AllocateSlot(NodeAddr addr, CycloidId id) {
-  const Slot s = slab_.Allocate(addr, id);
-  route_cache_.EnsureSlots(slab_.slot_count());
-  return s;
-}
-
-void CycloidNetwork::ReleaseSlot(Slot s) {
-  slab_.Release(s);
-  // The generation bump already invalidates shortcuts *to* this slot; drop
-  // what the departed occupant had learned as well.
-  route_cache_.ClearNode(s);
 }
 
 const CycloidNetwork::Cluster& CycloidNetwork::MustCluster(
@@ -133,13 +118,13 @@ void CycloidNetwork::AddNodeWithId(NodeAddr addr, CycloidId id) {
   // messages charged inside RepairAround.
   maintenance_.join_messages += cfg_.dimension;
   RepairAround(id.a);
-  for (auto* obs : observers_) obs->OnJoin(addr, sources);
+  if (observer_ != nullptr) observer_->OnJoin(addr, sources);
 }
 
 void CycloidNetwork::BulkAssign(
     const std::vector<std::pair<NodeAddr, CycloidId>>& members) {
   LORM_CHECK_MSG(slab_.empty(), "BulkAssign requires an empty network");
-  LORM_CHECK_MSG(observers_.empty(),
+  LORM_CHECK_MSG(observer_ == nullptr,
                  "BulkAssign does not notify membership observers");
   slab_.reserve(members.size());
   for (const auto& [addr, id] : members) {
@@ -169,7 +154,7 @@ void CycloidNetwork::RemoveNode(NodeAddr addr) {
   // Observers re-home the departing node's objects via OwnerOf(), which now
   // reflects the post-departure ownership; the node's state is still
   // readable while they run.
-  for (auto* obs : observers_) obs->OnLeave(addr);
+  if (observer_ != nullptr) observer_->OnLeave(addr);
 
   ReleaseSlot(slot);
   if (!clusters_.empty()) RepairAround(id.a);
@@ -186,7 +171,7 @@ void CycloidNetwork::FailNode(NodeAddr addr) {
   // reflects post-failure ownership, as in RemoveNode) but while its state
   // is still readable — replicated services restore coverage from the
   // surviving copies here.
-  for (auto* obs : observers_) obs->OnFail(addr);
+  if (observer_ != nullptr) observer_->OnFail(addr);
   ReleaseSlot(slot);
   // No repair, no routing handoff: leaf sets pointing at the node go stale
   // until routing skips them and StabilizeAll heals the neighborhood.
@@ -199,10 +184,6 @@ std::vector<NodeAddr> CycloidNetwork::Members() const {
     for (const auto& [k, slot] : cluster) out.push_back(slab_[slot].addr);
   }
   return out;
-}
-
-CycloidId CycloidNetwork::IdOf(NodeAddr addr) const {
-  return slab_.MustGet(addr).id;
 }
 
 NodeAddr CycloidNetwork::OwnerOf(CycloidId key) const {
@@ -245,10 +226,6 @@ bool CycloidNetwork::OwnsNode(const Node& n, CycloidId key) const {
     pred_k = slab_[pred_slot].id.k;
   }
   return InOC(key.k % cfg_.dimension, pred_k, n.id.k);
-}
-
-bool CycloidNetwork::Owns(NodeAddr addr, CycloidId key) const {
-  return OwnsNode(slab_.MustGet(addr), key);
 }
 
 NodeAddr CycloidNetwork::ClusterSuccessorOf(NodeAddr addr) const {
@@ -473,66 +450,23 @@ CycloidNetwork::Slot CycloidNetwork::NextHopSlot(const Node& n, CycloidId key,
   return kNoSlot;
 }
 
-LookupResult CycloidNetwork::Lookup(CycloidId key, NodeAddr origin) const {
-  LookupResult r;
-  LookupInto(key, origin, r);
-  return r;
-}
-
-void CycloidNetwork::LookupBegin(CycloidId key, NodeAddr origin,
-                                 LookupResult& r, LookupState& st) const {
-  st.out = &r;
-  st.dead_skips = 0;
-  // Timestamp taken only while a trace is active on this thread, so the
-  // off-state cost stays the TLS null check.
-  st.start_ns = obs::TracingActive() ? obs::MonotonicNowNs() : 0;
-  r.ok = false;
-  r.key = CycloidId{key.k % cfg_.dimension, key.a % cluster_space_};
-  r.owner = kNoNode;
-  r.hops = 0;
-  r.cache_hits = 0;
-  r.path.clear();
-  st.cur = slab_.Find(origin);
-  st.prev = kNoSlot;
+void CycloidNetwork::BeginWalk(LookupState& st) const {
   st.structured_cap = 4 * cfg_.dimension + 8;
-  st.total_cap =
+  st.max_hops =
       st.structured_cap + 2 * clusters_.size() + 2 * cfg_.dimension + 16;
   // Sticky fallback mode: engaged when the structured budget is spent or an
   // immediate backtrack is detected (stateless greedy steps returning to the
   // previous node would cycle forever in a churn-degraded neighborhood).
   st.walk_mode = false;
-  st.done = st.cur == kNoSlot;
-  if (!st.done) r.path.push_back(origin);
+  st.prev = kNoSlot;
 }
 
 bool CycloidNetwork::StepOnce(LookupState& st, LookupResult& r) const {
-  if (OwnsNode(slab_[st.cur], r.key)) {
-    r.owner = slab_[st.cur].addr;
-    r.ok = true;
-    return false;
-  }
-  if (route_cache_.enabled()) {
-    // (cubical, cyclic) packed as one cache key; unique because k < d.
-    const std::uint64_t cache_key = r.key.a * cfg_.dimension + r.key.k;
-    Link shortcut;
-    if (route_cache_.Probe(st.cur, cache_key, shortcut)) {
-      // Same liveness discipline as a leaf-set entry, plus an ownership
-      // re-check with the walk's own termination predicate: a stale or
-      // wrong shortcut can never route to an owner the plain walk would
-      // reject.
-      if (shortcut.slot != st.cur && slab_.Current(shortcut) &&
-          OwnsNode(slab_[shortcut.slot], r.key)) {
-        cache::TickRouteHit();
-        st.prev = st.cur;
-        st.cur = shortcut.slot;
-        ++r.hops;
-        ++r.cache_hits;
-        r.path.push_back(slab_[st.cur].addr);
-        return true;
-      }
-      route_cache_.Evict(st.cur, cache_key);
-    }
-    cache::TickRouteMiss();
+  if (OwnsNode(slab_[st.cur], r.key)) return Arrive(st, r);
+  const Slot from = st.cur;
+  if (Shortcut(st, r)) {
+    st.prev = from;
+    return true;
   }
   const Node& n = slab_[st.cur];
   st.walk_mode = st.walk_mode || r.hops >= st.structured_cap;
@@ -543,56 +477,8 @@ bool CycloidNetwork::StepOnce(LookupState& st, LookupResult& r) const {
   }
   if (next == kNoSlot || next == st.cur) return false;  // routing dead end
   st.prev = st.cur;
-  st.cur = next;
-  ++r.hops;
-  r.path.push_back(slab_[st.cur].addr);
-  return r.hops <= st.total_cap;  // past the cap, ok stays false
-}
-
-bool CycloidNetwork::LookupStep(LookupState& st) const {
-  if (st.done) return false;
-  // Attribute dead-link detections to this walk step by step: exact even
-  // when a batch engine interleaves walks over the shared counter.
-  const std::uint64_t dead_before = maintenance_.dead_links_skipped;
-  const bool more = StepOnce(st, *st.out);
-  st.dead_skips += maintenance_.dead_links_skipped - dead_before;
-  if (!more) st.done = true;
-  return more;
-}
-
-void CycloidNetwork::LookupFinish(LookupState& st) const {
-  LookupResult& r = *st.out;
-  if (r.ok && route_cache_.enabled() && r.hops > 0) {
-    // Teach every node on the path a direct link to the owner.
-    const std::uint64_t cache_key = r.key.a * cfg_.dimension + r.key.k;
-    const Link owner_link = slab_.MakeLink(st.cur);
-    for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
-      const Slot s = slab_.Find(r.path[i]);
-      if (s != kNoSlot && s != st.cur) {
-        route_cache_.Insert(s, cache_key, owner_link);
-      }
-    }
-  }
-  // Report to the observability layer on every exit path. Costs one flag
-  // load + one thread-local null check when obs is off; records nothing
-  // else, so routing behavior and results are untouched.
-  if (obs::MetricsEnabled()) {
-    static obs::Histogram& hops = obs::Registry::Global().GetHistogram(
-        "cycloid.lookup.hops", obs::Histogram::LinearBounds(0.0, 1.0, 32));
-    static obs::Counter& lookups =
-        obs::Registry::Global().GetCounter("cycloid.lookups");
-    static obs::Counter& failures =
-        obs::Registry::Global().GetCounter("cycloid.lookup.failures");
-    static obs::Counter& dead_skips = obs::Registry::Global().GetCounter(
-        "cycloid.lookup.dead_links_skipped");
-    lookups.AddUnchecked(1);
-    hops.RecordUnchecked(static_cast<double>(r.hops));
-    if (!r.ok) failures.AddUnchecked(1);
-    if (st.dead_skips != 0) dead_skips.AddUnchecked(st.dead_skips);
-  }
-  const std::uint64_t dur_ns =
-      st.start_ns != 0 ? obs::MonotonicNowNs() - st.start_ns : 0;
-  obs::OnLookup(r.path, r.hops, r.ok, st.dead_skips, dur_ns, r.cache_hits);
+  Hop(st, r, next, slab_[next].addr);
+  return r.hops <= st.max_hops;  // past the cap, ok stays false
 }
 
 void CycloidNetwork::LookupPrefetch(const LookupState& st,
@@ -630,30 +516,12 @@ void CycloidNetwork::LookupPrefetch(const LookupState& st,
   }
 }
 
-void CycloidNetwork::LookupInto(CycloidId key, NodeAddr origin,
-                                LookupResult& r) const {
-  LookupState st;
-  LookupBegin(key, origin, r, st);
-  while (LookupStep(st)) {
-  }
-  LookupFinish(st);
-}
-
 void CycloidNetwork::StabilizeAll() {
   for (Slot s = 0; s < slab_.slot_count(); ++s) {
     if (slab_[s].addr == kNoNode) continue;  // vacated slot
     BuildState(slab_[s]);
     maintenance_.stabilize_messages += 7;
   }
-}
-
-void CycloidNetwork::AddObserver(MembershipObserver* obs) {
-  observers_.push_back(obs);
-}
-
-void CycloidNetwork::RemoveObserver(MembershipObserver* obs) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), obs),
-                   observers_.end());
 }
 
 std::size_t CycloidNetwork::ApproxMemoryBytes() const {
@@ -692,3 +560,10 @@ unsigned DimensionFor(std::size_t n) {
 }
 
 }  // namespace lorm::cycloid
+
+namespace lorm {
+template class RingRoute<cycloid::CycloidNetwork, cycloid::CycloidNode,
+                         cycloid::MembershipObserver,
+                         std::allocator<cycloid::CycloidNode>,
+                         cycloid::CycloidWalk>;
+}  // namespace lorm

@@ -40,14 +40,18 @@
 //
 // Storage: nodes live in a `SlotSlab` and the 7 routing entries are its
 // generation-checked `SlotLink`s (common/slot_slab.hpp), as on ChordRing.
+// The lookup loop, its begin and finish, the route-cache shortcut, the
+// maintenance meter and the membership observer are the shared `RingRoute`
+// (common/ring_route.hpp); this network supplies the routing step, its
+// termination predicate, the walk's fallback state and its tables.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
-#include "cache/route_cache.hpp"
 #include "common/maintenance.hpp"
+#include "common/ring_route.hpp"
 #include "common/slot_slab.hpp"
 #include "common/types.hpp"
 
@@ -74,15 +78,7 @@ struct Config {
   bool route_cache = false;
 };
 
-struct LookupResult {
-  bool ok = false;
-  CycloidId key;
-  NodeAddr owner = kNoNode;
-  HopCount hops = 0;
-  std::vector<NodeAddr> path;  ///< origin first, owner last
-  /// Hops taken through route-cache shortcuts (0 with the cache off).
-  std::uint64_t cache_hits = 0;
-};
+using LookupResult = RouteResult<CycloidId>;
 
 /// Observer of membership changes.
 ///
@@ -108,17 +104,36 @@ class MembershipObserver {
   virtual void OnFail(NodeAddr node) { (void)node; }
 };
 
-class CycloidNetwork {
+/// A slab node: its id and all 7 routing entries, inline.
+struct CycloidNode {
+  CycloidId id;
+  NodeAddr addr = kNoNode;
+  std::uint32_t gen = 0;  ///< bumped every time the slot is vacated
+  /// Keeps the links at offset 32 and the node at four cache lines; the
+  /// unpadded 248-byte node measured slower LORM lookups in fig_scale.
+  std::uint64_t pad = 0;
+  SlotLink<CycloidId> inside_succ;
+  SlotLink<CycloidId> inside_pred;
+  SlotLink<CycloidId> outside_succ;  // primary of succeeding cluster
+  SlotLink<CycloidId> outside_pred;  // primary of preceding cluster
+  SlotLink<CycloidId> cubical;       // flips bit k-1 (null when k == 0)
+  SlotLink<CycloidId> cyclic_succ;   // ~k-1 in succeeding cluster
+  SlotLink<CycloidId> cyclic_pred;   // ~k-1 in preceding cluster
+};
+static_assert(sizeof(CycloidNode) == 256, "Node must stay four cache lines");
+
+/// The shared walk state plus Cycloid's sticky cluster-walk fallback and
+/// backtrack detection, carried across steps.
+struct CycloidWalk : RouteState<CycloidId> {
+  SlabSlot prev = kNoSlabSlot;     ///< previous hop (backtrack detection)
+  std::size_t structured_cap = 0;  ///< budget before forcing walk mode
+  bool walk_mode = false;          ///< sticky cluster-walk fallback engaged
+};
+
+class CycloidNetwork
+    : public RingRoute<CycloidNetwork, CycloidNode, MembershipObserver,
+                       std::allocator<CycloidNode>, CycloidWalk> {
  public:
-  /// Index into the node slot slab. Public so resumable lookup state (and
-  /// the batch engine built on it) can carry slab positions across steps.
-  using Slot = SlabSlot;
-  static constexpr Slot kNoSlot = kNoSlabSlot;
-
-  /// Aliases the batch engine templates over (chord uses the same names).
-  using LookupKeyType = CycloidId;
-  using LookupResultType = LookupResult;
-
   explicit CycloidNetwork(Config cfg);
 
   // ---- Membership -------------------------------------------------------
@@ -146,18 +161,12 @@ class CycloidNetwork {
   /// self-organization repairs them; its stored objects are lost.
   void FailNode(NodeAddr addr);
 
-  std::size_t size() const { return slab_.size(); }
-  bool Contains(NodeAddr addr) const { return slab_.Contains(addr); }
   std::vector<NodeAddr> Members() const;
 
   // ---- Structure queries --------------------------------------------------
 
-  CycloidId IdOf(NodeAddr addr) const;
   /// Oracle: the node currently owning `key`.
   NodeAddr OwnerOf(CycloidId key) const;
-  /// True iff `key` is in the node's (cluster, cyclic) sector, judged from
-  /// the node's own leaf-set state.
-  bool Owns(NodeAddr addr, CycloidId key) const;
 
   /// Members of the cluster owning cubical value `a`, in cyclic order.
   std::vector<NodeAddr> ClusterMembersOf(std::uint64_t a) const;
@@ -183,49 +192,10 @@ class CycloidNetwork {
   std::vector<NodeAddr> NeighborsOf(NodeAddr addr) const;
 
   // ---- Routing ------------------------------------------------------------
-
-  /// Routes from `origin` to the owner of `key` using only per-node state.
-  LookupResult Lookup(CycloidId key, NodeAddr origin) const;
-
-  /// Same walk, but reuses `out` (notably its path buffer) instead of
-  /// returning a fresh result: after warm-up the steady-state query path
-  /// performs no heap allocation. Implemented as LookupBegin + LookupStep
-  /// to exhaustion + LookupFinish — the resumable API below is the walk.
-  void LookupInto(CycloidId key, NodeAddr origin, LookupResult& out) const;
-
-  // ---- Resumable lookup (single-hop state machine) ------------------------
   //
-  // Exact decomposition of the monolithic walk (see chord.hpp for the
-  // contract); the extra fields carry Cycloid's sticky walk-mode fallback
-  // and backtrack detection across steps.
-
-  /// One in-flight walk. Plain value state; reusable across lookups. The
-  /// bound LookupResult must outlive the walk (Begin .. Finish).
-  struct LookupState {
-    LookupResult* out = nullptr;   ///< bound result, valid Begin..Finish
-    Slot cur = kNoSlot;            ///< slab position of the walk head
-    Slot prev = kNoSlot;           ///< previous hop (backtrack detection)
-    std::size_t structured_cap = 0;  ///< budget before forcing walk mode
-    std::size_t total_cap = 0;       ///< routing-failure cap for this walk
-    bool walk_mode = false;        ///< sticky cluster-walk fallback engaged
-    bool done = true;              ///< no more steps (out->ok says how)
-    /// Dead links this walk detected (accumulated per step — exact even
-    /// when walks interleave over the shared counter).
-    std::uint64_t dead_skips = 0;
-    std::uint64_t start_ns = 0;    ///< trace timestamp (0 when tracing off)
-  };
-
-  /// Binds `out` to `st` and positions the walk at `origin`. A missing
-  /// origin completes the walk immediately (ok stays false).
-  void LookupBegin(CycloidId key, NodeAddr origin, LookupResult& out,
-                   LookupState& st) const;
-
-  /// Advances the walk by at most one hop; false once it completed.
-  bool LookupStep(LookupState& st) const;
-
-  /// Completes the walk: route-cache teaching + metrics/trace reporting.
-  /// Must be called exactly once per Begin.
-  void LookupFinish(LookupState& st) const;
+  // Lookup, LookupInto and the resumable LookupBegin / LookupStep /
+  // LookupFinish come from RingRoute: routing from `origin` to the owner of
+  // a key using only per-node state.
 
   /// Prefetches the slab lines the next LookupStep will read. Stages:
   ///   0 — the current node's slab header (all 7 links are inline);
@@ -234,22 +204,10 @@ class CycloidNetwork {
   /// Pure prefetch: no observable effect, safe to skip or repeat.
   void LookupPrefetch(const LookupState& st, unsigned stage) const;
 
-  /// Warms the membership-table probe line for a LookupBegin(.., origin, ..)
-  /// issued later: a batch engine calls this one refill ahead so the next
-  /// request's origin->slot resolution overlaps the walks in flight. Pure
-  /// prefetch, no observable effect.
-  void PrefetchOrigin(NodeAddr origin) const { slab_.PrefetchFind(origin); }
-
   // ---- Maintenance --------------------------------------------------------
 
   /// Maintenance round over every node (self-organization fixed point).
   void StabilizeAll();
-
-  void AddObserver(MembershipObserver* obs);
-  void RemoveObserver(MembershipObserver* obs);
-
-  const MaintenanceStats& maintenance() const { return maintenance_; }
-  void ResetMaintenanceStats() { maintenance_ = {}; }
 
   unsigned dimension() const { return cfg_.dimension; }
   std::uint64_t cluster_space() const { return cluster_space_; }  ///< 2^d
@@ -261,31 +219,11 @@ class CycloidNetwork {
   std::size_t ApproxMemoryBytes() const;
 
  private:
-  using Link = SlotLink<CycloidId>;  ///< a null entry is Link{}
-
-  struct Node {
-    CycloidId id;
-    NodeAddr addr = kNoNode;
-    std::uint32_t gen = 0;  ///< bumped every time the slot is vacated
-    /// Keeps the links at offset 32 and the node at four cache lines; the
-    /// unpadded 248-byte node measured slower LORM lookups in fig_scale.
-    std::uint64_t pad = 0;
-    Link inside_succ;
-    Link inside_pred;
-    Link outside_succ;  // primary of succeeding cluster
-    Link outside_pred;  // primary of preceding cluster
-    Link cubical;       // flips bit k-1 (null when k == 0)
-    Link cyclic_succ;   // ~k-1 in succeeding cluster
-    Link cyclic_pred;   // ~k-1 in preceding cluster
-  };
-  static_assert(sizeof(Node) == 256, "Node must stay four cache lines");
-
+  using Route = RingRoute<CycloidNetwork, CycloidNode, MembershipObserver,
+                          std::allocator<CycloidNode>, CycloidWalk>;
+  friend Route;
+  static constexpr const char* kMetricPrefix = "cycloid";
   using Cluster = std::map<unsigned, Slot>;  // cyclic index -> slot
-
-  /// Seats a member in the slab and sizes its route-cache block;
-  /// ReleaseSlot vacates it and drops what it had learned.
-  Slot AllocateSlot(NodeAddr addr, CycloidId id);
-  void ReleaseSlot(Slot s);
 
   /// Oracle helpers over the cluster index.
   const Cluster& MustCluster(std::uint64_t a) const;
@@ -304,10 +242,20 @@ class CycloidNetwork {
   /// the owner. `force_walk` switches to the guaranteed cluster walk.
   Slot NextHopSlot(const Node& n, CycloidId key, bool force_walk) const;
 
+  CycloidId NormalizeKey(CycloidId key) const {
+    return CycloidId{key.k % cfg_.dimension, key.a % cluster_space_};
+  }
+  /// (cubical, cyclic) packed as one route-cache key; unique because k < d.
+  std::uint64_t CacheKey(CycloidId key) const {
+    return key.a * cfg_.dimension + key.k;
+  }
+  void BeginWalk(LookupState& st) const;
   /// One iteration of the lookup loop (hop, cache shortcut, or
   /// termination); returns false when the walk completed.
   bool StepOnce(LookupState& st, LookupResult& r) const;
 
+  /// True iff `key` is in the node's (cluster, cyclic) sector, judged from
+  /// the node's own leaf-set state.
   bool OwnsNode(const Node& n, CycloidId key) const;
 
   /// True iff the node's cluster owns cubical value `a`, judged from the
@@ -316,12 +264,7 @@ class CycloidNetwork {
 
   Config cfg_;
   std::uint64_t cluster_space_;
-  SlotSlab<Node> slab_{"unknown cycloid node"};
   std::map<std::uint64_t, Cluster> clusters_;   // oracle index
-  std::vector<MembershipObserver*> observers_;
-  mutable MaintenanceStats maintenance_;  // mutable: routing is const
-  /// Learned shortcuts (cfg_.route_cache); mutable: lookups teach it.
-  mutable cache::RouteCacheTable<Link> route_cache_;
 };
 
 /// Evenly populates a Cycloid with `n` nodes (addresses base..base+n-1) over
@@ -339,3 +282,10 @@ CycloidNetwork MakeCycloid(std::size_t n, Config cfg, NodeAddr base_addr = 0);
 unsigned DimensionFor(std::size_t n);
 
 }  // namespace lorm::cycloid
+
+namespace lorm {
+extern template class RingRoute<cycloid::CycloidNetwork, cycloid::CycloidNode,
+                                cycloid::MembershipObserver,
+                                std::allocator<cycloid::CycloidNode>,
+                                cycloid::CycloidWalk>;
+}  // namespace lorm

@@ -6,9 +6,10 @@
 // sub-queries from a result cache, counts the query visits each node absorbs
 // and meters replication handoff. This base holds that state once, with the
 // operations that only read or expire it, the directory probe every
-// resolver runs, the membership flight record, and the query executor
-// (ExecuteQuery, defined in query_executor.hpp). A service adds its overlay,
-// its placement (Advertise, the membership handlers) and its ResolveSub.
+// resolver runs, the membership flight record, the placement every
+// Advertise runs (Place) and the query executor (ExecuteQuery, defined in
+// query_executor.hpp). A service adds its overlay, its keys, its membership
+// handlers and its ResolveSub.
 #pragma once
 
 #include <cstdint>
@@ -17,8 +18,11 @@
 #include <vector>
 
 #include "cache/result_cache.hpp"
+#include "common/error.hpp"
+#include "common/ring_route.hpp"
 #include "discovery/directory.hpp"
 #include "discovery/discovery.hpp"
+#include "discovery/query_obs.hpp"
 #include "discovery/replication.hpp"
 #include "discovery/selectivity.hpp"
 #include "discovery/visit_counter.hpp"
@@ -84,7 +88,7 @@ class DirectoryService : public DiscoveryService {
                    const resource::AttributeRegistry& registry,
                    bool result_cache, bool plan)
       : name_(system), registry_(registry), repl_(std::move(system)),
-        plan_(plan) {
+        advertise_obs_(name_), plan_(plan) {
     if (result_cache) result_cache_.Enable();
     if (plan) {
       selectivity_.Configure(registry_);
@@ -109,6 +113,50 @@ class DirectoryService : public DiscoveryService {
     stats.dht_hops += res.hops;
     if (!res.ok) stats.failed = true;
     return res.ok;
+  }
+
+  /// The placement every Advertise runs: routes `key` from the provider on
+  /// `overlay` into a reused result, then stores `info` under `key` and
+  /// `tag` on the owner and on up to replicas - 1 further members, each
+  /// `next(previous)`, stopping when the chain wraps back to the owner.
+  /// Adds the route's hops and one per further copy to `hops`. Returns
+  /// false, storing nothing, when the route fails.
+  template <typename Overlay, typename Next>
+  bool Place(const Overlay& overlay, const resource::ResourceInfo& info,
+             Key key, std::uint8_t tag, std::size_t replicas, Next&& next,
+             HopCount& hops) {
+    LORM_CHECK_MSG(overlay.Contains(info.provider),
+                   "provider is not a member of the overlay");
+    overlay.LookupInto(key, info.provider, placement_);
+    hops += placement_.hops;
+    if (!placement_.ok) return false;
+    const double ordinal = registry_.Get(info.attr).OrdinalOf(info.value);
+    NodeAddr target = placement_.owner;
+    for (std::size_t copy = 0; copy < replicas; ++copy) {
+      if (copy > 0) {
+        target = next(target);
+        if (target == placement_.owner) break;  // fewer members than copies
+        hops += 1;
+      }
+      typename Store::Entry e;
+      e.info = info;
+      e.ordinal = ordinal;
+      e.key = key;
+      e.epoch = epoch_;
+      e.tag = tag;
+      e.replica = static_cast<std::uint8_t>(copy);
+      store_.Insert(target, std::move(e));
+    }
+    return true;
+  }
+
+  /// Closes an Advertise that stored its tuple: the attribute's ground
+  /// truth changed, so its cached results go; the cost is recorded under
+  /// "<system>.advertise.*".
+  HopCount Advertised(AttrId attr, HopCount hops) {
+    result_cache_.InvalidateAttr(attr);
+    advertise_obs_.Record(hops);
+    return hops;
   }
 
   /// One directory check at `node` for (attr, [lo, hi]): counts the visit,
@@ -159,6 +207,9 @@ class DirectoryService : public DiscoveryService {
   mutable cache::ResultCache result_cache_;
 
  private:
+  AdvertiseInstruments advertise_obs_;
+  /// Place's route, reused so a warm Advertise allocates no path.
+  RouteResult<Key> placement_;
   bool plan_;
 };
 

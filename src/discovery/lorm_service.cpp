@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "discovery/query_executor.hpp"
-#include "discovery/query_obs.hpp"
 #include "discovery/ring_walk.hpp"
 #include "obs/flight.hpp"
 
@@ -24,10 +23,8 @@ LormService::LormService(std::size_t n,
   for (AttrId a = 0; a < registry_.size(); ++a) {
     attr_cubical_.push_back(ch(registry_.Get(a).name()));
   }
-  net_.AddObserver(this);
+  net_.SetObserver(this);
 }
-
-LormService::~LormService() { net_.RemoveObserver(this); }
 
 std::uint64_t LormService::CubicalOf(AttrId attr) const {
   LORM_CHECK_MSG(attr < attr_cubical_.size(), "attribute id out of range");
@@ -73,35 +70,16 @@ void LormService::FailNode(NodeAddr addr) {
 }
 
 HopCount LormService::Advertise(const resource::ResourceInfo& info) {
-  LORM_CHECK_MSG(net_.Contains(info.provider),
-                 "provider is not a member of the overlay");
-  const auto key = KeyFor(info.attr, info.value);
-  const auto res = net_.Lookup(key, info.provider);
-  // A route through unrepaired crashes can fail: store nothing and let the
+  HopCount hops = 0;
+  // Replicas ride the small cycle to the owner's cyclic successors. A route
+  // through unrepaired crashes can fail: store nothing and let the
   // provider's next periodic re-advertisement place the tuple.
-  if (!res.ok) return res.hops;
-  HopCount hops = res.hops;
-  NodeAddr target = res.owner;
-  for (std::size_t copy = 0; copy < cfg_.replicas; ++copy) {
-    if (copy > 0) {
-      // Replicas ride the small cycle to the owner's cyclic successors.
-      target = net_.InsideSuccessor(target);
-      if (target == res.owner) break;  // cluster smaller than the factor
-      hops += 1;
-    }
-    Store::Entry e;
-    e.info = info;
-    e.ordinal = registry_.Get(info.attr).OrdinalOf(info.value);
-    e.key = key;
-    e.epoch = epoch_;
-    e.replica = static_cast<std::uint8_t>(copy);
-    store_.Insert(target, std::move(e));
+  if (!Place(net_, info, KeyFor(info.attr, info.value), /*tag=*/0,
+             cfg_.replicas,
+             [this](NodeAddr a) { return net_.InsideSuccessor(a); }, hops)) {
+    return hops;
   }
-  // A new advertisement changes the attribute's ground truth.
-  result_cache_.InvalidateAttr(info.attr);
-  static AdvertiseInstruments advertise_obs(name_);
-  advertise_obs.Record(hops);
-  return hops;
+  return Advertised(info.attr, hops);
 }
 
 QueryResult LormService::Query(const resource::MultiQuery& q,

@@ -56,7 +56,6 @@ class LormService final : public DirectoryService<cycloid::CycloidId>,
   /// over the Cycloid's d * 2^d positions.
   LormService(std::size_t n, const resource::AttributeRegistry& registry,
               Config cfg);
-  ~LormService() override;
 
   LormService(const LormService&) = delete;
   LormService& operator=(const LormService&) = delete;

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "discovery/query_executor.hpp"
-#include "discovery/query_obs.hpp"
 #include "discovery/ring_walk.hpp"
 #include "obs/flight.hpp"
 
@@ -26,12 +25,7 @@ BasicMaanService<Ring>::BasicMaanService(
     lph_.emplace_back(cfg_.ring.bits, schema.ordinal_min(),
                       schema.ordinal_max());
   }
-  ring_.AddObserver(this);
-}
-
-template <typename Ring>
-BasicMaanService<Ring>::~BasicMaanService() {
-  ring_.RemoveObserver(this);
+  ring_.SetObserver(this);
 }
 
 template <typename Ring>
@@ -69,40 +63,18 @@ void BasicMaanService<Ring>::FailNode(NodeAddr addr) {
 template <typename Ring>
 HopCount BasicMaanService<Ring>::Advertise(
     const resource::ResourceInfo& info) {
-  LORM_CHECK_MSG(ring_.Contains(info.provider),
-                 "provider is not a member of the overlay");
-  const double ordinal = registry_.Get(info.attr).OrdinalOf(info.value);
   HopCount hops = 0;
-
-  const auto place = [&](chord::Key key, std::uint8_t tag,
-                         const char* what) {
-    const auto res = ring_.Lookup(key, info.provider);
-    LORM_CHECK_MSG(res.ok, name_ + ' ' + what + " insert failed to route");
-    hops += res.hops;
-    NodeAddr target = res.owner;
-    for (std::size_t copy = 0; copy < cfg_.replicas; ++copy) {
-      if (copy > 0) {
-        target = ring_.Successor(target);
-        if (target == res.owner) break;
-        hops += 1;
-      }
-      Store::Entry e;
-      e.info = info;
-      e.ordinal = ordinal;
-      e.key = key;
-      e.epoch = epoch_;
-      e.tag = tag;
-      e.replica = static_cast<std::uint8_t>(copy);
-      store_.Insert(target, std::move(e));
-    }
-  };
-  place(AttributeKeyFor(info.attr), kAttributeRecord, "attribute-record");
-  place(ValueKeyFor(info.attr, info.value), kValueRecord, "value-record");
-  // A new advertisement changes the attribute's ground truth.
-  result_cache_.InvalidateAttr(info.attr);
-  static AdvertiseInstruments advertise_obs(name_);
-  advertise_obs.Record(hops);
-  return hops;
+  const auto successor = [this](NodeAddr a) { return ring_.Successor(a); };
+  const bool attr_placed =
+      Place(ring_, info, AttributeKeyFor(info.attr), kAttributeRecord,
+            cfg_.replicas, successor, hops);
+  LORM_CHECK_MSG(attr_placed,
+                 name_ + " attribute-record insert failed to route");
+  const bool value_placed =
+      Place(ring_, info, ValueKeyFor(info.attr, info.value), kValueRecord,
+            cfg_.replicas, successor, hops);
+  LORM_CHECK_MSG(value_placed, name_ + " value-record insert failed to route");
+  return Advertised(info.attr, hops);
 }
 
 template <typename Ring>

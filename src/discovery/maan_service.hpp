@@ -87,7 +87,6 @@ class BasicMaanService final : public DirectoryService<chord::Key>,
 
   BasicMaanService(std::size_t n, const resource::AttributeRegistry& registry,
                    Config cfg);
-  ~BasicMaanService() override;
 
   BasicMaanService(const BasicMaanService&) = delete;
   BasicMaanService& operator=(const BasicMaanService&) = delete;

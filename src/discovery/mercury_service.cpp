@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "discovery/query_executor.hpp"
-#include "discovery/query_obs.hpp"
 #include "discovery/ring_walk.hpp"
 #include "obs/flight.hpp"
 
@@ -29,16 +28,10 @@ MercuryService::MercuryService(std::size_t n,
     lph_.emplace_back(cfg_.ring.bits, schema.ordinal_min(),
                       schema.ordinal_max());
     observers_.push_back(std::make_unique<HubObserver>(this, a));
-    hub->AddObserver(observers_.back().get());
+    hub->SetObserver(observers_.back().get());
     hubs_.push_back(std::move(hub));
   }
   LORM_CHECK_MSG(!hubs_.empty(), "Mercury needs at least one attribute hub");
-}
-
-MercuryService::~MercuryService() {
-  for (AttrId a = 0; a < hubs_.size(); ++a) {
-    hubs_[a]->RemoveObserver(observers_[a].get());
-  }
 }
 
 const chord::ChordRing& MercuryService::hub(AttrId attr) const {
@@ -97,32 +90,13 @@ std::uint64_t MercuryService::MaintenanceMessages() const {
 
 HopCount MercuryService::Advertise(const resource::ResourceInfo& info) {
   const auto& ring = hub(info.attr);
-  LORM_CHECK_MSG(ring.Contains(info.provider),
-                 "provider is not a member of the overlay");
-  const chord::Key key = KeyFor(info.attr, info.value);
-  const auto res = ring.Lookup(key, info.provider);
-  LORM_CHECK_MSG(res.ok, "Mercury advertise lookup failed to route");
-  HopCount hops = res.hops;
-  NodeAddr target = res.owner;
-  for (std::size_t copy = 0; copy < cfg_.replicas; ++copy) {
-    if (copy > 0) {
-      target = ring.Successor(target);
-      if (target == res.owner) break;
-      hops += 1;
-    }
-    Store::Entry e;
-    e.info = info;
-    e.ordinal = registry_.Get(info.attr).OrdinalOf(info.value);
-    e.key = key;
-    e.epoch = epoch_;
-    e.replica = static_cast<std::uint8_t>(copy);
-    store_.Insert(target, std::move(e));
-  }
-  // A new advertisement changes the attribute's ground truth.
-  result_cache_.InvalidateAttr(info.attr);
-  static AdvertiseInstruments advertise_obs(name_);
-  advertise_obs.Record(hops);
-  return hops;
+  HopCount hops = 0;
+  const bool placed =
+      Place(ring, info, KeyFor(info.attr, info.value), /*tag=*/0,
+            cfg_.replicas, [&ring](NodeAddr a) { return ring.Successor(a); },
+            hops);
+  LORM_CHECK_MSG(placed, "Mercury advertise lookup failed to route");
+  return Advertised(info.attr, hops);
 }
 
 QueryResult MercuryService::Query(const resource::MultiQuery& q,

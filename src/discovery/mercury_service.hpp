@@ -45,7 +45,6 @@ class MercuryService final : public DirectoryService<chord::Key> {
 
   MercuryService(std::size_t n, const resource::AttributeRegistry& registry,
                  Config cfg);
-  ~MercuryService() override;
 
   MercuryService(const MercuryService&) = delete;
   MercuryService& operator=(const MercuryService&) = delete;

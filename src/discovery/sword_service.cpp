@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "discovery/query_executor.hpp"
-#include "discovery/query_obs.hpp"
 #include "obs/flight.hpp"
 
 namespace lorm::discovery {
@@ -20,10 +19,8 @@ SwordService::SwordService(std::size_t n,
   for (AttrId a = 0; a < registry_.size(); ++a) {
     attr_key_.push_back(ch(registry_.Get(a).name()));
   }
-  ring_.AddObserver(this);
+  ring_.SetObserver(this);
 }
-
-SwordService::~SwordService() { ring_.RemoveObserver(this); }
 
 chord::Key SwordService::KeyFor(AttrId attr) const {
   LORM_CHECK_MSG(attr < attr_key_.size(), "attribute id out of range");
@@ -48,32 +45,12 @@ void SwordService::FailNode(NodeAddr addr) {
 }
 
 HopCount SwordService::Advertise(const resource::ResourceInfo& info) {
-  LORM_CHECK_MSG(ring_.Contains(info.provider),
-                 "provider is not a member of the overlay");
-  const chord::Key key = KeyFor(info.attr);
-  const auto res = ring_.Lookup(key, info.provider);
-  LORM_CHECK_MSG(res.ok, "SWORD advertise lookup failed to route");
-  HopCount hops = res.hops;
-  NodeAddr target = res.owner;
-  for (std::size_t copy = 0; copy < cfg_.replicas; ++copy) {
-    if (copy > 0) {
-      target = ring_.Successor(target);
-      if (target == res.owner) break;  // ring smaller than the factor
-      hops += 1;
-    }
-    Store::Entry e;
-    e.info = info;
-    e.ordinal = registry_.Get(info.attr).OrdinalOf(info.value);
-    e.key = key;
-    e.epoch = epoch_;
-    e.replica = static_cast<std::uint8_t>(copy);
-    store_.Insert(target, std::move(e));
-  }
-  // A new advertisement changes the attribute's ground truth.
-  result_cache_.InvalidateAttr(info.attr);
-  static AdvertiseInstruments advertise_obs(name_);
-  advertise_obs.Record(hops);
-  return hops;
+  HopCount hops = 0;
+  const bool placed =
+      Place(ring_, info, KeyFor(info.attr), /*tag=*/0, cfg_.replicas,
+            [this](NodeAddr a) { return ring_.Successor(a); }, hops);
+  LORM_CHECK_MSG(placed, "SWORD advertise lookup failed to route");
+  return Advertised(info.attr, hops);
 }
 
 QueryResult SwordService::Query(const resource::MultiQuery& q,

@@ -40,7 +40,6 @@ class SwordService final : public DirectoryService<chord::Key>,
 
   SwordService(std::size_t n, const resource::AttributeRegistry& registry,
                Config cfg);
-  ~SwordService() override;
 
   SwordService(const SwordService&) = delete;
   SwordService& operator=(const SwordService&) = delete;

@@ -17,8 +17,9 @@
 //
 // While walk i waits for DRAM, walks i+1..i+B-1 execute their stages — the
 // misses of B walks overlap instead of queuing. Everything rides on the
-// resumable LookupBegin/LookupStep/LookupFinish API the rings expose (see
-// chord.hpp); the engine adds no routing logic of its own.
+// resumable LookupBegin/LookupStep/LookupFinish API that Chord, Cycloid and
+// the single-hop ring share (common/ring_route.hpp); the engine adds no
+// routing logic of its own.
 //
 // Determinism contract: Run() produces byte-identical LookupResults — and
 // identical observability output — to looking the requests up sequentially
@@ -31,10 +32,10 @@
 //     submission order.
 //   * cache on: walks interact through the shared route cache (a walk's
 //     teach changes what later walks probe), so pipelined interleaving
-//     would reorder those interactions. The engine detects route_cache in
-//     the ring config (rings without the option have no cache) and runs
-//     cache-on walks to completion in submission order instead —
-//     correctness first, pipelining where it is sound.
+//     would reorder those interactions. When the ring's RouteCacheEnabled()
+//     (never on the single-hop ring) the engine runs each walk to
+//     completion with LookupInto, in submission order — correctness first,
+//     pipelining where it is sound.
 //
 // Allocation: the lane ring is sized once in the constructor and lane
 // results keep their path capacity across refills, so a warm engine runs
@@ -49,8 +50,8 @@
 
 namespace lorm::harness {
 
-/// Advances up to `batch` independent lookups through `Ring` (ChordRing or
-/// CycloidNetwork — anything exposing the resumable lookup API).
+/// Advances up to `batch` independent lookups through `Ring` (ChordRing,
+/// CycloidNetwork or SingleHopRing).
 template <typename Ring>
 class BatchLookupEngine {
  public:
@@ -84,11 +85,9 @@ class BatchLookupEngine {
   void Run(const Ring& ring, const Request* reqs, std::size_t count,
            OnDone&& done) {
     if (count == 0) return;
-    if constexpr (requires { ring.config().route_cache; }) {
-      if (ring.config().route_cache) {
-        RunSequential(ring, reqs, count, done);
-        return;
-      }
+    if (ring.RouteCacheEnabled()) {
+      RunSequential(ring, reqs, count, done);
+      return;
     }
     const std::size_t lanes = std::min(lanes_.size(), count);
     std::size_t submitted = 0;
@@ -146,26 +145,19 @@ class BatchLookupEngine {
   }
 
   /// Warms the next request's origin resolution (a membership-table probe
-  /// that LookupBegin performs) so it overlaps the walks in flight. Rings
-  /// without the hook simply skip it.
+  /// that LookupBegin performs) so it overlaps the walks in flight.
   void WarmNextOrigin(const Ring& ring, const Request* reqs, std::size_t next,
                       std::size_t count) {
-    if (next >= count) return;
-    if constexpr (requires(const Ring& r) { r.PrefetchOrigin(NodeAddr{}); }) {
-      ring.PrefetchOrigin(reqs[next].origin);
-    }
+    if (next < count) ring.PrefetchOrigin(reqs[next].origin);
   }
 
   template <typename OnDone>
   void RunSequential(const Ring& ring, const Request* reqs, std::size_t count,
                      OnDone& done) {
-    Lane& lane = lanes_.front();
+    Result& result = lanes_.front().result;
     for (std::size_t i = 0; i < count; ++i) {
-      ring.LookupBegin(reqs[i].key, reqs[i].origin, lane.result, lane.state);
-      while (ring.LookupStep(lane.state)) {
-      }
-      ring.LookupFinish(lane.state);
-      done(i, static_cast<const Result&>(lane.result));
+      ring.LookupInto(reqs[i].key, reqs[i].origin, result);
+      done(i, static_cast<const Result&>(result));
     }
   }
 

@@ -1,14 +1,11 @@
 #include "singlehop/singlehop.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace lorm::singlehop {
 
-SingleHopRing::SingleHopRing(Config cfg) : cfg_(cfg) {
+SingleHopRing::SingleHopRing(Config cfg)
+    : Route("unknown single-hop node", /*route_cache=*/false), cfg_(cfg) {
   LORM_CHECK_MSG(cfg_.bits >= 1 && cfg_.bits < 64,
                  "single-hop ring bits must be in [1, 63]");
   space_ = std::uint64_t{1} << cfg_.bits;
@@ -30,29 +27,25 @@ void SingleHopRing::AddNodeWithId(NodeAddr addr, Key id) {
   // per member, plus the joiner's bootstrap lookup and bulk table transfer
   // (one message — the table rides in one stream).
   maintenance_.join_messages += slab_.size() + 2;
-  const Slot self_slot = slab_.Allocate(addr, id);
+  const Slot self_slot = AllocateSlot(addr, id);
   oracle_.Insert(id, self_slot);
   SpliceNeighbors(self_slot);
-
-  if (first) {
-    for (auto* obs : observers_) obs->OnJoin(addr, addr);
-    return;
-  }
-  const NodeAddr succ = slab_[oracle_[oracle_.SuccessorIndex(id)].slot].addr;
-  for (auto* obs : observers_) obs->OnJoin(addr, succ);
+  if (observer_ == nullptr) return;
+  observer_->OnJoin(
+      addr, first ? addr : slab_[oracle_[oracle_.SuccessorIndex(id)].slot].addr);
 }
 
 void SingleHopRing::BulkAssign(
     const std::vector<std::pair<NodeAddr, Key>>& members) {
   LORM_CHECK_MSG(slab_.empty(), "BulkAssign requires an empty ring");
-  LORM_CHECK_MSG(observers_.empty(),
+  LORM_CHECK_MSG(observer_ == nullptr,
                  "BulkAssign does not notify membership observers");
   slab_.reserve(members.size());
   oracle_.reserve(members.size());
   for (const auto& [addr, id] : members) {
     LORM_CHECK_MSG(id < space_, "single-hop id outside the identifier space");
     if (Contains(addr)) throw ConfigError("node address already in ring");
-    oracle_.Append(id, slab_.Allocate(addr, id));
+    oracle_.Append(id, AllocateSlot(addr, id));
   }
   if (!oracle_.SortDistinct()) throw ConfigError("single-hop id collision");
   StabilizeAll();
@@ -66,25 +59,23 @@ void SingleHopRing::RemoveNode(NodeAddr addr) {
   maintenance_.leave_messages += (slab_.size() - 1) + 1;
   const NodeAddr succ =
       last ? kNoNode : slab_[oracle_[oracle_.SuccessorIndex(n.id)].slot].addr;
-  for (auto* obs : observers_) obs->OnLeave(addr, succ);
+  if (observer_ != nullptr) observer_->OnLeave(addr, succ);
 
   oracle_.Erase(n.id);
-  slab_.Release(self_slot);
+  ReleaseSlot(self_slot);
   if (!last) SpliceNeighbors(slab_.MustFind(succ));
 }
 
 void SingleHopRing::FailNode(NodeAddr addr) {
   const Slot self_slot = slab_.MustFind(addr);
   links_fresh_ = false;  // neighbor links to the vacated slot go stale
-  for (auto* obs : observers_) obs->OnFail(addr);
+  if (observer_ != nullptr) observer_->OnFail(addr);
   // Nothing is charged now — nobody has been told. The detection +
   // dissemination bill lands on the next maintenance window.
   ++pending_fail_events_;
   oracle_.Erase(slab_[self_slot].id);
-  slab_.Release(self_slot);
+  ReleaseSlot(self_slot);
 }
-
-Key SingleHopRing::IdOf(NodeAddr addr) const { return slab_.MustGet(addr).id; }
 
 NodeAddr SingleHopRing::OwnerOf(Key key) const {
   const Slot s = oracle_.OwnerSlot(key & (space_ - 1));
@@ -123,8 +114,7 @@ NodeAddr SingleHopRing::Predecessor(NodeAddr addr) const {
   return slab_[oracle_[oracle_.Prev(oracle_.IndexOf(n.id))].slot].addr;
 }
 
-bool SingleHopRing::Owns(NodeAddr addr, Key key) const {
-  const Node& n = slab_.MustGet(addr);
+bool SingleHopRing::OwnsNode(const Node& n, Key key) const {
   if (oracle_.size() == 1) return true;
   const Key pred_id = oracle_[oracle_.Prev(oracle_.IndexOf(n.id))].id;
   return chord::InIntervalOC(key & (space_ - 1), pred_id, n.id);
@@ -147,74 +137,13 @@ std::vector<NodeAddr> SingleHopRing::FullViewOf(NodeAddr addr) const {
 
 // ---- Routing --------------------------------------------------------------
 
-LookupResult SingleHopRing::Lookup(Key key, NodeAddr origin) const {
-  LookupResult r;
-  LookupInto(key, origin, r);
-  return r;
-}
-
-void SingleHopRing::LookupInto(Key key, NodeAddr origin,
-                               LookupResult& out) const {
-  LookupState st;
-  LookupBegin(key, origin, out, st);
-  while (LookupStep(st)) {
-  }
-  LookupFinish(st);
-}
-
-void SingleHopRing::LookupBegin(Key key, NodeAddr origin, LookupResult& r,
-                                LookupState& st) const {
-  st.out = &r;
-  st.dead_skips = 0;
-  st.start_ns = obs::TracingActive() ? obs::MonotonicNowNs() : 0;
-  r.ok = false;
-  r.key = key & (space_ - 1);
-  r.owner = kNoNode;
-  r.hops = 0;
-  r.cache_hits = 0;
-  r.path.clear();
-  st.cur = slab_.Find(origin);
-  st.max_hops = 1;
-  st.done = st.cur == kNoSlot;
-  if (!st.done) r.path.push_back(origin);
-}
-
-bool SingleHopRing::LookupStep(LookupState& st) const {
-  if (st.done) return false;
-  LookupResult& r = *st.out;
-  const Slot owner_slot = oracle_.OwnerSlot(r.key);
+bool SingleHopRing::StepOnce(LookupState& st, LookupResult& r) const {
   // The full table names the owner directly: zero hops when the origin
   // owns the key itself, one hop otherwise.
-  if (owner_slot != kNoSlot) {
-    const Node& owner = slab_[owner_slot];
-    r.owner = owner.addr;
-    r.ok = true;
-    if (owner_slot != st.cur) {
-      r.hops = 1;
-      r.path.push_back(owner.addr);
-      st.cur = owner_slot;
-    }
-  }
-  st.done = true;
-  return false;
-}
-
-void SingleHopRing::LookupFinish(LookupState& st) const {
-  LookupResult& r = *st.out;
-  if (obs::MetricsEnabled()) {
-    static obs::Histogram& hops = obs::Registry::Global().GetHistogram(
-        "singlehop.lookup.hops", obs::Histogram::LinearBounds(0.0, 1.0, 32));
-    static obs::Counter& lookups =
-        obs::Registry::Global().GetCounter("singlehop.lookups");
-    static obs::Counter& failures =
-        obs::Registry::Global().GetCounter("singlehop.lookup.failures");
-    lookups.AddUnchecked(1);
-    hops.RecordUnchecked(static_cast<double>(r.hops));
-    if (!r.ok) failures.AddUnchecked(1);
-  }
-  const std::uint64_t dur_ns =
-      st.start_ns != 0 ? obs::MonotonicNowNs() - st.start_ns : 0;
-  obs::OnLookup(r.path, r.hops, r.ok, st.dead_skips, dur_ns, r.cache_hits);
+  const Slot owner = oracle_.OwnerSlot(r.key);
+  if (owner == kNoSlot) return false;
+  if (owner != st.cur) Hop(st, r, owner, slab_[owner].addr);
+  return Arrive(st, r);
 }
 
 void SingleHopRing::LookupPrefetch(const LookupState& st,
@@ -251,15 +180,6 @@ void SingleHopRing::StabilizeAll() {
   links_fresh_ = true;
 }
 
-void SingleHopRing::AddObserver(MembershipObserver* obs) {
-  observers_.push_back(obs);
-}
-
-void SingleHopRing::RemoveObserver(MembershipObserver* obs) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), obs),
-                   observers_.end());
-}
-
 std::size_t SingleHopRing::ApproxMemoryBytes() const {
   return slab_.MemoryBytes() + oracle_.MemoryBytes();
 }
@@ -273,3 +193,8 @@ SingleHopRing MakeSingleHopRing(std::size_t n, Config cfg,
 }
 
 }  // namespace lorm::singlehop
+
+namespace lorm {
+template class RingRoute<singlehop::SingleHopRing, singlehop::SingleHopNode,
+                         singlehop::MembershipObserver>;
+}  // namespace lorm

@@ -34,12 +34,14 @@
 // traverse (common/slot_slab.hpp). Stale links (a crash between maintenance
 // rounds) fall back to the oracle.
 //
-// The resumable LookupBegin/Step/Finish state machine conforms to the batch
-// engine contract (harness/batch_lookup.hpp): a lookup completes in one
-// Step — origin consults its full table and hops straight to the owner —
-// and Finish reports the same metrics/trace surface as the other rings
-// ("singlehop.lookup.*"). There is no route cache: a complete table cannot
-// be shortcut.
+// Routing: the lookup loop, its begin and finish, the maintenance meter and
+// the membership observer are the shared `RingRoute` (common/ring_route.hpp),
+// so the resumable LookupBegin/Step/Finish state machine is the one the
+// batch engine drives on the other rings (harness/batch_lookup.hpp). A
+// lookup completes in one Step — origin consults its full table and hops
+// straight to the owner — and Finish reports the same metrics/trace surface
+// as the other rings ("singlehop.lookup.*"). The route cache is never
+// enabled: a complete table cannot be shortcut.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +50,7 @@
 
 #include "chord/chord.hpp"
 #include "common/maintenance.hpp"
+#include "common/ring_route.hpp"
 #include "common/slot_slab.hpp"
 #include "common/types.hpp"
 
@@ -70,15 +73,22 @@ struct Config {
   std::uint64_t seed = 0x5EEDC0DEull;
 };
 
-class SingleHopRing {
+/// Node header: one cache line. The full routing table is the shared
+/// oracle (see file comment); the header carries the spliced neighbor links
+/// the range walks chase.
+struct alignas(64) SingleHopNode {
+  Key id = 0;
+  NodeAddr addr = kNoNode;
+  std::uint32_t gen = 0;  ///< bumped every time the slot is vacated
+  SlotLink<Key> successor;
+  SlotLink<Key> predecessor;
+};
+static_assert(sizeof(SingleHopNode) == 64,
+              "Node header must stay one cache line");
+
+class SingleHopRing
+    : public RingRoute<SingleHopRing, SingleHopNode, MembershipObserver> {
  public:
-  using Slot = SlabSlot;
-  static constexpr Slot kNoSlot = kNoSlabSlot;
-
-  /// Aliases the batch engine templates over (chord/cycloid use the same).
-  using LookupKeyType = Key;
-  using LookupResultType = LookupResult;
-
   explicit SingleHopRing(Config cfg);
 
   // ---- Membership -------------------------------------------------------
@@ -105,13 +115,10 @@ class SingleHopRing {
   /// stale until then.
   void FailNode(NodeAddr addr);
 
-  std::size_t size() const { return slab_.size(); }
-  bool Contains(NodeAddr addr) const { return slab_.Contains(addr); }
   std::vector<NodeAddr> Members() const { return oracle_.Members(slab_); }
 
   // ---- Structure queries -------------------------------------------------
 
-  Key IdOf(NodeAddr addr) const;
   /// The owner (successor) of `key` per the shared full view.
   NodeAddr OwnerOf(Key key) const;
   /// Owner of `key` as if `excluded` had already left (observer-time
@@ -127,8 +134,6 @@ class SingleHopRing {
   /// link, oracle fallback when stale).
   NodeAddr Successor(NodeAddr addr) const;
   NodeAddr Predecessor(NodeAddr addr) const;
-  /// True iff `key` is in (pred(node), node].
-  bool Owns(NodeAddr addr, Key key) const;
 
   /// Every member knows every other member: n-1 out-links (Fig 3(a)'s
   /// metric; this is the linear-degree end of the design space).
@@ -141,37 +146,15 @@ class SingleHopRing {
   std::vector<NodeAddr> FullViewOf(NodeAddr addr) const;
 
   // ---- Routing ----------------------------------------------------------
-
-  LookupResult Lookup(Key key, NodeAddr origin) const;
-
-  /// Allocation-free variant reusing `out` (see chord::ChordRing).
-  void LookupInto(Key key, NodeAddr origin, LookupResult& out) const;
-
-  /// One in-flight walk; same shape as the other rings' LookupState so the
-  /// batch engine can template over it.
-  struct LookupState {
-    LookupResult* out = nullptr;
-    Slot cur = kNoSlot;
-    std::size_t max_hops = 0;
-    bool done = true;
-    std::uint64_t dead_skips = 0;
-    std::uint64_t start_ns = 0;
-  };
-
-  void LookupBegin(Key key, NodeAddr origin, LookupResult& out,
-                   LookupState& st) const;
-  /// The single hop: origin's full table resolves the owner directly.
-  /// Returns false once the walk completed (always after one call).
-  bool LookupStep(LookupState& st) const;
-  void LookupFinish(LookupState& st) const;
+  //
+  // Lookup, LookupInto and the resumable LookupBegin / LookupStep /
+  // LookupFinish come from RingRoute; the one step resolves the owner from
+  // the origin's full table.
 
   /// Prefetch stages for the batch engine. Stage 0 warms the walk head's
   /// header line; the owner resolution is an oracle binary search with no
   /// further dependent loads, so stages 1/2 are no-ops.
   void LookupPrefetch(const LookupState& st, unsigned stage) const;
-
-  /// Warms the membership-probe line for a later LookupBegin (see chord).
-  void PrefetchOrigin(NodeAddr origin) const { slab_.PrefetchFind(origin); }
 
   // ---- Maintenance ------------------------------------------------------
 
@@ -179,12 +162,6 @@ class SingleHopRing {
   /// deferred dissemination bill of every crash since the last round, then
   /// refreshes all neighbor links.
   void StabilizeAll();
-
-  void AddObserver(MembershipObserver* obs);
-  void RemoveObserver(MembershipObserver* obs);
-
-  const MaintenanceStats& maintenance() const { return maintenance_; }
-  void ResetMaintenanceStats() { maintenance_ = {}; }
 
   /// True while every stored link is known current (chord's invariant;
   /// here only crashes break it, since joins/leaves splice eagerly).
@@ -197,19 +174,17 @@ class SingleHopRing {
   std::size_t ApproxMemoryBytes() const;
 
  private:
-  using Link = SlotLink<Key>;
+  using Route = RingRoute<SingleHopRing, SingleHopNode, MembershipObserver>;
+  friend Route;
+  static constexpr const char* kMetricPrefix = "singlehop";
 
-  /// Node header: one cache line. The full routing table is the shared
-  /// oracle (see file comment); the header carries the spliced neighbor
-  /// links the range walks chase.
-  struct alignas(64) Node {
-    Key id = 0;
-    NodeAddr addr = kNoNode;
-    std::uint32_t gen = 0;  ///< bumped every time the slot is vacated
-    Link successor;
-    Link predecessor;
-  };
-  static_assert(sizeof(Node) == 64, "Node header must stay one cache line");
+  Key NormalizeKey(Key key) const { return key & (space_ - 1); }
+  static void BeginWalk(LookupState& st) { st.max_hops = 1; }
+  /// The single hop: origin's full table resolves the owner directly.
+  /// Returns false once the walk completed (always after one call).
+  bool StepOnce(LookupState& st, LookupResult& r) const;
+  /// True iff `key` is in (pred(node), node].
+  bool OwnsNode(const Node& n, Key key) const;
 
   /// Splices `slot`'s successor/predecessor links from the oracle and
   /// repairs its ring neighbors' links to it.
@@ -217,10 +192,7 @@ class SingleHopRing {
 
   Config cfg_;
   std::uint64_t space_;
-  SlotSlab<Node> slab_{"unknown single-hop node"};
   RingOracle oracle_;  ///< the shared full view
-  std::vector<MembershipObserver*> observers_;
-  mutable MaintenanceStats maintenance_;  // mutable: routing is const
   /// Crashes since the last StabilizeAll whose dissemination bill is still
   /// unpaid (EDRA batches event reports per maintenance window).
   std::uint64_t pending_fail_events_ = 0;
@@ -234,3 +206,9 @@ SingleHopRing MakeSingleHopRing(std::size_t n, Config cfg,
                                 bool deterministic_ids, NodeAddr base_addr = 0);
 
 }  // namespace lorm::singlehop
+
+namespace lorm {
+extern template class RingRoute<singlehop::SingleHopRing,
+                                singlehop::SingleHopNode,
+                                singlehop::MembershipObserver>;
+}  // namespace lorm

@@ -295,7 +295,7 @@ class RecordingObserver : public MembershipObserver {
 TEST(ChordRing, ObserversSeeJoinAndLeave) {
   ChordRing ring(SmallCfg());
   RecordingObserver obs;
-  ring.AddObserver(&obs);
+  ring.SetObserver(&obs);
   ring.AddNodeWithId(0, 100);
   ASSERT_EQ(obs.joins.size(), 1u);
   EXPECT_EQ(obs.joins[0], std::make_pair(NodeAddr{0}, NodeAddr{0}));
@@ -310,7 +310,7 @@ TEST(ChordRing, ObserversSeeJoinAndLeave) {
   ring.RemoveNode(0);
   ASSERT_EQ(obs.leaves.size(), 2u);
   EXPECT_EQ(obs.leaves[1].second, kNoNode);
-  ring.RemoveObserver(&obs);
+  ring.SetObserver(nullptr);
 }
 
 TEST(ChordRing, HashedIdsAreCollisionFreeAndStable) {

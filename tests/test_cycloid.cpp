@@ -239,7 +239,7 @@ class RecordingObserver : public MembershipObserver {
 TEST(CycloidNetwork, JoinIntoExistingClusterReportsCyclicSuccessor) {
   CycloidNetwork net(Cfg(5));
   RecordingObserver obs;
-  net.AddObserver(&obs);
+  net.SetObserver(&obs);
   net.AddNodeWithId(0, {1, 10});
   ASSERT_EQ(obs.joins.size(), 1u);
   EXPECT_TRUE(obs.joins[0].second.empty());  // first node: nothing to move
@@ -248,7 +248,7 @@ TEST(CycloidNetwork, JoinIntoExistingClusterReportsCyclicSuccessor) {
   // Same cluster: only the cyclic successor (node 0 at k=1, owner of k=3
   // before the join via wrap) may lose entries.
   EXPECT_EQ(obs.joins[1].second, std::vector<NodeAddr>{0});
-  net.RemoveObserver(&obs);
+  net.SetObserver(nullptr);
 }
 
 TEST(CycloidNetwork, JoinCreatingClusterReportsSucceedingCluster) {
@@ -256,14 +256,14 @@ TEST(CycloidNetwork, JoinCreatingClusterReportsSucceedingCluster) {
   net.AddNodeWithId(0, {1, 20});
   net.AddNodeWithId(1, {3, 20});
   RecordingObserver obs;
-  net.AddObserver(&obs);
+  net.SetObserver(&obs);
   net.AddNodeWithId(2, {2, 10});
   ASSERT_EQ(obs.joins.size(), 1u);
   // New cluster 10: its sector was owned by members of cluster 20.
   auto sources = obs.joins[0].second;
   std::sort(sources.begin(), sources.end());
   EXPECT_EQ(sources, (std::vector<NodeAddr>{0, 1}));
-  net.RemoveObserver(&obs);
+  net.SetObserver(nullptr);
 }
 
 TEST(CycloidNetwork, LeaveNotifiesObserver) {
@@ -271,14 +271,14 @@ TEST(CycloidNetwork, LeaveNotifiesObserver) {
   net.AddNodeWithId(0, {1, 10});
   net.AddNodeWithId(1, {3, 10});
   RecordingObserver obs;
-  net.AddObserver(&obs);
+  net.SetObserver(&obs);
   net.RemoveNode(0);
   ASSERT_EQ(obs.leaves.size(), 1u);
   EXPECT_EQ(obs.leaves[0], 0u);
   // Ownership already reflects the departure during the callback; verify the
   // post-state here.
   EXPECT_EQ(net.OwnerOf({1, 10}), 1u);
-  net.RemoveObserver(&obs);
+  net.SetObserver(nullptr);
 }
 
 TEST(CycloidNetwork, MembersAreInLexicographicOrder) {

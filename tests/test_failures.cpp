@@ -53,13 +53,13 @@ TEST(ChordFailure, ObserverSeesFailNotLeave) {
     int leaves = 0, fails = 0;
     NodeAddr last = kNoNode;
   } obs;
-  ring.AddObserver(&obs);
+  ring.SetObserver(&obs);
   ring.FailNode(5);
   EXPECT_EQ(obs.fails, 1);
   EXPECT_EQ(obs.leaves, 0);
   EXPECT_EQ(obs.last, 5u);
   EXPECT_FALSE(ring.Contains(5));
-  ring.RemoveObserver(&obs);
+  ring.SetObserver(nullptr);
 }
 
 TEST(CycloidFailure, RoutingHealsAfterStabilize) {

@@ -2,7 +2,9 @@
 // lookup path performs zero heap allocations. LookupInto reuses the
 // caller's path buffer, ClosestPreceding reads cached finger IDs off the
 // slot slab, and OwnsNode's oracle fallback never fires on a stable
-// network — so a warm lookup loop must not touch the allocator at all.
+// network — so a warm lookup loop must not touch the allocator at all. The
+// same holds for a warm Advertise, whose routes reuse one result per
+// service: only the owner directories' entry vectors grow.
 //
 // Verified with counting global operator new/delete: the counter is
 // process-wide, so each probe region runs single-threaded with no other
@@ -19,6 +21,8 @@
 #include "common/random.hpp"
 #include "cycloid/cycloid.hpp"
 #include "harness/batch_lookup.hpp"
+#include "harness/setup.hpp"
+#include "resource/workload.hpp"
 
 namespace {
 
@@ -222,6 +226,35 @@ TEST(LookupAllocFree, CycloidBatchEngineWarmRoundsDoNotAllocate) {
       [&] { engine.Run(net, reqs.data(), reqs.size(), sink); });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(routed, 2 * reqs.size());
+}
+
+TEST(LookupAllocFree, WarmAdvertiseRoutesWithoutAllocating) {
+  // Every Advertise routes through DirectoryService::Place into one reused
+  // result (MAAN and D1HT route twice), so a warm repeat of the same tuple
+  // allocates only when an owner directory's entry vector doubles. A fresh
+  // path per route would cost at least one allocation per route.
+  const harness::Setup setup = harness::Setup::Small();  // cache, plan off
+  ASSERT_EQ(setup.replicas, 1u);
+  resource::Workload workload(setup.MakeWorkloadConfig());
+  Rng rng(43);
+  resource::ResourceInfo info;
+  for (const auto& candidate : workload.GenerateInfos({5}, rng)) {
+    if (candidate.value.kind() == resource::ValueKind::kNumeric) {
+      info = candidate;
+      break;
+    }
+  }
+  ASSERT_EQ(info.provider, 5u);
+  for (const harness::SystemKind kind : harness::AllSystems()) {
+    SCOPED_TRACE(harness::SystemName(kind));
+    const auto service = harness::MakeService(kind, setup, workload.registry());
+    for (int i = 0; i < 1000; ++i) service->Advertise(info);
+    const std::uint64_t allocs = CountAllocations([&] {
+      for (int i = 0; i < 1000; ++i) service->Advertise(info);
+    });
+    EXPECT_LT(allocs, 16u);
+    EXPECT_EQ(service->TotalInfoPieces() % 2000, 0u);
+  }
 }
 
 TEST(LookupAllocFree, FreshResultStillAllocatesOnlyForThePath) {

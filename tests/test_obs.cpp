@@ -1,10 +1,12 @@
-// Observability-layer tests: metrics registry semantics, the trace
+// Observability-layer tests: metrics registry semantics, the three rings'
+// lookup instruments and each system's advertise instruments, the trace
 // recorder's agreement with QueryStats across all four systems, --jobs
 // independence of the sharded instruments, and the offline analyzer —
 // wire-format round-trips, anomaly detectors, and report determinism.
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,10 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include "chord/chord.hpp"
+#include "common/random.hpp"
+#include "cycloid/cycloid.hpp"
+#include "harness/batch_lookup.hpp"
 #include "harness/experiments.hpp"
 #include "obs/analyze.hpp"
 #include "obs/trace.hpp"
 #include "service_test_util.hpp"
+#include "singlehop/singlehop.hpp"
 
 namespace lorm::obs {
 namespace {
@@ -119,6 +126,173 @@ TEST(MetricsConcurrency, ShardedAddsSumExactly) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(c.Value(), static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(h.TotalCount(), static_cast<std::uint64_t>(kThreads * kPerThread));
+}
+
+// ---- Ring lookup instruments ----------------------------------------------
+
+/// The registry, read through its dump: this registers nothing, so a name
+/// found here was registered by the code under test.
+ParsedMetrics DumpRegistry() {
+  std::ostringstream os;
+  Registry::Global().WriteJson(os);
+  ParsedMetrics m;
+  std::string err;
+  EXPECT_TRUE(ParseMetricsJson(os.str(), m, &err)) << err;
+  return m;
+}
+
+/// What a ring's lookups fed into the registry under "<prefix>.lookup*".
+struct LookupTotals {
+  std::uint64_t lookups = 0;
+  std::uint64_t failures = 0;
+  std::uint64_t dead_skips = 0;
+  std::uint64_t hop_count = 0;
+  double hop_sum = 0.0;
+};
+
+LookupTotals RingTotals(const ParsedMetrics& m, const std::string& prefix) {
+  const auto counter = [&](const std::string& name) -> std::uint64_t {
+    const auto it = m.counters.find(prefix + name);
+    return it == m.counters.end() ? 0 : it->second;
+  };
+  LookupTotals t;
+  t.lookups = counter(".lookups");
+  t.failures = counter(".lookup.failures");
+  t.dead_skips = counter(".lookup.dead_links_skipped");
+  const auto h = m.histograms.find(prefix + ".lookup.hops");
+  if (h != m.histograms.end()) {
+    t.hop_count = h->second.count;
+    t.hop_sum = h->second.sum;
+  }
+  return t;
+}
+
+/// Crashes about a tenth of `ring`'s members without StabilizeAll, routes
+/// 2,000 lookups from live origins through LookupInto and then through the
+/// batch engine (B = 8), and checks that each pass moved the registry by
+/// exactly what its results add up to. The dead-link counter must follow
+/// the ring's own maintenance meter; `dead_links` says whether that moves.
+template <typename Ring, typename MakeKey>
+void ExpectLookupInstrumentsMatchResults(Ring& ring, const std::string& prefix,
+                                         MakeKey&& make_key, bool dead_links) {
+  Rng rng(0x100C5);
+  std::vector<NodeAddr> live = ring.Members();
+  for (std::size_t crashed = 0; crashed < live.size() / 10 + 1; ++crashed) {
+    const std::size_t pick = rng.NextBelow(live.size());
+    ring.FailNode(live[pick]);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  using Engine = harness::BatchLookupEngine<Ring>;
+  std::vector<typename Engine::Request> reqs(2000);
+  for (auto& r : reqs) {
+    r.key = make_key(rng);
+    r.origin = live[rng.NextBelow(live.size())];
+  }
+
+  MetricsOn on;
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batch engine" : "LookupInto");
+    LookupTotals want;
+    const auto add = [&](const typename Ring::LookupResultType& r) {
+      ++want.lookups;
+      if (!r.ok) ++want.failures;
+      ++want.hop_count;
+      want.hop_sum += static_cast<double>(r.hops);
+    };
+    const LookupTotals before = RingTotals(DumpRegistry(), prefix);
+    const std::uint64_t dead_before = ring.maintenance().dead_links_skipped;
+    if (batched) {
+      Engine engine(8);
+      engine.Run(ring, reqs.data(), reqs.size(),
+                 [&](std::size_t, const auto& r) { add(r); });
+    } else {
+      typename Ring::LookupResultType res;
+      for (const auto& r : reqs) {
+        ring.LookupInto(r.key, r.origin, res);
+        add(res);
+      }
+    }
+    want.dead_skips = ring.maintenance().dead_links_skipped - dead_before;
+    const ParsedMetrics dump = DumpRegistry();
+    EXPECT_EQ(dump.counters.count(prefix + ".lookup.dead_links_skipped"), 1u);
+    const LookupTotals after = RingTotals(dump, prefix);
+    EXPECT_EQ(want.lookups, reqs.size());
+    EXPECT_EQ(after.lookups - before.lookups, want.lookups);
+    EXPECT_EQ(after.failures - before.failures, want.failures);
+    EXPECT_EQ(after.hop_count - before.hop_count, want.hop_count);
+    EXPECT_DOUBLE_EQ(after.hop_sum - before.hop_sum, want.hop_sum);
+    EXPECT_EQ(after.dead_skips - before.dead_skips, want.dead_skips);
+    if (dead_links) {
+      EXPECT_GT(want.dead_skips, 0u);
+    } else {
+      EXPECT_EQ(want.dead_skips, 0u);
+    }
+  }
+}
+
+TEST(RingLookupInstruments, ChordCountsMatchResults) {
+  chord::Config cfg;
+  cfg.bits = 16;
+  auto ring = chord::MakeRing(384, cfg, /*deterministic_ids=*/false);
+  ExpectLookupInstrumentsMatchResults(
+      ring, "chord", [&](Rng& rng) { return rng.NextBelow(ring.space()); },
+      /*dead_links=*/true);
+}
+
+TEST(RingLookupInstruments, CycloidCountsMatchResults) {
+  cycloid::Config cfg;
+  cfg.dimension = 6;  // capacity 6 * 2^6 = 384
+  auto net = cycloid::MakeCycloid(384, cfg);
+  ExpectLookupInstrumentsMatchResults(
+      net, "cycloid",
+      [&](Rng& rng) {
+        return cycloid::CycloidId{
+            static_cast<unsigned>(rng.NextBelow(net.dimension())),
+            rng.NextBelow(net.cluster_space())};
+      },
+      /*dead_links=*/true);
+}
+
+TEST(RingLookupInstruments, SingleHopCountsMatchResults) {
+  // The full table never meets a dead link, but the counter is registered
+  // like the other rings' (at 0), so dumps carry one key set per ring.
+  singlehop::Config cfg;
+  cfg.bits = 16;
+  auto ring = singlehop::MakeSingleHopRing(384, cfg, false);
+  ExpectLookupInstrumentsMatchResults(
+      ring, "singlehop",
+      [&](Rng& rng) { return rng.NextBelow(ring.space()); },
+      /*dead_links=*/false);
+}
+
+TEST(AdvertiseInstruments, EachSystemBillsItsOwnName) {
+  // The advertise instruments are a per-service member: one handle shared
+  // by the Chord-keyed services would bill them all under one name. System
+  // i advertises i + 1 times, so any such mix-up shows in the counts.
+  const harness::Setup setup = harness::Setup::Small();
+  resource::Workload workload(setup.MakeWorkloadConfig());
+  Rng rng(47);
+  const auto infos = workload.GenerateInfos({3}, rng);
+  ASSERT_FALSE(infos.empty());
+  std::vector<std::unique_ptr<discovery::DiscoveryService>> services;
+  for (const harness::SystemKind kind : harness::AllSystems()) {
+    services.push_back(harness::MakeService(kind, setup, workload.registry()));
+  }
+  MetricsOn on;
+  for (std::size_t i = 0; i < services.size(); ++i) {
+    for (std::size_t n = 0; n <= i; ++n) services[i]->Advertise(infos.front());
+  }
+  const ParsedMetrics dump = DumpRegistry();
+  for (std::size_t i = 0; i < services.size(); ++i) {
+    const std::string name = services[i]->name() + ".advertise";
+    SCOPED_TRACE(name);
+    const auto count = dump.counters.find(name + ".count");
+    ASSERT_NE(count, dump.counters.end());
+    EXPECT_EQ(count->second, i + 1);
+    const auto hops = dump.histograms.find(name + ".hops");
+    ASSERT_NE(hops, dump.histograms.end());
+    EXPECT_EQ(hops->second.count, i + 1);
+  }
 }
 
 // ---- Trace recorder -------------------------------------------------------
