@@ -542,8 +542,9 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
 
 bool ChordRing::LookupStep(LookupState& st) const {
   if (!links_fresh_ || st.done) return Route::LookupStep(st);
-  st.done = !StepOnce(st, *st.out);
-  return !st.done;
+  if (StepOnce(st, *st.out)) return true;
+  MarkDone(st);
+  return false;
 }
 
 void ChordRing::LookupPrefetch(const LookupState& st, unsigned stage) const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/random.hpp"
 #include "common/sha1.hpp"
 
 namespace lorm {
@@ -57,11 +56,6 @@ std::uint64_t LocalityPreservingHash::operator()(double value) const {
   // Round-to-nearest keeps the top of the domain on max_id_ exactly.
   const double scaled = u * static_cast<double>(max_id_);
   return static_cast<std::uint64_t>(std::llround(scaled));
-}
-
-std::uint64_t MixHashes(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t state = a ^ (b + 0x9E3779B97F4A7C15ull + (a << 6) + (a >> 2));
-  return SplitMix64(state);
 }
 
 }  // namespace lorm

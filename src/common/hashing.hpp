@@ -18,6 +18,7 @@
 #include <string_view>
 
 #include "common/error.hpp"
+#include "common/random.hpp"
 
 namespace lorm {
 
@@ -78,7 +79,11 @@ class LocalityPreservingHash {
 };
 
 /// Deterministic 64-bit mix of two hashes; used to derive per-ring keys in
-/// Mercury (one ring per attribute) without correlating their placements.
-std::uint64_t MixHashes(std::uint64_t a, std::uint64_t b);
+/// Mercury (one ring per attribute) without correlating their placements,
+/// and once per salted draw of a joiner's id (chord::HashedId), hence inline.
+inline std::uint64_t MixHashes(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t state = a ^ (b + 0x9E3779B97F4A7C15ull + (a << 6) + (a >> 2));
+  return SplitMix64(state);
+}
 
 }  // namespace lorm

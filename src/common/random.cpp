@@ -13,13 +13,6 @@ inline std::uint64_t Rotl64(std::uint64_t x, int k) {
 
 }  // namespace
 
-std::uint64_t SplitMix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = SplitMix64(sm);

@@ -16,8 +16,15 @@
 
 namespace lorm {
 
-/// splitmix64 step; used for seeding and cheap hash mixing.
-std::uint64_t SplitMix64(std::uint64_t& state);
+/// splitmix64 step; used for seeding and cheap hash mixing. Inline: a
+/// full-ring join's salted id draws call it through MixHashes thousands of
+/// times.
+inline std::uint64_t SplitMix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 /// xoshiro256** engine with explicit seeding.
 class Rng {

@@ -75,6 +75,9 @@ struct RouteState {
   /// accumulated per step, not diffed across the whole walk).
   std::uint64_t dead_skips = 0;
   std::uint64_t start_ns = 0;      ///< trace timestamp (0 when tracing off)
+  /// When the walk completed (set with start_ns only), so a walk finished
+  /// later than it completed still reports its own duration.
+  std::uint64_t end_ns = 0;
 };
 
 /// `NodeT` is the ring's slab node (slot_slab.hpp's requirements); `State`
@@ -127,7 +130,8 @@ class RingRoute {
   bool LookupStep(State& st) const;
 
   /// Completes the walk: teaches the route cache (on success, cache on) and
-  /// reports to the metrics and trace layer. Exactly once per Begin.
+  /// reports to the metrics and trace layer. Exactly once per Begin; the
+  /// trace's duration runs from Begin to the step that completed the walk.
   void LookupFinish(State& st) const;
 
   /// Warms the membership-table probe line for a LookupBegin(.., origin, ..)
@@ -175,6 +179,11 @@ class RingRoute {
     route_cache_.ClearNode(s);
   }
 
+  /// Marks the walk completed and, while tracing, stamps when.
+  static void MarkDone(State& st) {
+    st.done = true;
+    if (st.start_ns != 0) st.end_ns = obs::MonotonicNowNs();
+  }
   /// Ends the walk at its head, which owns the key.
   bool Arrive(const State& st, LookupResult& r) const {
     r.owner = slab_[st.cur].addr;
@@ -239,8 +248,12 @@ void RingRoute<D, N, O, A, S>::LookupBegin(Id key, NodeAddr origin,
   r.path.clear();
   st.cur = slab_.Find(origin);
   self().BeginWalk(st);
-  st.done = st.cur == kNoSlot;
-  if (!st.done) r.path.push_back(origin);
+  st.done = false;
+  if (st.cur == kNoSlot) {
+    MarkDone(st);
+  } else {
+    r.path.push_back(origin);
+  }
 }
 
 template <typename D, typename N, typename O, typename A, typename S>
@@ -251,7 +264,7 @@ bool RingRoute<D, N, O, A, S>::LookupStep(S& st) const {
   const std::uint64_t dead_before = maintenance_.dead_links_skipped;
   const bool more = self().StepOnce(st, *st.out);
   st.dead_skips += maintenance_.dead_links_skipped - dead_before;
-  st.done = !more;
+  if (!more) MarkDone(st);
   return more;
 }
 
@@ -309,8 +322,7 @@ void RingRoute<D, N, O, A, S>::LookupFinish(S& st) const {
     if (!r.ok) failures.AddUnchecked(1);
     if (st.dead_skips != 0) dead_skips.AddUnchecked(st.dead_skips);
   }
-  const std::uint64_t dur_ns =
-      st.start_ns != 0 ? obs::MonotonicNowNs() - st.start_ns : 0;
+  const std::uint64_t dur_ns = st.start_ns != 0 ? st.end_ns - st.start_ns : 0;
   obs::OnLookup(r.path, r.hops, r.ok, st.dead_skips, dur_ns, r.cache_hits);
 }
 

@@ -9,7 +9,8 @@
 // resolver runs, the membership flight record, the placement every
 // Advertise runs (Place) and the query executor (ExecuteQuery, defined in
 // query_executor.hpp). A service adds its overlay, its keys, its membership
-// handlers and its ResolveSub.
+// handlers, the root lookups of a sub-query (RootLookups) and its
+// ResolveSub.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +40,9 @@ inline constexpr auto kAllEntries = [](const auto&) { return true; };
 template <typename Key>
 class DirectoryService : public DiscoveryService {
  public:
+  DirectoryService(const DirectoryService&) = delete;
+  DirectoryService& operator=(const DirectoryService&) = delete;
+
   std::string name() const final { return name_; }
 
   void SetEpoch(std::uint64_t epoch) final { epoch_ = epoch; }
@@ -96,24 +100,13 @@ class DirectoryService : public DiscoveryService {
     }
   }
 
-  /// Runs `q` through `resolve_sub`, this service's routing, walking and
-  /// probing of one sub-query (query_executor.hpp, which defines it).
-  template <typename ResolveSub>
+  /// Runs `q` on `svc`, a service whose lookups route on `Ring`: the
+  /// executor routes the root lookups `svc.RootLookups` names for each
+  /// sub-query and hands their results to `svc.ResolveSub`, which walks and
+  /// probes (query_executor.hpp, which defines it).
+  template <typename Ring, typename Service>
   QueryResult ExecuteQuery(const resource::MultiQuery& q,
-                           QueryScratch& scratch,
-                           ResolveSub&& resolve_sub) const;
-
-  /// Routes one lookup of `key` from `from` on `overlay` and bills it to
-  /// `stats`; a failed route marks the query failed. Returns res.ok.
-  template <typename Overlay, typename OverlayKey, typename Result>
-  static bool Route(const Overlay& overlay, OverlayKey key, NodeAddr from,
-                    Result& res, QueryStats& stats) {
-    overlay.LookupInto(key, from, res);
-    stats.lookups += 1;
-    stats.dht_hops += res.hops;
-    if (!res.ok) stats.failed = true;
-    return res.ok;
-  }
+                           QueryScratch& scratch, const Service& svc) const;
 
   /// The placement every Advertise runs: routes `key` from the provider on
   /// `overlay` into a reused result, then stores `info` under `key` and

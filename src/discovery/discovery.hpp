@@ -12,12 +12,15 @@
 // All five expose identical advertise/query/membership operations so the
 // experiment harnesses and examples can drive them interchangeably. They
 // share their directory state (directory_service.hpp) and one query
-// executor (query_executor.hpp); each contributes only its placement and
-// how one sub-query is routed, walked and probed.
+// executor (query_executor.hpp), which routes every lookup; each
+// contributes only its placement, the root lookups of one sub-query and how
+// it walks and probes from their owners.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "chord/chord.hpp"
@@ -26,6 +29,7 @@
 #include "discovery/planner.hpp"
 #include "discovery/stats.hpp"
 #include "resource/query.hpp"
+#include "singlehop/singlehop.hpp"
 
 namespace lorm::discovery {
 
@@ -48,18 +52,36 @@ struct QueryResult {
   QueryStats stats;
 };
 
-/// Caller-owned scratch space for Query(): the overlay lookup results (and
-/// their path buffers) every sub-query routes through. Reusing one scratch
-/// per thread keeps the steady-state lookup path free of heap allocation —
-/// the path vector's capacity survives across queries. Not thread-safe;
-/// give each replay worker its own.
+/// One root lookup of a sub-query while the query executor has it in
+/// flight: the ring and key it routes, the sub-query it serves (query
+/// order), and the resumable walk with its result.
+template <typename Ring>
+struct RootLane {
+  const Ring* ring = nullptr;
+  typename Ring::LookupKeyType key{};
+  std::size_t sub = 0;
+  typename Ring::LookupState state;
+  typename Ring::LookupResult result;
+};
+
+/// Caller-owned scratch space for Query(). Reusing one scratch per thread
+/// keeps the steady-state query path free of heap allocation: the lanes'
+/// path vectors and the plan buffers keep their capacity across queries.
+/// Not thread-safe; give each replay worker its own.
 struct QueryScratch {
+  /// Single lookup results for callers that route one sub-query at a time
+  /// through a service's overlay (perfbench's layer replay).
   chord::LookupResult chord;
   cycloid::LookupResult cycloid;
   /// The executor's buffers: every query's ordinal ranges; the execution
   /// order and incremental join with `--plan`; the order-independent
   /// joined-cache key with `--cache`.
   PlanScratch plan;
+  /// The executor's root-lookup lanes, one vector per ring type.
+  std::tuple<std::vector<RootLane<chord::ChordRing>>,
+             std::vector<RootLane<cycloid::CycloidNetwork>>,
+             std::vector<RootLane<singlehop::SingleHopRing>>>
+      lanes;
 };
 
 class DiscoveryService {

@@ -84,28 +84,23 @@ HopCount LormService::Advertise(const resource::ResourceInfo& info) {
 
 QueryResult LormService::Query(const resource::MultiQuery& q,
                                QueryScratch& scratch) const {
-  return ExecuteQuery(q, scratch,
-                      [this](auto&&... args) { ResolveSub(args...); });
+  return ExecuteQuery<cycloid::CycloidNetwork>(q, scratch, *this);
 }
 
-void LormService::ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
-                             double lo, double hi, bool /*dominated*/,
-                             Matches& matches, QueryStats& stats,
-                             QueryScratch& scratch) const {
-  const auto key_lo =
-      cycloid::CycloidId{CyclicOf(sub.attr, lo), CubicalOf(sub.attr)};
-  const auto key_hi =
-      cycloid::CycloidId{CyclicOf(sub.attr, hi), CubicalOf(sub.attr)};
-  cycloid::LookupResult& res = scratch.cycloid;
-  if (!Route(net_, key_lo, requester, res, stats)) return;
-
+void LormService::ResolveSub(const resource::SubQuery& sub, double lo,
+                             double hi, bool /*dominated*/,
+                             const RootLane<cycloid::CycloidNetwork>* roots,
+                             Matches& matches, QueryStats& stats) const {
+  if (!roots[0].result.ok) return;
   // Visit the root, then walk the small cycle's successors until the cyclic
   // segment [key_lo.k, key_hi.k] is covered (Prop. 3.1: every match lies on
   // that arc). The resumable state machine (ring_walk.hpp) visits the same
   // nodes in the same order as the loop it replaced.
   ClusterWalkState walk;
-  ClusterWalkBegin(net_, res.owner, key_lo, key_hi, walk,
-                   /*live_fallback=*/cfg_.replicas > 1);
+  ClusterWalkBegin(
+      net_, roots[0].result.owner, roots[0].key,
+      cycloid::CycloidId{CyclicOf(sub.attr, hi), CubicalOf(sub.attr)}, walk,
+      /*live_fallback=*/cfg_.replicas > 1);
   do {
     stats.visited_nodes += 1;
     Probe(walk.cur, sub.attr, lo, hi, kAllEntries, matches, stats);

@@ -57,9 +57,6 @@ class LormService final : public DirectoryService<cycloid::CycloidId>,
   LormService(std::size_t n, const resource::AttributeRegistry& registry,
               Config cfg);
 
-  LormService(const LormService&) = delete;
-  LormService& operator=(const LormService&) = delete;
-
   bool JoinNode(NodeAddr addr) override;
   void LeaveNode(NodeAddr addr) override;
   void FailNode(NodeAddr addr) override;
@@ -84,11 +81,19 @@ class LormService final : public DirectoryService<cycloid::CycloidId>,
   const cycloid::CycloidNetwork& overlay() const { return net_; }
 
  private:
-  /// Routes to the root of the range's lower endpoint and walks the small
-  /// cycle's successors over the range (the executor's ResolveSub).
-  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
-                  double lo, double hi, bool dominated, Matches& matches,
-                  QueryStats& stats, QueryScratch& scratch) const;
+  friend DirectoryService;  // the executor calls the two below
+
+  /// One root lookup: the owner of the range's lower endpoint.
+  template <typename Add>
+  void RootLookups(const resource::SubQuery& sub, double lo,
+                   bool /*dominated*/, Add&& add) const {
+    add(net_, cycloid::CycloidId{CyclicOf(sub.attr, lo), CubicalOf(sub.attr)});
+  }
+  /// Walks the small cycle's successors over the range from that owner.
+  void ResolveSub(const resource::SubQuery& sub, double lo, double hi,
+                  bool dominated,
+                  const RootLane<cycloid::CycloidNetwork>* roots,
+                  Matches& matches, QueryStats& stats) const;
 
   /// Replicated handoff (replicas > 1): re-establishes, for every cluster
   /// resolving one of `cubicals`, the invariant that each surviving tuple

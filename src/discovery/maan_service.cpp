@@ -80,48 +80,44 @@ HopCount BasicMaanService<Ring>::Advertise(
 template <typename Ring>
 QueryResult BasicMaanService<Ring>::Query(const resource::MultiQuery& q,
                                           QueryScratch& scratch) const {
-  return ExecuteQuery(q, scratch,
-                      [this](auto&&... args) { ResolveSub(args...); });
+  return ExecuteQuery<Ring>(q, scratch, *this);
 }
 
 template <typename Ring>
 void BasicMaanService<Ring>::ResolveSub(
-    NodeAddr requester, const resource::SubQuery& sub, double lo, double hi,
-    bool dominated, Matches& matches, QueryStats& stats,
-    QueryScratch& scratch) const {
-  // Lookup 1: the attribute root (resolves the attribute name).
-  chord::LookupResult& res = scratch.chord;
-  const bool attr_ok =
-      Route(ring_, AttributeKeyFor(sub.attr), requester, res, stats);
+    const resource::SubQuery& sub, double lo, double hi, bool dominated,
+    const RootLane<Ring>* roots, Matches& matches, QueryStats& stats) const {
+  const auto& attr_root = roots[0].result;
   if (dominated) {
     // Dominated sub-query: the attribute root holds every tuple of this
     // attribute as attribute records, so one lookup answers the range — no
     // value walk. This is MAAN's single-attribute dominated query.
-    if (!attr_ok) return;
+    if (!attr_root.ok) return;
     stats.visited_nodes += 1;
-    Probe(res.owner, sub.attr, lo, hi,
+    Probe(attr_root.owner, sub.attr, lo, hi,
           [](const Store::Entry& e) { return e.tag == kAttributeRecord; },
           matches, stats);
     return;
   }
-  if (attr_ok) {
+  if (attr_root.ok) {
     // The attribute root is checked but yields no value matches; the probe
     // is recorded so a trace's probe count equals visited_nodes.
     stats.visited_nodes += 1;
-    visit_counts_.Record(res.owner);
-    const auto* dir = store_.Find(res.owner);
-    obs::OnDirectoryProbe(res.owner, 0, dir != nullptr ? dir->size() : 0);
+    visit_counts_.Record(attr_root.owner);
+    const auto* dir = store_.Find(attr_root.owner);
+    obs::OnDirectoryProbe(attr_root.owner, 0, dir ? dir->size() : 0);
   }
 
-  // Lookup 2: the value root, then (for ranges) the system-wide value walk.
-  const chord::Key key_lo = lph_[sub.attr](lo);
-  const chord::Key key_hi = lph_[sub.attr](hi);
-  if (!Route(ring_, key_lo, requester, res, stats)) return;
-  WalkSuccessors(ring_, res.owner, key_lo, key_hi, stats, [&](NodeAddr cur) {
-    Probe(cur, sub.attr, lo, hi,
-          [](const Store::Entry& e) { return e.tag == kValueRecord; }, matches,
-          stats);
-  });
+  // The value root, then (for ranges) the system-wide value walk.
+  const RootLane<Ring>& value_root = roots[1];
+  if (!value_root.result.ok) return;
+  const auto value_records = [](const Store::Entry& e) {
+    return e.tag == kValueRecord;
+  };
+  WalkSuccessors(ring_, value_root.result.owner, value_root.key,
+                 lph_[sub.attr](hi), stats, [&](NodeAddr cur) {
+                   Probe(cur, sub.attr, lo, hi, value_records, matches, stats);
+                 });
 }
 
 template <typename Ring>

@@ -88,9 +88,6 @@ class BasicMaanService final : public DirectoryService<chord::Key>,
   BasicMaanService(std::size_t n, const resource::AttributeRegistry& registry,
                    Config cfg);
 
-  BasicMaanService(const BasicMaanService&) = delete;
-  BasicMaanService& operator=(const BasicMaanService&) = delete;
-
   bool JoinNode(NodeAddr addr) override;
   void LeaveNode(NodeAddr addr) override;
   void FailNode(NodeAddr addr) override;
@@ -115,13 +112,23 @@ class BasicMaanService final : public DirectoryService<chord::Key>,
   const Ring& overlay() const { return ring_; }
 
  private:
-  /// Classic resolution: the attribute root, then the value root and the
-  /// system-wide value walk. A dominated sub-query (planned, not the most
-  /// selective) is answered from the attribute root's attribute records
-  /// alone. The executor's ResolveSub.
-  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
-                  double lo, double hi, bool dominated, Matches& matches,
-                  QueryStats& stats, QueryScratch& scratch) const;
+  friend DirectoryService;  // the executor calls the two below
+
+  /// Two root lookups: the attribute root (resolves the attribute name),
+  /// then the value root. A dominated sub-query (planned, not the most
+  /// selective) needs the attribute root alone.
+  template <typename Add>
+  void RootLookups(const resource::SubQuery& sub, double lo, bool dominated,
+                   Add&& add) const {
+    add(ring_, AttributeKeyFor(sub.attr));
+    if (!dominated) add(ring_, lph_[sub.attr](lo));
+  }
+  /// Classic resolution: checks the attribute root, then walks the value
+  /// segment system-wide from the value root. A dominated sub-query is
+  /// answered from the attribute root's attribute records alone.
+  void ResolveSub(const resource::SubQuery& sub, double lo, double hi,
+                  bool dominated, const RootLane<Ring>* roots,
+                  Matches& matches, QueryStats& stats) const;
 
   /// Unreplicated crash repair: a tuple's two records (attribute + value)
   /// live on different nodes, so a single crash kills one copy and strands

@@ -101,23 +101,19 @@ HopCount MercuryService::Advertise(const resource::ResourceInfo& info) {
 
 QueryResult MercuryService::Query(const resource::MultiQuery& q,
                                   QueryScratch& scratch) const {
-  return ExecuteQuery(q, scratch,
-                      [this](auto&&... args) { ResolveSub(args...); });
+  return ExecuteQuery<chord::ChordRing>(q, scratch, *this);
 }
 
-void MercuryService::ResolveSub(NodeAddr requester,
-                                const resource::SubQuery& sub, double lo,
+void MercuryService::ResolveSub(const resource::SubQuery& sub, double lo,
                                 double hi, bool /*dominated*/,
-                                Matches& matches, QueryStats& stats,
-                                QueryScratch& scratch) const {
-  const auto& ring = hub(sub.attr);
-  const chord::Key key_lo = lph_[sub.attr](lo);
-  const chord::Key key_hi = lph_[sub.attr](hi);
-  chord::LookupResult& res = scratch.chord;
-  if (!Route(ring, key_lo, requester, res, stats)) return;
-  WalkSuccessors(ring, res.owner, key_lo, key_hi, stats, [&](NodeAddr cur) {
-    Probe(cur, sub.attr, lo, hi, kAllEntries, matches, stats);
-  });
+                                const RootLane<chord::ChordRing>* roots,
+                                Matches& matches, QueryStats& stats) const {
+  const RootLane<chord::ChordRing>& root = roots[0];
+  if (!root.result.ok) return;
+  WalkSuccessors(*root.ring, root.result.owner, root.key, lph_[sub.attr](hi),
+                 stats, [&](NodeAddr cur) {
+                   Probe(cur, sub.attr, lo, hi, kAllEntries, matches, stats);
+                 });
 }
 
 std::vector<double> MercuryService::OutlinkCounts() const {

@@ -46,9 +46,6 @@ class MercuryService final : public DirectoryService<chord::Key> {
   MercuryService(std::size_t n, const resource::AttributeRegistry& registry,
                  Config cfg);
 
-  MercuryService(const MercuryService&) = delete;
-  MercuryService& operator=(const MercuryService&) = delete;
-
   bool JoinNode(NodeAddr addr) override;
   void LeaveNode(NodeAddr addr) override;
   void FailNode(NodeAddr addr) override;
@@ -69,12 +66,19 @@ class MercuryService final : public DirectoryService<chord::Key> {
   const chord::ChordRing& hub(AttrId attr) const;
 
  private:
-  /// Routes to the root of the range's lower endpoint in the attribute's
-  /// hub and walks hub successors over the range (the executor's
-  /// ResolveSub).
-  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
-                  double lo, double hi, bool dominated, Matches& matches,
-                  QueryStats& stats, QueryScratch& scratch) const;
+  friend DirectoryService;  // the executor calls the two below
+
+  /// One root lookup: the owner of the range's lower endpoint in the
+  /// attribute's hub.
+  template <typename Add>
+  void RootLookups(const resource::SubQuery& sub, double lo,
+                   bool /*dominated*/, Add&& add) const {
+    add(hub(sub.attr), lph_[sub.attr](lo));
+  }
+  /// Walks hub successors over the range from that root.
+  void ResolveSub(const resource::SubQuery& sub, double lo, double hi,
+                  bool dominated, const RootLane<chord::ChordRing>* roots,
+                  Matches& matches, QueryStats& stats) const;
 
   /// Adapter wiring one hub's membership events back to the service.
   class HubObserver final : public chord::MembershipObserver {

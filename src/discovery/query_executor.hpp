@@ -5,20 +5,30 @@
 //
 // The five systems differ only in where a tuple is placed and how one
 // sub-query is routed, walked and probed (paper §II). Everything around that
-// is common and lives here once: the requester check, the joined and
-// per-sub result caches, the per-sub trace records and cost accounting, the
-// requester-side deduplication, the "database-like join on ip_addr" (§III),
-// the soft-state liveness filter and the per-query instruments.
+// is common and lives here once: the requester check, the routing of every
+// root lookup, the joined and per-sub result caches, the per-sub trace
+// records and cost accounting, the requester-side deduplication, the
+// "database-like join on ip_addr" (§III), the soft-state liveness filter
+// and the per-query instruments.
 //
-// A service hands the executor its ResolveSub as a template argument:
+// A service (a friend of its DirectoryService base) supplies two members:
 //
-//   resolve_sub(requester, sub, lo, hi, dominated, matches, stats, scratch)
+//   RootLookups(sub, lo, dominated, add)
+//     names the root lookups of sub-query `sub` (ordinal range from `lo`)
+//     in routing order, calling add(ring, key) once each: one for LORM,
+//     Mercury and SWORD, two for MAAN and D1HT (the attribute root, then
+//     the value root), only the attribute root for a dominated MAAN or D1HT
+//     sub-query;
+//   ResolveSub(sub, lo, hi, dominated, roots, matches, stats)
+//     walks and probes range [lo, hi] from the owners those lookups found
+//     (roots[i].result, in naming order), appending raw matches and billing
+//     visited nodes and walk steps to `stats` (stats.failed on a failed
+//     walk).
 //
-// routes sub-query `sub` (ordinal range [lo, hi]) from `requester`, walks
-// and probes, appending raw matches and billing lookups, hops, visited nodes
-// and walk steps to `stats` (stats.failed on a failed route or walk). The
-// executor dedups the matches and caches them when that sub-query itself
-// resolved completely, whatever happened to the query's other sub-queries.
+// The executor routes each root lookup from the requester and bills it
+// (one lookup, its hops, stats.failed when it fails), dedups the matches
+// and caches them when that sub-query itself resolved completely, whatever
+// happened to the query's other sub-queries.
 //
 // Execution order:
 //
@@ -30,9 +40,27 @@
 //     once the intersection is empty. `dominated` is set on every sub-query
 //     after the first — a more selective one already ran — and MAAN-placement
 //     systems answer those at the attribute root alone; the others ignore it.
+//
+// Routing order. A classic query with the result cache and every ring's
+// route cache off routes every sub-query, and no route can change another
+// (routes only read the rings; the route cache is the one thing a lookup
+// writes). Such a query begins all of its root lookups together
+// (LookupBegin, into lanes held in QueryScratch) and steps them round-robin,
+// prefetching the lines each walk's next step reads (LookupPrefetch stage
+// 0) while the others step, so their cache misses overlap — the sub-queries
+// resolve in parallel, as the paper has them. Then it takes the sub-queries
+// in query order: inside each one's SubQueryScope, LookupFinish on its
+// lanes (trace record, `<ring>.lookup.*` metrics), billing, then the walk
+// and probes. Every other query runs the same steps one lookup at a time,
+// finishing each before the next begins: a planned query may skip
+// sub-queries, a per-sub cache hit skips routing, and a route-cache lookup
+// teaches shortcuts that later lookups take. Either way every lookup,
+// result, trace line and counter is what routing one lookup after another
+// gives.
 #pragma once
 
 #include <cstddef>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -45,13 +73,35 @@
 
 namespace lorm::discovery {
 
-// Each service calls this from one place with its own resolver type, so the
+/// Begins lanes[0, n) from `origin` and steps them round-robin until every
+/// walk completed; after each step a walk prefetches what its next step
+/// reads, so the lines load while the other walks step.
+template <typename Ring>
+void RouteRootLanes(RootLane<Ring>* lanes, std::size_t n, NodeAddr origin) {
+  for (std::size_t l = 0; l < n; ++l) {
+    RootLane<Ring>& lane = lanes[l];
+    lane.ring->LookupBegin(lane.key, origin, lane.result, lane.state);
+    lane.ring->LookupPrefetch(lane.state, 0);
+  }
+  for (bool more = true; more;) {
+    more = false;
+    for (std::size_t l = 0; l < n; ++l) {
+      RootLane<Ring>& lane = lanes[l];
+      if (lane.ring->LookupStep(lane.state)) {
+        lane.ring->LookupPrefetch(lane.state, 0);
+        more = true;
+      }
+    }
+  }
+}
+
+// Each service calls this from one place with its own type, so the
 // function-local instruments below exist once per service type.
 template <typename Key>
-template <typename ResolveSub>
+template <typename Ring, typename Service>
 QueryResult DirectoryService<Key>::ExecuteQuery(
     const resource::MultiQuery& q, QueryScratch& scratch,
-    ResolveSub&& resolve_sub) const {
+    const Service& svc) const {
   QueryResult result;
   LORM_CHECK_MSG(HasNode(q.requester),
                  "requester is not a member of the overlay");
@@ -77,6 +127,33 @@ QueryResult DirectoryService<Key>::ExecuteQuery(
     }
     result.per_sub.resize(k);
     stats.sub_costs.assign(k, 0);
+
+    // Root lookups go into lanes [0, named), each tagged with its sub-query.
+    std::vector<RootLane<Ring>>& lanes =
+        std::get<std::vector<RootLane<Ring>>>(scratch.lanes);
+    std::size_t named = 0;
+    const auto name_roots = [&](std::size_t idx, bool dominated) {
+      svc.RootLookups(q.subs[idx], ps.lo[idx], dominated,
+                      [&](const Ring& ring, typename Ring::LookupKeyType key) {
+                        if (named == lanes.size()) lanes.emplace_back();
+                        RootLane<Ring>& lane = lanes[named++];
+                        lane.ring = &ring;
+                        lane.key = key;
+                        lane.sub = idx;
+                      });
+    };
+    // Overlapped routing (see the file comment): every root lookup of the
+    // query is in flight before the first sub-query's turn.
+    bool overlap = !plan_ && !result_cache_.enabled();
+    if (overlap) {
+      for (std::size_t idx = 0; idx < k; ++idx) name_roots(idx, false);
+      for (std::size_t l = 0; l < named && overlap; ++l) {
+        overlap = !lanes[l].ring->RouteCacheEnabled();
+      }
+      if (overlap) RouteRootLanes(lanes.data(), named, q.requester);
+    }
+    std::size_t next_lane = 0;  // overlapped: the next sub-query's first lane
+
     bool pruned = false;
     for (std::size_t rank = 0; rank < k; ++rank) {
       const std::size_t idx = plan_ ? ps.order[rank] : rank;
@@ -100,8 +177,29 @@ QueryResult DirectoryService<Key>::ExecuteQuery(
             stats.dht_hops + static_cast<HopCount>(stats.walk_steps);
         const bool failed_before = stats.failed;
         stats.failed = false;
-        resolve_sub(q.requester, sub, lo, hi, /*dominated=*/plan_ && rank > 0,
-                    matches, stats, scratch);
+        const bool dominated = plan_ && rank > 0;
+        if (!overlap) {
+          named = next_lane = 0;
+          name_roots(idx, dominated);
+        }
+        const std::size_t first = next_lane;
+        for (; next_lane < named && lanes[next_lane].sub == idx; ++next_lane) {
+          RootLane<Ring>& lane = lanes[next_lane];
+          // One lookup in flight routes in lane 0's path buffer: a query that
+          // never overlaps keeps one warm buffer, as one reused result would,
+          // not one per lane.
+          if (!overlap) {
+            lane.result.path.swap(lanes[0].result.path);
+            RouteRootLanes(&lane, 1, q.requester);
+          }
+          lane.ring->LookupFinish(lane.state);
+          if (!overlap) lane.result.path.swap(lanes[0].result.path);
+          stats.lookups += 1;
+          stats.dht_hops += lane.result.hops;
+          if (!lane.result.ok) stats.failed = true;
+        }
+        svc.ResolveSub(sub, lo, hi, dominated, lanes.data() + first, matches,
+                       stats);
         const bool sub_failed = stats.failed;
         stats.failed = failed_before || sub_failed;
         DedupMatches(matches);  // replicas may repeat tuples along a walk
@@ -113,7 +211,6 @@ QueryResult DirectoryService<Key>::ExecuteQuery(
                                static_cast<HopCount>(stats.walk_steps) -
                                cost_before;
       }
-
       if (!plan_) continue;
       // Planned: intersect incrementally, in the scratch buffers.
       ProvidersOf(matches, ps.providers);

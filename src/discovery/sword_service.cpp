@@ -55,20 +55,18 @@ HopCount SwordService::Advertise(const resource::ResourceInfo& info) {
 
 QueryResult SwordService::Query(const resource::MultiQuery& q,
                                 QueryScratch& scratch) const {
-  return ExecuteQuery(q, scratch,
-                      [this](auto&&... args) { ResolveSub(args...); });
+  return ExecuteQuery<chord::ChordRing>(q, scratch, *this);
 }
 
-void SwordService::ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
-                              double lo, double hi, bool /*dominated*/,
-                              Matches& matches, QueryStats& stats,
-                              QueryScratch& scratch) const {
-  chord::LookupResult& res = scratch.chord;
-  if (!Route(ring_, KeyFor(sub.attr), requester, res, stats)) return;
+void SwordService::ResolveSub(const resource::SubQuery& sub, double lo,
+                              double hi, bool /*dominated*/,
+                              const RootLane<chord::ChordRing>* roots,
+                              Matches& matches, QueryStats& stats) const {
+  if (!roots[0].result.ok) return;
   // The attribute's entire directory is at the root: ranges resolve
   // locally, no forwarding (Theorem 4.9's m visited nodes per query).
   stats.visited_nodes += 1;
-  Probe(res.owner, sub.attr, lo, hi, kAllEntries, matches, stats);
+  Probe(roots[0].result.owner, sub.attr, lo, hi, kAllEntries, matches, stats);
 }
 
 std::vector<double> SwordService::OutlinkCounts() const {

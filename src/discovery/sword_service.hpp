@@ -41,9 +41,6 @@ class SwordService final : public DirectoryService<chord::Key>,
   SwordService(std::size_t n, const resource::AttributeRegistry& registry,
                Config cfg);
 
-  SwordService(const SwordService&) = delete;
-  SwordService& operator=(const SwordService&) = delete;
-
   bool JoinNode(NodeAddr addr) override;
   void LeaveNode(NodeAddr addr) override;
   void FailNode(NodeAddr addr) override;
@@ -68,11 +65,18 @@ class SwordService final : public DirectoryService<chord::Key>,
   const chord::ChordRing& overlay() const { return ring_; }
 
  private:
-  /// Routes to the attribute root and scans its directory (the executor's
-  /// ResolveSub).
-  void ResolveSub(NodeAddr requester, const resource::SubQuery& sub,
-                  double lo, double hi, bool dominated, Matches& matches,
-                  QueryStats& stats, QueryScratch& scratch) const;
+  friend DirectoryService;  // the executor calls the two below
+
+  /// One root lookup: the attribute root.
+  template <typename Add>
+  void RootLookups(const resource::SubQuery& sub, double /*lo*/,
+                   bool /*dominated*/, Add&& add) const {
+    add(ring_, KeyFor(sub.attr));
+  }
+  /// Scans the attribute root's directory for the range.
+  void ResolveSub(const resource::SubQuery& sub, double lo, double hi,
+                  bool dominated, const RootLane<chord::ChordRing>* roots,
+                  Matches& matches, QueryStats& stats) const;
 
   void OnJoin(NodeAddr node, NodeAddr successor) override;
   void OnLeave(NodeAddr node, NodeAddr successor) override;

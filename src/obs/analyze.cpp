@@ -962,7 +962,9 @@ void WriteChromeTrace(std::ostream& os, std::vector<QueryTrace> traces) {
     const std::uint64_t tid = tids[t.system];
     std::uint64_t& cursor = cursor_us[t.system];
     // Child spans: one per lookup, at least 1 us each so zero-duration
-    // (untimed) traces still render visible spans.
+    // (untimed) traces still render visible spans. A trace keeps durations,
+    // not start times, so they are laid end to end; a query whose lookups
+    // overlapped stretches to cover them.
     std::uint64_t children_us = 0;
     std::uint64_t hops = 0;
     std::size_t lookups = 0, probes = 0;

@@ -37,7 +37,11 @@ struct LookupTrace {
   HopCount hops = 0;
   bool ok = false;
   std::uint64_t dead_links_skipped = 0;
-  std::uint64_t duration_ns = 0;  ///< monotonic wall time of the routing walk
+  /// Monotonic wall time from the walk's start (LookupBegin) to the step
+  /// that completed it. The query executor steps a classic cache-off
+  /// query's root lookups together, so one query's lookups may overlap in
+  /// time, and their durations may add up to more than the query's.
+  std::uint64_t duration_ns = 0;
   /// Hops taken through route-cache shortcuts; always 0 with `--cache` off,
   /// and the wire format omits the key then, so cache-off trace files are
   /// byte-identical to pre-cache builds.

@@ -337,6 +337,37 @@ TEST_P(ExecutorGolden, EveryResultAndTraceMatchesCommittedHash) {
   ExpectGolden(kGolden.at(GetParam()), ExecutorSerialization(GetParam()));
 }
 
+/// The churn legs again with the planner and every cache off, at replicas
+/// 1 and 3: classic queries on stale rings, the case in which the executor
+/// steps each query's root lookups together. Lookups skip dead links on
+/// Chord and Cycloid, and some of LORM's cluster walks fail. The constants
+/// were computed on the executor that routed one lookup after another, so
+/// overlapped routing must reproduce it byte for byte.
+std::string StaleRingSerialization(harness::SystemKind kind) {
+  std::ostringstream out;
+  for (const std::size_t replicas : {1u, 3u}) {
+    out << "churn,replicas=" << replicas << ",plan=0,cache=0\n";
+    AppendExecutorLeg(out, kind, {false, false, replicas, true});
+  }
+  return out.str();
+}
+
+TEST_P(ExecutorGolden, StaleRingsWithCachesOffMatchCommittedHash) {
+  static const std::map<harness::SystemKind, const char*> kGolden{
+      {harness::SystemKind::kLorm,
+       "efaffa572ee28b3e7f865a9a9147710153fb4733"},
+      {harness::SystemKind::kMercury,
+       "a25be6ce6d3c1667354653e2392819829e14e897"},
+      {harness::SystemKind::kSword,
+       "abdeb961b3a40928c059c5308cdb9b79c3f217c9"},
+      {harness::SystemKind::kMaan,
+       "de742e1f85f6aeb66f3711bc61a87ff78f8f90b4"},
+      {harness::SystemKind::kD1ht,
+       "d9047e3cf7f83a3a1a4d1725d0380866c5338500"},
+  };
+  ExpectGolden(kGolden.at(GetParam()), StaleRingSerialization(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSystems, ExecutorGolden,
                          ::testing::ValuesIn(harness::AllSystems()),
                          [](const auto& info) {

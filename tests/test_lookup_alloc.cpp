@@ -4,13 +4,15 @@
 // slot slab, and OwnsNode's oracle fallback never fires on a stable
 // network — so a warm lookup loop must not touch the allocator at all. The
 // same holds for a warm Advertise, whose routes reuse one result per
-// service: only the owner directories' entry vectors grow.
+// service: only the owner directories' entry vectors grow. A warm classic
+// Query() that matches nothing allocates only the result it returns.
 //
 // Verified with counting global operator new/delete: the counter is
 // process-wide, so each probe region runs single-threaded with no other
 // live threads (gtest's main thread only).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -254,6 +256,47 @@ TEST(LookupAllocFree, WarmAdvertiseRoutesWithoutAllocating) {
     });
     EXPECT_LT(allocs, 16u);
     EXPECT_EQ(service->TotalInfoPieces() % 2000, 0u);
+  }
+}
+
+TEST(LookupAllocFree, WarmQueryAllocatesOnlyItsResult) {
+  // A classic cache-off Query() routes its root lookups in lanes that
+  // QueryScratch keeps, walks and probes in place, and joins empty match
+  // lists without buffers of its own. So once a pass has warmed the
+  // scratch, a 3-attribute point query that matches nothing allocates
+  // exactly its QueryResult's two vectors: per_sub and stats.sub_costs.
+  const harness::Setup setup = harness::Setup::Small();  // cache, plan off
+  resource::Workload workload(setup.MakeWorkloadConfig());
+  std::vector<NodeAddr> providers(setup.nodes);
+  for (std::size_t i = 0; i < providers.size(); ++i) {
+    providers[i] = static_cast<NodeAddr>(i);
+  }
+  Rng rng(47);
+  const auto infos = workload.GenerateInfos(providers, rng);
+  std::vector<resource::MultiQuery> queries;
+  for (int i = 0; i < 40; ++i) {
+    queries.push_back(workload.MakePointQuery(
+        3, providers[rng.NextBelow(providers.size())], rng));
+  }
+  for (const harness::SystemKind kind : harness::AllSystems()) {
+    SCOPED_TRACE(harness::SystemName(kind));
+    const auto service = harness::MakeService(kind, setup, workload.registry());
+    harness::AdvertiseAll(*service, infos);
+    discovery::QueryScratch scratch;
+    for (const auto& q : queries) service->Query(q, scratch);  // warm-up
+    std::size_t empty = 0;
+    for (const auto& q : queries) {
+      discovery::QueryResult r;
+      const std::uint64_t allocs =
+          CountAllocations([&] { r = service->Query(q, scratch); });
+      const bool matched = std::any_of(
+          r.per_sub.begin(), r.per_sub.end(),
+          [](const auto& m) { return !m.empty(); });
+      if (matched) continue;
+      ++empty;
+      EXPECT_EQ(allocs, 2u);
+    }
+    EXPECT_GT(empty, queries.size() / 2);
   }
 }
 
