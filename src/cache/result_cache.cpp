@@ -118,8 +118,8 @@ JoinedKey ResultCache::MakeJoinedKey(AttrId attr, double lo, double hi) {
 }
 
 bool ResultCache::LookupJoined(
-    const std::vector<JoinedKey>& keys,
-    std::vector<std::vector<resource::ResourceInfo>>& per_sub_canonical,
+    const std::vector<JoinedKey>& keys, const std::vector<std::uint32_t>& order,
+    std::vector<std::vector<resource::ResourceInfo>>& per_sub,
     std::vector<NodeAddr>& providers) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = joined_.find(keys);
@@ -127,15 +127,17 @@ bool ResultCache::LookupJoined(
     TickJoinedMiss();
     return false;
   }
-  per_sub_canonical = it->second.per_sub;
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    per_sub[order[j]] = it->second.per_sub[j];
+  }
   providers = it->second.providers;
   TickJoinedHit(keys.size());
   return true;
 }
 
 void ResultCache::StoreJoined(
-    const std::vector<JoinedKey>& keys,
-    const std::vector<std::vector<resource::ResourceInfo>>& per_sub_canonical,
+    const std::vector<JoinedKey>& keys, const std::vector<std::uint32_t>& order,
+    const std::vector<std::vector<resource::ResourceInfo>>& per_sub,
     const std::vector<NodeAddr>& providers) {
   if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mu_);
@@ -144,7 +146,10 @@ void ResultCache::StoreJoined(
     joined_.clear();
   }
   JoinedEntry& e = joined_[keys];
-  e.per_sub = per_sub_canonical;
+  e.per_sub.resize(order.size());
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    e.per_sub[j] = per_sub[order[j]];
+  }
   e.providers = providers;
   TickJoinedInsert();
 }

@@ -62,21 +62,24 @@ class ResultCache {
 
   /// Whole-query entry, keyed on the *sorted* vector of sub-query keys so
   /// execution order never matters. `keys` must already be sorted (see
-  /// planner.hpp's CanonicalSubKeys); per-sub match lists travel in the same
-  /// canonical order and the caller maps them back to query order. A hit
-  /// ticks lorm.cache.result.hits once per sub-query — a joined hit answers
-  /// exactly the sub-queries a per-sub scan would have — plus its own
-  /// lorm.cache.result.joined_hits.
-  bool LookupJoined(
-      const std::vector<JoinedKey>& keys,
-      std::vector<std::vector<resource::ResourceInfo>>& per_sub_canonical,
-      std::vector<NodeAddr>& providers) const;
+  /// planner.hpp's CanonicalSubKeys); the entry keeps its per-sub match
+  /// lists in the same canonical order, and `order[j]` is the query-order
+  /// index of canonical sub-query j. A hit copies list j into
+  /// per_sub[order[j]] (per_sub holds keys.size() lists) and the providers
+  /// into `providers`. It ticks lorm.cache.result.hits once per sub-query —
+  /// a joined hit answers exactly the sub-queries a per-sub scan would
+  /// have — plus its own lorm.cache.result.joined_hits.
+  bool LookupJoined(const std::vector<JoinedKey>& keys,
+                    const std::vector<std::uint32_t>& order,
+                    std::vector<std::vector<resource::ResourceInfo>>& per_sub,
+                    std::vector<NodeAddr>& providers) const;
 
-  /// Stores a fully resolved query (every sub-query executed, none failed).
-  /// No-op when disabled.
+  /// Stores a fully resolved query (every sub-query executed, none failed),
+  /// taking canonical list j from per_sub[order[j]]. No-op when disabled.
   void StoreJoined(
       const std::vector<JoinedKey>& keys,
-      const std::vector<std::vector<resource::ResourceInfo>>& per_sub_canonical,
+      const std::vector<std::uint32_t>& order,
+      const std::vector<std::vector<resource::ResourceInfo>>& per_sub,
       const std::vector<NodeAddr>& providers);
 
   /// Drops every cached range of `attr` (a new advertisement changed its

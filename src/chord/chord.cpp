@@ -273,7 +273,7 @@ NodeAddr ChordRing::NthOraclePredecessor(NodeAddr addr, std::size_t steps,
 }
 
 NodeAddr ChordRing::Successor(NodeAddr addr) const {
-  return slab_[FirstLiveSuccessorSlot(slab_.MustGet(addr))].addr;
+  return slab_[SuccessorSlot(slab_.MustFind(addr))].addr;
 }
 
 NodeAddr ChordRing::Predecessor(NodeAddr addr) const {

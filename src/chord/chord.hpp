@@ -192,8 +192,19 @@ class ChordRing
   /// Counterclockwise counterpart of NthOracleSuccessor.
   NodeAddr NthOraclePredecessor(NodeAddr addr, std::size_t steps,
                                 NodeAddr excluded = kNoNode) const;
-  /// The node's own successor pointer (protocol state).
+  /// The node's own successor pointer (protocol state): the member at
+  /// SuccessorSlot of its slot.
   NodeAddr Successor(NodeAddr addr) const;
+  /// Slot of the successor of the member at slot `s`: the first live entry
+  /// of its successor list, each dead entry skipped billed to
+  /// dead_links_skipped, or the oracle's successor when the whole list
+  /// died. On a fresh ring (LinksFresh) that is the header's cached
+  /// s0_slot, read without touching the successor extent.
+  Slot SuccessorSlot(Slot s) const {
+    const Node& n = slab_[s];
+    if (links_fresh_ && n.succ_count != 0) return n.s0_slot;
+    return FirstLiveSuccessorSlot(n);
+  }
   NodeAddr Predecessor(NodeAddr addr) const;
 
   /// Number of distinct live remote nodes in the routing state (fingers,

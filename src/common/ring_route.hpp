@@ -30,9 +30,12 @@
 //   OwnsNode(node, key)  the walk's termination predicate
 //   CacheKey(key)        the route-cache key; the default is the key itself
 //
-// and keeps LookupPrefetch, its tables and its maintenance. Each ring
-// instantiates the base in its own .cpp (and declares it extern in its
-// header), so the lookup loop is compiled next to the step it inlines.
+// and keeps LookupPrefetch, its tables and its maintenance. A ring whose
+// members keep successor links (Chord, single-hop) also has
+// SuccessorSlot(slot), its one successor rule: Successor(addr) and the
+// range walks both step through it. Each ring instantiates the base in its
+// own .cpp (and declares it extern in its header), so the lookup loop is
+// compiled next to the step it inlines.
 #pragma once
 
 #include <cstddef>
@@ -101,6 +104,12 @@ class RingRoute {
   std::size_t size() const { return slab_.size(); }
   bool Contains(NodeAddr addr) const { return slab_.Contains(addr); }
   Id IdOf(NodeAddr addr) const { return slab_.MustGet(addr).id; }
+  /// A member's slab slot. A successor walk (discovery/ring_walk.hpp) looks
+  /// its start up once and then steps by slot: IdAt, AddrAt and the ring's
+  /// SuccessorSlot read the slab with no address probe.
+  Slot SlotOf(NodeAddr addr) const { return slab_.MustFind(addr); }
+  Id IdAt(Slot s) const { return slab_[s].id; }
+  NodeAddr AddrAt(Slot s) const { return slab_[s].addr; }
   /// True iff `key` is in the node's sector, judged from its own state.
   bool Owns(NodeAddr addr, Id key) const {
     return self().OwnsNode(slab_.MustGet(addr), key);

@@ -28,6 +28,7 @@
 #include "discovery/selectivity.hpp"
 #include "discovery/visit_counter.hpp"
 #include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resource/attribute.hpp"
 
@@ -153,8 +154,10 @@ class DirectoryService : public DiscoveryService {
   }
 
   /// One directory check at `node` for (attr, [lo, hi]): counts the visit,
-  /// appends the matching entries `keep` accepts, and bills and traces the
-  /// probe. The caller counts stats.visited_nodes (walks do it per step).
+  /// appends the matching entries `keep` accepts, and bills the probe; with
+  /// metrics on or a trace active it also reports the probe
+  /// (ProbeObserved). The caller counts stats.visited_nodes (walks do it
+  /// per step).
   template <typename Keep>
   void Probe(NodeAddr node, AttrId attr, double lo, double hi, Keep&& keep,
              Matches& matches, QueryStats& stats) const {
@@ -170,8 +173,17 @@ class DirectoryService : public DiscoveryService {
       });
     }
     stats.replica_hits += replica_hits;
-    obs::OnDirectoryProbe(node, matches.size() - before,
-                          dir != nullptr ? dir->size() : 0, replica_hits);
+    if (ProbeObserved()) {
+      obs::OnDirectoryProbe(node, matches.size() - before,
+                            dir != nullptr ? dir->size() : 0, replica_hits);
+    }
+  }
+
+  /// True when a directory probe has a listener: the `directory.probe_*`
+  /// histograms (metrics on) or the active trace. Otherwise the probe skips
+  /// the out-of-line report, once per visited node.
+  static bool ProbeObserved() {
+    return obs::MetricsEnabled() || obs::TracingActive();
   }
 
   /// Flight-records a membership change at the current network size (after
@@ -192,7 +204,7 @@ class DirectoryService : public DiscoveryService {
   /// Handoff work done by the replication protocol (replicas > 1 only).
   ReplicationRecorder repl_;
   /// Visits absorbed per node (roots + walk probes); mutable because Query
-  /// is const, internally synchronized because the parallel experiment
+  /// is const, lock-free atomic counts because the parallel experiment
   /// engine replays queries from many threads.
   mutable VisitCounter visit_counts_;
   /// (attr, range) -> matches (`--cache`); mutable because Query is const.

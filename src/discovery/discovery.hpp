@@ -26,6 +26,7 @@
 #include "chord/chord.hpp"
 #include "common/types.hpp"
 #include "cycloid/cycloid.hpp"
+#include "discovery/join.hpp"
 #include "discovery/planner.hpp"
 #include "discovery/stats.hpp"
 #include "resource/query.hpp"
@@ -66,8 +67,9 @@ struct RootLane {
 
 /// Caller-owned scratch space for Query(). Reusing one scratch per thread
 /// keeps the steady-state query path free of heap allocation: the lanes'
-/// path vectors and the plan buffers keep their capacity across queries.
-/// Not thread-safe; give each replay worker its own.
+/// path vectors, the plan buffers and the dedup and join buffers keep
+/// their capacity across queries, so a warm classic query allocates only
+/// the result it returns. Not thread-safe; give each replay worker its own.
 struct QueryScratch {
   /// Single lookup results for callers that route one sub-query at a time
   /// through a service's overlay (perfbench's layer replay).
@@ -77,6 +79,9 @@ struct QueryScratch {
   /// order and incremental join with `--plan`; the order-independent
   /// joined-cache key with `--cache`.
   PlanScratch plan;
+  /// The executor's sub-query matches before dedup, the dedup's keys and
+  /// the classic join's provider sets.
+  JoinScratch join;
   /// The executor's root-lookup lanes, one vector per ring type.
   std::tuple<std::vector<RootLane<chord::ChordRing>>,
              std::vector<RootLane<cycloid::CycloidNetwork>>,

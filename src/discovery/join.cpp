@@ -1,15 +1,43 @@
 #include "discovery/join.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 namespace lorm::discovery {
+namespace {
+
+/// An unsigned integer in the value's order: key(a) < key(b) implies
+/// a < b, and equal numbers get equal keys. Equal keys of two texts only
+/// say that their first eight bytes agree.
+std::uint64_t ValueKey(const resource::AttrValue& v) {
+  if (v.kind() == resource::ValueKind::kNumeric) {
+    double d = v.num();
+    if (d == 0.0) d = 0.0;  // -0 == +0, so both take +0's key
+    const auto bits = std::bit_cast<std::uint64_t>(d);
+    constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+    return (bits & kSign) != 0 ? ~bits : bits | kSign;
+  }
+  // std::string orders bytes as unsigned char, shorter prefixes first.
+  const std::string& t = v.text();
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    key <<= 8;
+    if (i < t.size()) key |= static_cast<unsigned char>(t[i]);
+  }
+  return key;
+}
+
+}  // namespace
 
 void ProvidersOf(const std::vector<resource::ResourceInfo>& matches,
                  std::vector<NodeAddr>& out) {
   out.clear();
   out.reserve(matches.size());
   for (const auto& info : matches) out.push_back(info.provider);
-  std::sort(out.begin(), out.end());
+  if (!std::is_sorted(out.begin(), out.end())) {
+    std::sort(out.begin(), out.end());
+  }
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
@@ -31,34 +59,63 @@ void IntersectSorted(std::vector<NodeAddr>& acc,
       ++it;
     }
   }
-  acc.swap(tmp);
+  acc.assign(tmp.begin(), tmp.end());
+}
+
+std::vector<NodeAddr> JoinProviders(
+    const std::vector<std::vector<resource::ResourceInfo>>& per_sub,
+    JoinScratch& scratch) {
+  if (per_sub.empty()) return {};
+  ProvidersOf(per_sub.front(), scratch.acc);
+  for (std::size_t i = 1; i < per_sub.size() && !scratch.acc.empty(); ++i) {
+    ProvidersOf(per_sub[i], scratch.cur);
+    IntersectSorted(scratch.acc, scratch.cur, scratch.tmp);
+  }
+  return std::vector<NodeAddr>(scratch.acc.begin(), scratch.acc.end());
 }
 
 std::vector<NodeAddr> JoinProviders(
     const std::vector<std::vector<resource::ResourceInfo>>& per_sub) {
-  if (per_sub.empty()) return {};
+  JoinScratch scratch;
+  return JoinProviders(per_sub, scratch);
+}
 
-  std::vector<NodeAddr> acc;
-  ProvidersOf(per_sub.front(), acc);
-
-  std::vector<NodeAddr> cur;
-  std::vector<NodeAddr> tmp;
-  for (std::size_t i = 1; i < per_sub.size() && !acc.empty(); ++i) {
-    ProvidersOf(per_sub[i], cur);
-    IntersectSorted(acc, cur, tmp);
+void DedupMatches(const std::vector<resource::ResourceInfo>& raw,
+                  std::vector<MatchKey>& keys,
+                  std::vector<resource::ResourceInfo>& out) {
+  keys.clear();
+  keys.reserve(raw.size());
+  for (std::uint32_t i = 0; i < raw.size(); ++i) {
+    const resource::ResourceInfo& m = raw[i];
+    keys.push_back({(std::uint64_t{m.attr} << 32) | m.provider,
+                    ValueKey(m.value), i});
   }
-  return acc;
+  // Equal keys compare the values themselves: equal numbers, or texts that
+  // share their first eight bytes.
+  std::sort(keys.begin(), keys.end(),
+            [&raw](const MatchKey& a, const MatchKey& b) {
+              if (a.group != b.group) return a.group < b.group;
+              if (a.value != b.value) return a.value < b.value;
+              return raw[a.index].value < raw[b.index].value;
+            });
+  keys.erase(std::unique(keys.begin(), keys.end(),
+                         [&raw](const MatchKey& a, const MatchKey& b) {
+                           return a.group == b.group && a.value == b.value &&
+                                  raw[a.index].value == raw[b.index].value;
+                         }),
+             keys.end());
+  out.clear();
+  out.reserve(keys.size());
+  for (const MatchKey& k : keys) out.push_back(raw[k.index]);
 }
 
 void DedupMatches(std::vector<resource::ResourceInfo>& matches) {
-  std::sort(matches.begin(), matches.end(),
-            [](const resource::ResourceInfo& a,
-               const resource::ResourceInfo& b) {
-              if (a.attr != b.attr) return a.attr < b.attr;
-              if (a.provider != b.provider) return a.provider < b.provider;
-              return a.value < b.value;
-            });
-  matches.erase(std::unique(matches.begin(), matches.end()), matches.end());
+  std::vector<MatchKey> keys;
+  std::vector<resource::ResourceInfo> distinct;
+  DedupMatches(matches, keys, distinct);
+  std::move(distinct.begin(), distinct.end(), matches.begin());
+  matches.erase(matches.begin() + static_cast<std::ptrdiff_t>(distinct.size()),
+                matches.end());
 }
 
 }  // namespace lorm::discovery

@@ -104,8 +104,10 @@ void BasicMaanService<Ring>::ResolveSub(
     // is recorded so a trace's probe count equals visited_nodes.
     stats.visited_nodes += 1;
     visit_counts_.Record(attr_root.owner);
-    const auto* dir = store_.Find(attr_root.owner);
-    obs::OnDirectoryProbe(attr_root.owner, 0, dir ? dir->size() : 0);
+    if (ProbeObserved()) {
+      const auto* dir = store_.Find(attr_root.owner);
+      obs::OnDirectoryProbe(attr_root.owner, 0, dir ? dir->size() : 0);
+    }
   }
 
   // The value root, then (for ranges) the system-wide value walk.

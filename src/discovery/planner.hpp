@@ -47,8 +47,6 @@ struct PlanScratch {
   std::vector<cache::JoinedKey> keys;      ///< canonical joined-cache key
   std::vector<cache::JoinedKey> keys_tmp;  ///< reorder scratch
   std::vector<std::uint32_t> canon_orig;   ///< keys[j] came from sub orig[j]
-  /// Joined-cache transfer buffer (per-sub lists in canonical order).
-  std::vector<std::vector<resource::ResourceInfo>> cached;
 };
 
 inline void TickPlanQuery() {
@@ -134,32 +132,28 @@ inline void CanonicalSubKeys(const resource::MultiQuery& q, PlanScratch& ps) {
   ps.keys.swap(ps.keys_tmp);
 }
 
-/// Whole-query joined-cache probe. On a hit, fills `per_sub` (mapped back
-/// to query order) and `providers` and returns true. Requires
-/// CanonicalSubKeys first. Only call when the cache is enabled.
+/// Whole-query joined-cache probe. Sizes `per_sub` to the k sub-queries;
+/// on a hit, copies the cached lists straight into it in query order, and
+/// the providers into `providers`, and returns true. No buffer of the
+/// scratch passes through, so what a hit allocates never depends on the
+/// queries before it. Requires CanonicalSubKeys first. Only call when the
+/// cache is enabled.
 inline bool JoinedCacheFetch(
     const cache::ResultCache& cache, PlanScratch& ps, std::size_t k,
     std::vector<std::vector<resource::ResourceInfo>>& per_sub,
     std::vector<NodeAddr>& providers) {
-  if (!cache.LookupJoined(ps.keys, ps.cached, providers)) return false;
   per_sub.resize(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    per_sub[ps.canon_orig[j]] = std::move(ps.cached[j]);
-  }
-  return true;
+  return cache.LookupJoined(ps.keys, ps.canon_orig, per_sub, providers);
 }
 
-/// Stores a fully resolved query into the joined cache, reordering the
-/// query-order per-sub lists into canonical key order. Requires
+/// Stores a fully resolved query into the joined cache, which keeps the
+/// query-order per-sub lists in canonical key order. Requires
 /// CanonicalSubKeys first.
 inline void JoinedCacheStore(
     cache::ResultCache& cache, PlanScratch& ps,
     const std::vector<std::vector<resource::ResourceInfo>>& per_sub,
     const std::vector<NodeAddr>& providers) {
-  const std::size_t k = per_sub.size();
-  ps.cached.resize(k);
-  for (std::size_t j = 0; j < k; ++j) ps.cached[j] = per_sub[ps.canon_orig[j]];
-  cache.StoreJoined(ps.keys, ps.cached, providers);
+  cache.StoreJoined(ps.keys, ps.canon_orig, per_sub, providers);
 }
 
 }  // namespace lorm::discovery

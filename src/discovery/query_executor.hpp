@@ -26,9 +26,13 @@
 //     walk).
 //
 // The executor routes each root lookup from the requester and bills it
-// (one lookup, its hops, stats.failed when it fails), dedups the matches
-// and caches them when that sub-query itself resolved completely, whatever
-// happened to the query's other sub-queries.
+// (one lookup, its hops, stats.failed when it fails), collects the raw
+// matches in QueryScratch, dedups them into the result's exactly sized
+// per-sub list (join.hpp) and caches that list when the sub-query itself
+// resolved completely, whatever happened to the query's other sub-queries.
+// The classic join also runs in QueryScratch, so a warm classic query
+// allocates only its result: per_sub and stats.sub_costs, each non-empty
+// per-sub list and a non-empty provider list.
 //
 // Execution order:
 //
@@ -108,6 +112,7 @@ QueryResult DirectoryService<Key>::ExecuteQuery(
   const std::size_t k = q.subs.size();
   QueryStats& stats = result.stats;
   PlanScratch& ps = scratch.plan;
+  JoinScratch& js = scratch.join;
   ComputeSubRanges(registry_, q, ps);
 
   const bool joined = result_cache_.enabled() && k > 0;
@@ -198,11 +203,13 @@ QueryResult DirectoryService<Key>::ExecuteQuery(
           stats.dht_hops += lane.result.hops;
           if (!lane.result.ok) stats.failed = true;
         }
-        svc.ResolveSub(sub, lo, hi, dominated, lanes.data() + first, matches,
+        js.raw.clear();
+        svc.ResolveSub(sub, lo, hi, dominated, lanes.data() + first, js.raw,
                        stats);
         const bool sub_failed = stats.failed;
         stats.failed = failed_before || sub_failed;
-        DedupMatches(matches);  // replicas may repeat tuples along a walk
+        // Replicas may repeat tuples along a walk.
+        DedupMatches(js.raw, js.keys, matches);
         // Only a sub-query that itself resolved completely is cacheable: a
         // failed route or a truncated walk would freeze an incomplete answer,
         // also when an earlier sub-query of this query already failed.
@@ -230,9 +237,9 @@ QueryResult DirectoryService<Key>::ExecuteQuery(
       }
     }
 
-    // Classic: join every sub-query's matches at once, in fresh buffers, so
-    // a query's allocations do not depend on the queries before it.
-    result.providers = plan_ ? ps.candidates : JoinProviders(result.per_sub);
+    // Classic: join every sub-query's matches at once, in the scratch.
+    result.providers =
+        plan_ ? ps.candidates : JoinProviders(result.per_sub, js);
     // Soft-state filtering: drop providers that have departed since they
     // advertised (their stale entries expire with periodic re-advertisement).
     std::erase_if(result.providers, [&](NodeAddr p) { return !HasNode(p); });

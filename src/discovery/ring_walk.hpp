@@ -15,6 +15,13 @@
 // wrong: the root's own (possibly wrapped) sector can contain key_hi while
 // the middle of the segment is still uncovered.
 //
+// The walk steps by slab slot. WalkBegin resolves the root's address to its
+// slot once; every advance then reads the head's id (IdAt) and its
+// successor's slot (the ring's SuccessorSlot, the same rule Successor(addr)
+// runs, dead-link billing included) straight from the slab, so a visit
+// costs no address probe. On a fresh Chord ring the successor is the
+// header's cached s0_slot, so a step touches one header line per node.
+//
 // The walk is factored into a resumable Begin/Advance/Finish state machine
 // (mirroring the rings' LookupBegin/Step/Finish) so the batched walk engine
 // (src/harness/batch_walk.hpp) can keep B walks in flight and prefetch the
@@ -26,6 +33,7 @@
 
 #include "chord/chord.hpp"
 #include "common/error.hpp"
+#include "common/slot_slab.hpp"
 #include "cycloid/cycloid.hpp"
 #include "discovery/stats.hpp"
 #include "obs/metrics.hpp"
@@ -33,10 +41,11 @@
 namespace lorm::discovery {
 
 /// Cursor of one in-flight successor walk. `cur` is the node the caller
-/// should visit next; `done` is set once coverage (or the full circle) is
-/// reached *after* the current node's visit.
+/// should visit next and `slot` its slab slot; `done` is set once coverage
+/// (or the full circle) is reached *after* the current node's visit.
 struct SuccessorWalkState {
   NodeAddr cur = kNoNode;
+  SlabSlot slot = kNoSlabSlot;
   NodeAddr root = kNoNode;
   std::uint64_t mask = 0;
   std::uint64_t target = 0;
@@ -50,12 +59,14 @@ struct SuccessorWalkState {
 /// Starts a walk at `root` (the owner of key_lo) over [key_lo, key_hi].
 /// Requires key_lo <= key_hi in the unwrapped ID order (locality-preserving
 /// hashes are monotone, so range endpoints never wrap). Templated over the
-/// ring: any substrate exposing space()/size()/IdOf/Successor over
-/// chord::Key walks identically (ChordRing and the single-hop ring do).
+/// ring: any substrate exposing space()/size()/SlotOf/IdAt/AddrAt and
+/// SuccessorSlot over chord::Key walks identically (ChordRing and the
+/// single-hop ring do).
 template <typename Ring>
 void WalkBegin(const Ring& ring, NodeAddr root, chord::Key key_lo,
                chord::Key key_hi, SuccessorWalkState& st) {
   st.cur = root;
+  st.slot = ring.SlotOf(root);
   st.root = root;
   st.mask = ring.space() - 1;
   st.target = (key_hi - key_lo) & st.mask;
@@ -67,23 +78,26 @@ void WalkBegin(const Ring& ring, NodeAddr root, chord::Key key_lo,
 }
 
 /// Advances past the already-visited st.cur. Returns true when another node
-/// must be visited (st.cur updated), false when the walk is complete.
+/// must be visited (st.cur and st.slot updated), false when the walk is
+/// complete.
 template <typename Ring>
 bool WalkAdvance(const Ring& ring, SuccessorWalkState& st,
                  QueryStats& stats) {
   // Covered up to cur's ID: done once that reaches key_hi.
-  if (((ring.IdOf(st.cur) - st.key_lo) & st.mask) >= st.target) {
+  if (((ring.IdAt(st.slot) - st.key_lo) & st.mask) >= st.target) {
     st.done = true;
     return false;
   }
-  const NodeAddr next = ring.Successor(st.cur);
-  if (next == st.root) {  // full circle: every node checked
+  const SlabSlot next = ring.SuccessorSlot(st.slot);
+  const NodeAddr next_addr = ring.AddrAt(next);
+  if (next_addr == st.root) {  // full circle: every node checked
     st.done = true;
     return false;
   }
   LORM_CHECK_MSG(st.steps < st.guard, "ring walk failed to terminate");
   ++st.steps;
-  st.cur = next;
+  st.cur = next_addr;
+  st.slot = next;
   stats.walk_steps += 1;
   ++st.forwards;
   return true;

@@ -10,8 +10,7 @@
 //    `test_lookup_alloc` asserts;
 //  * recording never allocates: counters and histogram bucket arrays are
 //    sized at registration time, and updates are relaxed atomic adds on
-//    per-thread shards (the `VisitCounter` pattern), so replay workers
-//    never contend on one cache line;
+//    per-thread shards, so replay workers never contend on one cache line;
 //  * instruments are interned forever: `GetCounter`/`GetHistogram` return
 //    stable references that survive `Reset()` (which zeroes in place), so
 //    call sites may cache them in static locals.

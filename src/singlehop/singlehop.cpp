@@ -97,13 +97,7 @@ NodeAddr SingleHopRing::NthOraclePredecessor(NodeAddr addr, std::size_t steps,
 }
 
 NodeAddr SingleHopRing::Successor(NodeAddr addr) const {
-  const Node& n = slab_.MustGet(addr);
-  const Slot s = slab_.Resolve(n.successor);
-  if (s != kNoSlot) return slab_[s].addr;
-  // Stale link (the successor crashed since the last window): the full
-  // table supplies the next live member, one detected failure, zero hops.
-  maintenance_.dead_links_skipped += 1;
-  return slab_[oracle_[oracle_.SuccessorIndex(n.id)].slot].addr;
+  return slab_[SuccessorSlot(slab_.MustFind(addr))].addr;
 }
 
 NodeAddr SingleHopRing::Predecessor(NodeAddr addr) const {

@@ -130,9 +130,20 @@ class SingleHopRing
                               NodeAddr excluded = kNoNode) const;
   NodeAddr NthOraclePredecessor(NodeAddr addr, std::size_t steps,
                                 NodeAddr excluded = kNoNode) const;
-  /// The node's own successor pointer (protocol state: a generation-checked
-  /// link, oracle fallback when stale).
+  /// The node's own successor pointer: the member at SuccessorSlot of its
+  /// slot.
   NodeAddr Successor(NodeAddr addr) const;
+  /// Slot of the successor of the member at slot `s`, from its
+  /// generation-checked link. A stale link (the successor crashed since the
+  /// last window) falls back on the full table: one detected failure,
+  /// billed to dead_links_skipped, zero hops.
+  Slot SuccessorSlot(Slot s) const {
+    const Node& n = slab_[s];
+    const Slot next = slab_.Resolve(n.successor);
+    if (next != kNoSlot) return next;
+    maintenance_.dead_links_skipped += 1;
+    return oracle_[oracle_.SuccessorIndex(n.id)].slot;
+  }
   NodeAddr Predecessor(NodeAddr addr) const;
 
   /// Every member knows every other member: n-1 out-links (Fig 3(a)'s

@@ -232,8 +232,7 @@ TEST_P(ResultCachePerSystem, EpochExpiryEvictsCachedAnswers) {
 
 INSTANTIATE_TEST_SUITE_P(
     Systems, ResultCachePerSystem,
-    ::testing::Values(SystemKind::kLorm, SystemKind::kMercury,
-                      SystemKind::kSword, SystemKind::kMaan),
+    ::testing::ValuesIn(harness::AllSystems()),
     [](const auto& info) { return std::string(SystemName(info.param)); });
 
 // ---- Golden equivalence: cache on/off, identical QueryResults --------------
@@ -276,8 +275,7 @@ TEST_P(CacheEquivalence, QuickWorkloadResultsAreIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Systems, CacheEquivalence,
-    ::testing::Values(SystemKind::kLorm, SystemKind::kMercury,
-                      SystemKind::kSword, SystemKind::kMaan),
+    ::testing::ValuesIn(harness::AllSystems()),
     [](const auto& info) { return std::string(SystemName(info.param)); });
 
 // ---- Failed sub-queries are never cached ----------------------------------

@@ -53,8 +53,7 @@ TEST_P(ChurnPerSystem, RangeQueriesSurviveChurn) {
 
 INSTANTIATE_TEST_SUITE_P(
     Systems, ChurnPerSystem,
-    ::testing::Values(SystemKind::kLorm, SystemKind::kMercury,
-                      SystemKind::kSword, SystemKind::kMaan),
+    ::testing::ValuesIn(harness::AllSystems()),
     [](const auto& info) { return std::string(SystemName(info.param)); });
 
 TEST(ChurnInvariance, HopsStayNearStaticAcrossRates) {

@@ -1,14 +1,22 @@
-// Discovery-core tests: per-node directories and the provider join.
+// Discovery-core tests: per-node directories, the provider join and the
+// successor walk.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "chord/chord.hpp"
+#include "common/random.hpp"
 #include "discovery/directory.hpp"
 #include "discovery/join.hpp"
+#include "discovery/ring_walk.hpp"
+#include "singlehop/singlehop.hpp"
 
 namespace lorm::discovery {
 namespace {
@@ -295,6 +303,231 @@ TEST(DedupTest, EmptyAndSingleton) {
   std::vector<ResourceInfo> one{{0, AttrValue::Number(1), 10}};
   DedupMatches(one);
   EXPECT_EQ(one.size(), 1u);
+}
+
+// ---- Dedup and join against the plain algorithms --------------------------
+
+/// The dedup as a whole-tuple sort: order by (attr, provider, value), then
+/// drop equal neighbours.
+std::vector<ResourceInfo> ReferenceDedup(std::vector<ResourceInfo> m) {
+  std::sort(m.begin(), m.end(),
+            [](const ResourceInfo& a, const ResourceInfo& b) {
+              if (a.attr != b.attr) return a.attr < b.attr;
+              if (a.provider != b.provider) return a.provider < b.provider;
+              return a.value < b.value;
+            });
+  m.erase(std::unique(m.begin(), m.end()), m.end());
+  return m;
+}
+
+/// The join as std::set_intersection over sorted, unique provider sets.
+std::vector<NodeAddr> ReferenceJoin(
+    const std::vector<std::vector<ResourceInfo>>& per_sub) {
+  std::vector<NodeAddr> acc;
+  for (std::size_t i = 0; i < per_sub.size(); ++i) {
+    std::vector<NodeAddr> cur;
+    for (const ResourceInfo& m : per_sub[i]) cur.push_back(m.provider);
+    std::sort(cur.begin(), cur.end());
+    cur.erase(std::unique(cur.begin(), cur.end()), cur.end());
+    if (i == 0) {
+      acc = cur;
+      continue;
+    }
+    std::vector<NodeAddr> out;
+    std::set_intersection(acc.begin(), acc.end(), cur.begin(), cur.end(),
+                          std::back_inserter(out));
+    acc = out;
+  }
+  return acc;
+}
+
+/// Random raw matches: `attrs` attributes (attribute 2 is text-valued), a
+/// pool of six providers so ties are common, a few values per attribute
+/// (-0.0 and +0.0 among the numbers, texts sharing their first eight bytes)
+/// and repeated tuples.
+std::vector<ResourceInfo> RandomMatches(Rng& rng, std::size_t attrs) {
+  static const double kNumbers[] = {-2.5, -0.0, 0.0, 1.0, 1.5, -1e-300, 1e300};
+  static const char* const kTexts[] = {"",          "AIX",
+                                       "Linux",     "Linux-x86",
+                                       "Linux-x86_64", "Linux-x86_32",
+                                       "Windows"};
+  std::vector<ResourceInfo> out(rng.NextBelow(201));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ResourceInfo& m = out[i];
+    if (i > 0 && rng.NextBelow(5) == 0) {
+      m = out[rng.NextBelow(i)];  // a repeated tuple
+      continue;
+    }
+    m.attr = static_cast<AttrId>(rng.NextBelow(attrs));
+    m.provider = static_cast<NodeAddr>(rng.NextBelow(6));
+    m.value = m.attr == 2 ? AttrValue::Text(kTexts[rng.NextBelow(7)])
+                          : AttrValue::Number(kNumbers[rng.NextBelow(7)]);
+  }
+  return out;
+}
+
+TEST(JoinReference, DedupMatchesTheWholeTupleSort) {
+  Rng rng(0xDED0);
+  std::vector<MatchKey> keys;
+  std::size_t signed_zero_pairs = 0;
+  for (int round = 0; round < 400; ++round) {
+    const std::vector<ResourceInfo> raw =
+        RandomMatches(rng, 1 + static_cast<std::size_t>(round % 3));
+    const std::vector<ResourceInfo> want = ReferenceDedup(raw);
+    SCOPED_TRACE(round);
+
+    std::vector<ResourceInfo> in_place = raw;
+    DedupMatches(in_place);
+    EXPECT_EQ(in_place, want);
+
+    std::vector<ResourceInfo> distinct;
+    DedupMatches(raw, keys, distinct);  // keys reused across rounds
+    EXPECT_EQ(distinct, want);
+    EXPECT_EQ(distinct.capacity(), distinct.size());
+
+    // -0.0 == +0.0: a key made of the raw bits would keep both.
+    for (const ResourceInfo& a : raw) {
+      for (const ResourceInfo& b : raw) {
+        if (a.attr == b.attr && a.provider == b.provider &&
+            a.value.kind() == resource::ValueKind::kNumeric &&
+            b.value.kind() == resource::ValueKind::kNumeric &&
+            a.value.num() == 0.0 && b.value.num() == 0.0 &&
+            std::signbit(a.value.num()) && !std::signbit(b.value.num())) {
+          ++signed_zero_pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(signed_zero_pairs, 0u);
+}
+
+TEST(JoinReference, JoinProvidersMatchesSetIntersection) {
+  Rng rng(0x501);
+  JoinScratch scratch;
+  std::size_t non_empty = 0;
+  for (int round = 0; round < 400; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<std::vector<ResourceInfo>> raw(rng.NextBelow(4));
+    for (auto& sub : raw) sub = RandomMatches(rng, 1 + rng.NextBelow(3));
+    std::vector<std::vector<ResourceInfo>> deduped;
+    for (const auto& sub : raw) deduped.push_back(ReferenceDedup(sub));
+
+    const std::vector<NodeAddr> want = ReferenceJoin(raw);
+    if (!want.empty()) ++non_empty;
+    // Raw lists are unsorted; deduplicated ones come in provider order.
+    EXPECT_EQ(JoinProviders(raw), want);
+    EXPECT_EQ(JoinProviders(raw, scratch), want);
+    EXPECT_EQ(JoinProviders(deduped, scratch), want);
+  }
+  EXPECT_GT(non_empty, 100u);
+}
+
+TEST(JoinReference, IntersectSortedKeepsBothCapacities) {
+  // The intersection is copied back into `acc` instead of swapping buffers,
+  // so neither scratch buffer takes the other's capacity.
+  std::vector<NodeAddr> acc{1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<NodeAddr> tmp;
+  tmp.reserve(2);
+  const std::size_t acc_cap = acc.capacity();
+  const NodeAddr* acc_data = acc.data();
+  IntersectSorted(acc, {2, 4, 8, 9}, tmp);
+  EXPECT_EQ(acc, (std::vector<NodeAddr>{2, 4, 8}));
+  EXPECT_EQ(acc.capacity(), acc_cap);
+  EXPECT_EQ(acc.data(), acc_data);
+  EXPECT_EQ(tmp, acc);
+}
+
+// ---- Successor walks step by slot -----------------------------------------
+
+/// The walk by address: IdOf for the coverage test, Successor for the next
+/// node.
+template <typename Ring>
+std::vector<NodeAddr> ReferenceWalk(const Ring& ring, NodeAddr root,
+                                    chord::Key key_lo, chord::Key key_hi) {
+  const std::uint64_t mask = ring.space() - 1;
+  const std::uint64_t target = (key_hi - key_lo) & mask;
+  std::vector<NodeAddr> visits{root};
+  for (NodeAddr cur = root;;) {
+    if (((ring.IdOf(cur) - key_lo) & mask) >= target) break;
+    cur = ring.Successor(cur);
+    if (cur == root) break;
+    visits.push_back(cur);
+  }
+  return visits;
+}
+
+/// Runs WalkSuccessors and the reference over random ranges (and the full
+/// ring) from the owner of each range's low end; both must visit the same
+/// nodes and bill the same dead links. Returns the dead links billed.
+template <typename Ring>
+std::uint64_t ExpectWalksMatchReference(const Ring& ring, std::uint64_t seed) {
+  Rng rng(seed);
+  std::uint64_t dead_links = 0;
+  for (int i = 0; i < 300; ++i) {
+    chord::Key lo = rng.NextBelow(ring.space());
+    chord::Key hi = lo + rng.NextBelow(ring.space() / 3);
+    if (hi >= ring.space()) hi = ring.space() - 1;
+    if (i == 0) {
+      lo = 0;
+      hi = ring.space() - 1;
+    }
+    const NodeAddr root = ring.OwnerOf(lo);
+    SCOPED_TRACE(::testing::Message() << "walk [" << lo << ", " << hi << "]");
+
+    const std::uint64_t d0 = ring.maintenance().dead_links_skipped;
+    const std::vector<NodeAddr> want = ReferenceWalk(ring, root, lo, hi);
+    const std::uint64_t d1 = ring.maintenance().dead_links_skipped;
+    std::vector<NodeAddr> got;
+    QueryStats stats;
+    WalkSuccessors(ring, root, lo, hi, stats,
+                   [&](NodeAddr a) { got.push_back(a); });
+    const std::uint64_t d2 = ring.maintenance().dead_links_skipped;
+
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(d2 - d1, d1 - d0);
+    EXPECT_EQ(stats.visited_nodes, want.size());
+    EXPECT_EQ(stats.walk_steps, want.size() - 1);
+    dead_links += d2 - d1;
+  }
+  return dead_links;
+}
+
+TEST(WalkReference, FreshChordRing) {
+  chord::Config cfg;
+  cfg.bits = 12;
+  const auto ring = chord::MakeRing(300, cfg, /*deterministic_ids=*/false);
+  ASSERT_TRUE(ring.LinksFresh());
+  EXPECT_EQ(ExpectWalksMatchReference(ring, 11), 0u);
+}
+
+TEST(WalkReference, ChordRingWithCrashedUnrepairedMembers) {
+  chord::Config cfg;
+  cfg.bits = 12;
+  auto ring = chord::MakeRing(300, cfg, /*deterministic_ids=*/false);
+  const std::vector<NodeAddr> members = ring.Members();  // id order
+  // A run longer than the successor list (every listed successor of the
+  // member before it dies, so the oracle answers) and scattered crashes.
+  for (std::size_t i = 40; i < 40 + cfg.successor_list + 1; ++i) {
+    ring.FailNode(members[i]);
+  }
+  for (std::size_t i = 100; i < members.size(); i += 23) {
+    ring.FailNode(members[i]);
+  }
+  ASSERT_FALSE(ring.LinksFresh());
+  EXPECT_GT(ExpectWalksMatchReference(ring, 12), 0u);
+}
+
+TEST(WalkReference, SingleHopRingWithStaleSuccessors) {
+  singlehop::Config cfg;
+  cfg.bits = 12;
+  auto ring =
+      singlehop::MakeSingleHopRing(300, cfg, /*deterministic_ids=*/false);
+  const std::vector<NodeAddr> members = ring.Members();
+  for (std::size_t i = 5; i < members.size(); i += 17) {
+    ring.FailNode(members[i]);
+  }
+  ASSERT_FALSE(ring.LinksFresh());
+  EXPECT_GT(ExpectWalksMatchReference(ring, 13), 0u);
 }
 
 TEST(DirectoryTest, ExpireBeforeDropsOldEpochsOnly) {

@@ -256,8 +256,7 @@ TEST_P(FailurePerSystem, RecoveryRestoresFullRecall) {
 
 INSTANTIATE_TEST_SUITE_P(
     Systems, FailurePerSystem,
-    ::testing::Values(SystemKind::kLorm, SystemKind::kMercury,
-                      SystemKind::kSword, SystemKind::kMaan),
+    ::testing::ValuesIn(harness::AllSystems()),
     [](const auto& info) { return std::string(SystemName(info.param)); });
 
 // Joins and a leave land next to crashed predecessors that no Maintain has

@@ -5,7 +5,8 @@
 // network — so a warm lookup loop must not touch the allocator at all. The
 // same holds for a warm Advertise, whose routes reuse one result per
 // service: only the owner directories' entry vectors grow. A warm classic
-// Query() that matches nothing allocates only the result it returns.
+// Query() allocates only the result it returns, and with the planner or
+// the result cache on its allocation count repeats from pass to pass.
 //
 // Verified with counting global operator new/delete: the counter is
 // process-wide, so each probe region runs single-threaded with no other
@@ -17,6 +18,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "chord/chord.hpp"
@@ -259,44 +261,98 @@ TEST(LookupAllocFree, WarmAdvertiseRoutesWithoutAllocating) {
   }
 }
 
+/// A Quick deployment with every tuple advertised, 3-attribute point
+/// queries and 2-attribute bounded ranges (most of which match).
+struct QueryBed {
+  explicit QueryBed(harness::Setup s)
+      : setup(s), workload(setup.MakeWorkloadConfig()) {
+    std::vector<NodeAddr> providers(setup.nodes);
+    for (std::size_t i = 0; i < providers.size(); ++i) {
+      providers[i] = static_cast<NodeAddr>(i);
+    }
+    Rng rng(47);
+    infos = workload.GenerateInfos(providers, rng);
+    for (int i = 0; i < 40; ++i) {
+      const NodeAddr requester = providers[rng.NextBelow(providers.size())];
+      queries.push_back(workload.MakePointQuery(3, requester, rng));
+      queries.push_back(workload.MakeRangeQuery(
+          2, requester, resource::RangeStyle::kBounded, rng));
+    }
+  }
+  harness::Setup setup;
+  resource::Workload workload;
+  std::vector<resource::ResourceInfo> infos;
+  std::vector<resource::MultiQuery> queries;
+};
+
 TEST(LookupAllocFree, WarmQueryAllocatesOnlyItsResult) {
   // A classic cache-off Query() routes its root lookups in lanes that
-  // QueryScratch keeps, walks and probes in place, and joins empty match
-  // lists without buffers of its own. So once a pass has warmed the
-  // scratch, a 3-attribute point query that matches nothing allocates
-  // exactly its QueryResult's two vectors: per_sub and stats.sub_costs.
-  const harness::Setup setup = harness::Setup::Small();  // cache, plan off
-  resource::Workload workload(setup.MakeWorkloadConfig());
-  std::vector<NodeAddr> providers(setup.nodes);
-  for (std::size_t i = 0; i < providers.size(); ++i) {
-    providers[i] = static_cast<NodeAddr>(i);
-  }
-  Rng rng(47);
-  const auto infos = workload.GenerateInfos(providers, rng);
-  std::vector<resource::MultiQuery> queries;
-  for (int i = 0; i < 40; ++i) {
-    queries.push_back(workload.MakePointQuery(
-        3, providers[rng.NextBelow(providers.size())], rng));
-  }
+  // QueryScratch keeps, walks and probes in place, collects raw matches,
+  // dedups and joins in QueryScratch too. So once a pass has warmed the
+  // scratch, a query allocates exactly its QueryResult: per_sub and
+  // stats.sub_costs, one exactly sized list per sub-query that matched, and
+  // the provider list when it is not empty.
+  const QueryBed bed(harness::Setup::Quick());  // cache, plan off
   for (const harness::SystemKind kind : harness::AllSystems()) {
     SCOPED_TRACE(harness::SystemName(kind));
-    const auto service = harness::MakeService(kind, setup, workload.registry());
-    harness::AdvertiseAll(*service, infos);
+    const auto service =
+        harness::MakeService(kind, bed.setup, bed.workload.registry());
+    harness::AdvertiseAll(*service, bed.infos);
     discovery::QueryScratch scratch;
-    for (const auto& q : queries) service->Query(q, scratch);  // warm-up
-    std::size_t empty = 0;
-    for (const auto& q : queries) {
+    for (const auto& q : bed.queries) service->Query(q, scratch);  // warm-up
+    std::size_t matched = 0;
+    std::size_t joined = 0;
+    for (std::size_t i = 0; i < bed.queries.size(); ++i) {
       discovery::QueryResult r;
-      const std::uint64_t allocs =
-          CountAllocations([&] { r = service->Query(q, scratch); });
-      const bool matched = std::any_of(
+      const std::uint64_t allocs = CountAllocations(
+          [&] { r = service->Query(bed.queries[i], scratch); });
+      const auto lists = static_cast<std::uint64_t>(std::count_if(
           r.per_sub.begin(), r.per_sub.end(),
-          [](const auto& m) { return !m.empty(); });
-      if (matched) continue;
-      ++empty;
-      EXPECT_EQ(allocs, 2u);
+          [](const auto& m) { return !m.empty(); }));
+      matched += lists != 0 ? 1 : 0;
+      joined += r.providers.empty() ? 0 : 1;
+      EXPECT_EQ(allocs, 2 + lists + (r.providers.empty() ? 0u : 1u))
+          << "query " << i;
     }
-    EXPECT_GT(empty, queries.size() / 2);
+    EXPECT_GT(matched, bed.queries.size() / 4);
+    EXPECT_GT(joined, 0u);
+  }
+}
+
+TEST(LookupAllocFree, WarmQueryAllocationsRepeatWithPlannerAndCache) {
+  // With the planner or the result cache on a query also allocates what
+  // the cache copies, so its count is not the classic one; but it must
+  // repeat exactly from one warm pass to the next. The discovery
+  // benchmark's traced run rejects a query whose count moves between
+  // replays, which a scratch buffer that trades capacity with another (as
+  // a swap does) makes happen.
+  for (const auto& [plan, cache] :
+       {std::pair{true, false}, std::pair{false, true},
+        std::pair{true, true}}) {
+    harness::Setup setup = harness::Setup::Quick();
+    setup.plan = plan;
+    setup.cache = cache;
+    const QueryBed bed(setup);
+    for (const harness::SystemKind kind : harness::AllSystems()) {
+      SCOPED_TRACE(::testing::Message()
+                   << harness::SystemName(kind) << " plan=" << plan
+                   << " cache=" << cache);
+      const auto service =
+          harness::MakeService(kind, bed.setup, bed.workload.registry());
+      harness::AdvertiseAll(*service, bed.infos);
+      discovery::QueryScratch scratch;
+      for (const auto& q : bed.queries) service->Query(q, scratch);  // warm-up
+      std::vector<std::uint64_t> first;
+      for (const auto& q : bed.queries) {
+        first.push_back(CountAllocations([&] { service->Query(q, scratch); }));
+      }
+      for (std::size_t i = 0; i < bed.queries.size(); ++i) {
+        EXPECT_EQ(CountAllocations(
+                      [&] { service->Query(bed.queries[i], scratch); }),
+                  first[i])
+            << "query " << i;
+      }
+    }
   }
 }
 

@@ -295,6 +295,36 @@ TEST(AdvertiseInstruments, EachSystemBillsItsOwnName) {
   }
 }
 
+TEST(DirectoryProbeInstruments, OneSamplePerVisitWithTracingOff) {
+  // A probe skips its report when nobody listens, but metrics alone are a
+  // listener: with no trace active, every visited node must still land one
+  // sample in each directory.probe_* histogram, on every system.
+  for (const harness::SystemKind kind : harness::AllSystems()) {
+    SCOPED_TRACE(harness::SystemName(kind));
+    auto bed = testutil::MakeBed(kind);
+    Rng rng(0x9B0BE);
+    MetricsOn on;
+    ASSERT_FALSE(TracingActive());
+    std::uint64_t visited = 0;
+    for (int i = 0; i < 20; ++i) {
+      const NodeAddr requester =
+          static_cast<NodeAddr>(rng.NextBelow(bed.setup.nodes));
+      const auto q =
+          i % 2 == 0 ? bed.workload->MakeRangeQuery(
+                           2, requester, resource::RangeStyle::kBounded, rng)
+                     : bed.workload->MakePointQuery(3, requester, rng);
+      visited += bed.service->Query(q).stats.visited_nodes;
+    }
+    ASSERT_GT(visited, 0u);
+    const ParsedMetrics dump = DumpRegistry();
+    for (const char* name : {"directory.probe_size", "directory.probe_hits"}) {
+      const auto h = dump.histograms.find(name);
+      ASSERT_NE(h, dump.histograms.end()) << name;
+      EXPECT_EQ(h->second.count, visited) << name;
+    }
+  }
+}
+
 // ---- Trace recorder -------------------------------------------------------
 
 TEST(TraceGate, InertWithoutSink) {

@@ -160,10 +160,7 @@ TEST_P(ParallelDeterminismTest, ParallelReplayKeepsQueryLoadTotals) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, ParallelDeterminismTest,
-                         ::testing::Values(harness::SystemKind::kLorm,
-                                           harness::SystemKind::kMercury,
-                                           harness::SystemKind::kSword,
-                                           harness::SystemKind::kMaan));
+                         ::testing::ValuesIn(harness::AllSystems()));
 
 }  // namespace
 }  // namespace lorm
