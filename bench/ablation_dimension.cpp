@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
                "constant; larger d spreads each attribute pile over more "
                "cluster nodes (lower p99) but lengthens range walks "
                "(~1 + d/4 visited)\n";
-  bench::FinishBench(opt, "ablation_dimension",
-                     dims.size() * 2 * (opt.quick ? 20 : 100) * 10);
+  bench::FinishBench(opt, dims.size() * 2 * (opt.quick ? 20 : 100) * 10);
   return 0;
 }

@@ -66,6 +66,6 @@ int main(int argc, char** argv) {
                "once nearly all mass maps to one cyclic position; the "
                "CDF-equalized variant holds the uniform analysis at every "
                "skew\n";
-  bench::FinishBench(opt, "ablation_lph");
+  bench::FinishBench(opt);
   return 0;
 }

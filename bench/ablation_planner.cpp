@@ -205,7 +205,6 @@ int main(int argc, char** argv) {
               << harness::TablePrinter::Num(ms, 2) << " ms\n";
   }
 
-  bench::FinishBench(opt, "ablation_planner",
-                     replayed + walks * 4);
+  bench::FinishBench(opt, replayed + walks * 4);
   return 0;
 }

@@ -78,6 +78,6 @@ int main(int argc, char** argv) {
                "LORM's and SWORD's hottest node absorbs an increasing share "
                "of all visits — LORM caps it at the hot cluster's d nodes, "
                "SWORD at a single root\n";
-  bench::FinishBench(opt, "ablation_popularity", 3 * 3 * queries);
+  bench::FinishBench(opt, 3 * 3 * queries);
   return 0;
 }

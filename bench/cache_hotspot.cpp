@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   // Every system answers the hot templates from its caches after the first
   // few draws; both modes replay the identical stream, so the reduction is
   // pure caching effect (CI gates it at >= 2x).
-  bench::FinishBench(opt, "cache_hotspot",
-                     2 * harness::AllSystems().size() * queries);
+  bench::FinishBench(opt, 2 * harness::AllSystems().size() * queries);
   return 0;
 }

@@ -47,6 +47,6 @@ int main(int argc, char** argv) {
 
   std::cout << "\nshape check: LORM < Analysis>LORM at every n "
                "(Theorem 4.1 holds with margin)\n";
-  bench::FinishBench(opt, "fig3a_outlinks");
+  bench::FinishBench(opt);
   return 0;
 }

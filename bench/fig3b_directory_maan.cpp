@@ -56,6 +56,6 @@ int main(int argc, char** argv) {
   std::cout << "\nshape check: LORM avg == Analysis avg; LORM p99 slightly "
                "above Analysis p99 (non-uniform values); MAAN total = 2x "
                "(Theorem 4.2)\n";
-  bench::FinishBench(opt, "fig3b_directory_maan");
+  bench::FinishBench(opt);
   return 0;
 }

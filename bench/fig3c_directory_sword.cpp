@@ -51,6 +51,6 @@ int main(int argc, char** argv) {
   std::cout << "\nshape check: equal averages (Theorem 4.2); LORM p99 ~ "
                "SWORD p99 / d, slightly above from value randomness "
                "(Theorem 4.4)\n";
-  bench::FinishBench(opt, "fig3c_directory_sword");
+  bench::FinishBench(opt);
   return 0;
 }

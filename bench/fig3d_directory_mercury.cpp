@@ -61,6 +61,6 @@ int main(int argc, char** argv) {
                "spread is wider than Mercury's by about that factor "
                "(Theorem 4.5); p1 can undershoot when some cluster nodes "
                "receive no values (paper's note)\n";
-  bench::FinishBench(opt, "fig3d_directory_mercury");
+  bench::FinishBench(opt);
   return 0;
 }

@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
                "between near Analysis-LORM; all grow linearly in the "
                "attribute count; D1HT floors the plot at ~2 hops/attribute "
                "(one-hop lookups)\n";
-  bench::FinishBench(opt, "fig4a_hops_avg",
-                     attr_counts.size() * harness::AllSystems().size() *
-                         (opt.quick ? 20 : 100) * 10);
+  bench::FinishBench(opt, attr_counts.size() * harness::AllSystems().size() *
+                          (opt.quick ? 20 : 100) * 10);
   return 0;
 }

@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nshape check: same ordering as Figure 4(a), scaled by the "
                "1000-query batch\n";
-  bench::FinishBench(opt, "fig4b_hops_total",
-                     attr_counts.size() * harness::AllSystems().size() *
-                         (opt.quick ? 20 : 100) * 10);
+  bench::FinishBench(opt, attr_counts.size() * harness::AllSystems().size() *
+                          (opt.quick ? 20 : 100) * 10);
   return 0;
 }

@@ -57,6 +57,6 @@ int main(int argc, char** argv) {
                "(the paper draws a single curve for them; D1HT tracks MAAN "
                "— the walk is substrate-independent); compare with Figure "
                "5(b)'s SWORD/LORM, orders of magnitude lower\n";
-  bench::FinishBench(opt, "fig5a_range_visited_wide", attr_counts.size() * 3 * queries);
+  bench::FinishBench(opt, attr_counts.size() * 3 * queries);
   return 0;
 }

@@ -49,6 +49,6 @@ int main(int argc, char** argv) {
   std::cout << "\nshape check: SWORD exactly matches its analysis; LORM "
                "runs at or slightly below m(1 + d/4) x queries — both "
                "~100x below Figure 5(a)'s system-wide walkers\n";
-  bench::FinishBench(opt, "fig5b_range_visited_narrow", attr_counts.size() * 2 * queries);
+  bench::FinishBench(opt, attr_counts.size() * 2 * queries);
   return 0;
 }

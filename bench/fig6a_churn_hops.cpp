@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
                "values, zero failures in every cell; D1HT pinned at ~2 "
                "hops/attribute regardless of churn (full routing tables "
                "repair instantly between requests)\n";
-  bench::FinishBench(opt, "fig6a_churn_hops",
-                     rates.size() * harness::AllSystems().size() *
-                         queries_per_rate);
+  bench::FinishBench(opt, rates.size() * harness::AllSystems().size() *
+                          queries_per_rate);
   return 0;
 }

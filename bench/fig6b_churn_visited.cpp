@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
   std::cout << "\nshape check: Mercury ~ MAAN ~ D1HT ~ their analysis "
                "(overlapping); LORM ~ m(1+d/4) and SWORD ~ m, flat in R, "
                "zero failures\n";
-  bench::FinishBench(opt, "fig6b_churn_visited",
-                     rates.size() * harness::AllSystems().size() *
-                         queries_per_rate);
+  bench::FinishBench(opt, rates.size() * harness::AllSystems().size() *
+                          queries_per_rate);
   return 0;
 }

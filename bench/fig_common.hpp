@@ -35,7 +35,6 @@ struct BenchOptions {
   bool cache = false;   ///< enable the adaptive caching layer (--cache)
   bool plan = false;    ///< enable the selectivity-driven planner (--plan)
   bool csv = false;     ///< machine-readable table rows
-  bool json = false;    ///< emit a machine-readable summary line at exit
   std::size_t jobs = 1; ///< worker threads (--jobs; default hw concurrency)
   /// Lookup/trial batch width (--batch). Figure benches feed this to
   /// QueryExperimentConfig::batch (block-granular trial scheduling);
@@ -89,7 +88,6 @@ inline BenchOptions ParseOptions(int argc, char** argv) {
     if (std::strcmp(argv[i], "--cache") == 0) opt.cache = true;
     if (std::strcmp(argv[i], "--plan") == 0) opt.plan = true;
     if (std::strcmp(argv[i], "--csv") == 0) opt.csv = true;
-    if (std::strcmp(argv[i], "--json") == 0) opt.json = true;
     if (std::strcmp(argv[i], "--metrics") == 0) opt.metrics = true;
     if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
       opt.metrics = true;
@@ -155,12 +153,12 @@ inline BenchOptions ParseOptions(int argc, char** argv) {
   return opt;
 }
 
-/// Wall-clock + throughput summary every bench prints before exiting. With
-/// --json it additionally emits one machine-readable line (the BENCH_*.json
-/// perf-trajectory format). `queries` = 0 for benches that measure
-/// structure, not query replay; qps is omitted then.
-inline void FinishBench(const BenchOptions& opt, const std::string& name,
-                        std::size_t queries = 0) {
+/// Wall-clock + throughput summary every bench prints before exiting: the
+/// whole process, set-up included, so it is a smoke number, not a
+/// measurement (the repeatable one is perfbench; see BENCHMARK.json).
+/// `queries` = 0 for benches that measure structure, not query replay; qps
+/// is omitted then.
+inline void FinishBench(const BenchOptions& opt, std::size_t queries = 0) {
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - opt.start)
@@ -178,13 +176,6 @@ inline void FinishBench(const BenchOptions& opt, const std::string& name,
   }
   human << ")\n";
   std::cout << human.str();
-  if (opt.json) {
-    std::cout << "{\"bench\":\"" << name << "\",\"jobs\":" << opt.jobs
-              << ",\"quick\":" << (opt.quick ? "true" : "false")
-              << ",\"queries\":" << queries
-              << ",\"wall_ms\":" << harness::TablePrinter::Num(wall_ms, 3)
-              << ",\"qps\":" << harness::TablePrinter::Num(qps, 3) << "}\n";
-  }
   if (opt.metrics) {
     if (opt.metrics_file.empty()) {
       std::cout << "metrics: ";

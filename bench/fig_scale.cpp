@@ -21,8 +21,6 @@
 // sweep at 65536 nodes; the full run reaches 1048576.
 #include <sys/resource.h>
 
-#include <type_traits>
-
 #include "analysis/theorems.hpp"
 #include "chord/chord.hpp"
 #include "cycloid/cycloid.hpp"
@@ -96,12 +94,11 @@ ScalePoint MeasurePoint(
 
   std::uint64_t batch_hops = 0;
   std::uint64_t batch_owner_sum = 0;
-  // Chord's hop reads only computed addresses (header with embedded
-  // successor(0), id-mirror tail), so one prefetch stage issued after each
-  // step covers it a full lane round ahead; Cycloid still chases link
-  // targets and pipelines 3 deep.
-  const unsigned stages = std::is_same_v<Ring, chord::ChordRing> ? 1u : 3u;
-  harness::BatchLookupEngine<Ring> engine(batch, stages);
+  // The ring sets the pipeline depth (Ring::kPrefetchStages): Chord's hop
+  // reads only computed addresses, so one stage issued after each step
+  // covers it a full lane round ahead; Cycloid chases link targets and
+  // pipelines 3 deep.
+  harness::BatchLookupEngine<Ring> engine(batch);
   // Warm the lane results so the timed run replays allocation-free.
   engine.Run(ring, reqs.data(), std::min<std::size_t>(reqs.size(), batch),
              [&](std::size_t, const typename Ring::LookupResultType&) {});
@@ -230,6 +227,6 @@ int main(int argc, char** argv) {
   std::cout << "shape check: bias% shrinks as n grows (finite-size bias of "
                "the theorem hop estimates); speedup > 1 once the slab "
                "outgrows cache\n";
-  bench::FinishBench(opt, "fig_scale", total_lookups);
+  bench::FinishBench(opt, total_lookups);
   return 0;
 }

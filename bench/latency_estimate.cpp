@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
                "(parallel lookups); range queries blow Mercury/MAAN up to "
                "~n/4 serialized forwards while SWORD/LORM stay near their "
                "point latency\n";
-  bench::FinishBench(opt, "latency_estimate",
-                     harness::AllSystems().size() * 2 *
-                         (opt.quick ? 10 : 100) * 10);
+  bench::FinishBench(opt, harness::AllSystems().size() * 2 *
+                          (opt.quick ? 10 : 100) * 10);
   return 0;
 }

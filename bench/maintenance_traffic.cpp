@@ -110,6 +110,6 @@ int main(int argc, char** argv) {
                "cheaper than one Chord ring's); D1HT/MAAN ~ n/log n (full-"
                "view dissemination) while its hops/query is the floor of "
                "the tradeoff table\n";
-  bench::FinishBench(opt, "maintenance_traffic");
+  bench::FinishBench(opt);
   return 0;
 }

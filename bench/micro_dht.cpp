@@ -212,7 +212,7 @@ void BM_ChordLookupScratch(benchmark::State& state) {
 BENCHMARK(BM_ChordLookupScratch)->Arg(256)->Arg(2048)->Arg(16384);
 
 /// The batched, software-pipelined engine over the same request pattern the
-/// Scratch loop times: 32 walks in flight, each hop prefetched three stages
+/// Scratch loop times: 16 walks in flight, each hop prefetched a lane round
 /// ahead while the other walks execute. One benchmark iteration routes the
 /// whole pre-generated pool; time/iteration divided by the pool size is the
 /// batched ns/lookup. `batch_speedup` is sequential-vs-batched measured on
@@ -234,13 +234,13 @@ void BM_ChordLookupBatch(benchmark::State& state) {
                     members[rng.NextBelow(members.size())]});
   }
 
-  // 16 lanes, 1 pipeline stage: a fresh Chord ring reads only the header
-  // line (successor(0) cached inside it) and the finger-extent tail, both
-  // at addresses computed from the slot index, so stage 0 issued right
-  // after each step covers everything — the prefetch-to-use distance is a
-  // full round of lanes. Extra stages only add round-robin overhead, and
-  // 16 lanes already put ~10 independent misses in flight.
-  harness::BatchLookupEngine<chord::ChordRing> engine(16, 1);
+  // 16 lanes, 1 pipeline stage (ChordRing::kPrefetchStages): a fresh Chord
+  // ring reads only the header line (successor(0) cached inside it) and the
+  // finger-extent tail, both at addresses computed from the slot index, so
+  // stage 0 issued right after each step covers everything — the
+  // prefetch-to-use distance is a full round of lanes. 16 lanes already
+  // put ~10 independent misses in flight.
+  harness::BatchLookupEngine<chord::ChordRing> engine(16);
   // Micro-assert: the pipelined walks must return bit-identical results to
   // the plain sequential walk before we time anything.
   {

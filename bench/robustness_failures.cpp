@@ -73,6 +73,6 @@ int main(int argc, char** argv) {
                "fraction (SWORD in all-or-nothing attribute piles, MAAN "
                "twice as exposed); after repair + re-advertisement every "
                "system returns to zero failures and recall 1.000\n";
-  bench::FinishBench(opt, "robustness_failures");
+  bench::FinishBench(opt);
   return 0;
 }

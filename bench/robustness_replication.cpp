@@ -186,6 +186,6 @@ int main(int argc, char** argv) {
                "of r x storage; LORM alone keeps losing whole-cluster "
                "crashes (its replicas cannot cross the cubical dimension); "
                "the final column is 1.000 everywhere regardless\n";
-  bench::FinishBench(opt, "robustness_replication");
+  bench::FinishBench(opt);
   return ok ? 0 : 1;
 }

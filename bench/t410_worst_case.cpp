@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
   std::cout << "\nshape check: Mercury/MAAN contact ~n nodes per attribute; "
                "LORM stays within ~2d+1 per attribute; the measured "
                "LORM-vs-system-wide gap matches the guaranteed m*n saving\n";
-  bench::FinishBench(opt, "t410_worst_case",
-                     3 * harness::AllSystems().size() * queries);
+  bench::FinishBench(opt, 3 * harness::AllSystems().size() * queries);
   return 0;
 }

@@ -548,59 +548,26 @@ bool ChordRing::LookupStep(LookupState& st) const {
 }
 
 void ChordRing::LookupPrefetch(const LookupState& st, unsigned stage) const {
-  if (st.done) return;
-  const Node& n = slab_[st.cur];
-  switch (stage) {
-    case 0: {
-      // Every address below is computed from the slot index alone — no
-      // dependent chase, so one stage covers the whole hop. A fresh step
-      // reads the header line (successor(0) is cached inside it), scans
-      // the id mirror tail-first, then reads the matched link from the
-      // finger extent.
-      __builtin_prefetch(&n, 0, 3);
-      const char* ids = reinterpret_cast<const char*>(SlotFingerIds(st.cur));
-      const std::size_t id_bytes = cfg_.bits * sizeof(Key);
-      const char* iend = ids + id_bytes;
-      constexpr std::size_t kIdTail = 192;  // 24 ids — deeper than most scans
-      for (std::size_t off = 1; off <= id_bytes && off <= kIdTail; off += 64) {
-        __builtin_prefetch(iend - off, 0, 3);
-      }
-      // The matched finger is then read from the full link extent; matches
-      // cluster at the top of the table, so fetch its last two lines.
-      const std::size_t link_bytes = cfg_.bits * sizeof(Link);
-      const char* fend =
-          reinterpret_cast<const char*>(SlotFingers(st.cur)) + link_bytes;
-      __builtin_prefetch(fend - 64, 0, 3);
-      if (link_bytes > 64) __builtin_prefetch(fend - 128, 0, 3);
-      break;
-    }
-    case 1: {
-      // Second level: the link targets whose slab headers the step's
-      // generation checks deref. A fresh ring performs none — the cached
-      // link IDs are authoritative — so the stage is a no-op there. A stale
-      // ring checks the predecessor (OwnsNode), the first successor, and
-      // every scanned finger; cover the targets the scan starts with.
-      if (links_fresh_) break;
-      if (n.predecessor.slot != kNoSlot) {
-        __builtin_prefetch(&slab_[n.predecessor.slot], 0, 3);
-      }
-      const Link* succs = SlotSuccessors(st.cur);
-      if (n.succ_count != 0 && succs[0].slot != kNoSlot) {
-        __builtin_prefetch(&slab_[succs[0].slot], 0, 3);
-      }
-      const Link* fingers = SlotFingers(st.cur);
-      const std::size_t fc = n.finger_count;
-      const std::size_t top = fc > 4 ? fc - 4 : 0;
-      for (std::size_t i = fc; i-- > top;) {
-        if (fingers[i].slot != kNoSlot) {
-          __builtin_prefetch(&slab_[fingers[i].slot], 0, 3);
-        }
-      }
-      break;
-    }
-    default:
-      break;  // the two stages above cover the whole chase
+  if (st.done || stage != 0) return;
+  // Every address below is computed from the slot index alone — no
+  // dependent chase, so one stage covers the whole hop. A fresh step reads
+  // the header line (successor(0) is cached inside it), scans the id mirror
+  // tail-first, then reads the matched link from the finger extent.
+  __builtin_prefetch(&slab_[st.cur], 0, 3);
+  const char* ids = reinterpret_cast<const char*>(SlotFingerIds(st.cur));
+  const std::size_t id_bytes = cfg_.bits * sizeof(Key);
+  const char* iend = ids + id_bytes;
+  constexpr std::size_t kIdTail = 192;  // 24 ids — deeper than most scans
+  for (std::size_t off = 1; off <= id_bytes && off <= kIdTail; off += 64) {
+    __builtin_prefetch(iend - off, 0, 3);
   }
+  // The matched finger is then read from the full link extent; matches
+  // cluster at the top of the table, so fetch its last two lines.
+  const std::size_t link_bytes = cfg_.bits * sizeof(Link);
+  const char* fend =
+      reinterpret_cast<const char*>(SlotFingers(st.cur)) + link_bytes;
+  __builtin_prefetch(fend - 64, 0, 3);
+  if (link_bytes > 64) __builtin_prefetch(fend - 128, 0, 3);
 }
 
 void ChordRing::SyncSucc0(Node& n) {

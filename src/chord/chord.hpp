@@ -238,17 +238,13 @@ class ChordRing
   bool LookupStep(LookupState& st) const;
 
   /// Issues __builtin_prefetch for the slab lines the walk's next LookupStep
-  /// will read. Stages pipeline the pointer chase (each stage only
-  /// dereferences memory a previous stage prefetched):
-  ///   0 — the node header line + its routing extent (both addresses are
-  ///       computed from the slot index, so no dependent load is needed;
-  ///       call right after Begin or a hop);
-  ///   1 — predecessor/successor/top-finger target headers (needs stage 0
-  ///       resident). On a fresh ring (LinksFresh) the step derefs no
-  ///       targets and this stage is a no-op;
-  ///   2 — unused (kept so engines may pipeline 3 deep on other rings).
-  /// Pure prefetch: no observable effect, safe to skip or repeat.
+  /// will read: at stage 0 (the only one; call right after Begin or a hop)
+  /// the node header line and its routing extent. Both addresses are
+  /// computed from the slot index, so no stage has to wait for another's
+  /// load. Pure prefetch: no observable effect, safe to skip or repeat.
   void LookupPrefetch(const LookupState& st, unsigned stage) const;
+  /// Prefetch stages a batch engine runs before each step.
+  static constexpr unsigned kPrefetchStages = 1;
 
   // ---- Maintenance ------------------------------------------------------
 

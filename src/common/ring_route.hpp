@@ -100,6 +100,8 @@ class RingRoute {
   /// Aliases the batch engine templates over.
   using LookupKeyType = Id;
   using LookupResultType = LookupResult;
+  /// What SetObserver registers.
+  using ObserverType = Observer;
 
   std::size_t size() const { return slab_.size(); }
   bool Contains(NodeAddr addr) const { return slab_.Contains(addr); }

@@ -203,6 +203,8 @@ class CycloidNetwork
   ///   2 — cyclic/outside targets (the cluster-walk fallback reads).
   /// Pure prefetch: no observable effect, safe to skip or repeat.
   void LookupPrefetch(const LookupState& st, unsigned stage) const;
+  /// Prefetch stages a batch engine runs before each step: all three.
+  static constexpr unsigned kPrefetchStages = 3;
 
   // ---- Maintenance --------------------------------------------------------
 

@@ -12,7 +12,8 @@
 // membership change (see the singlehop header). Together with MAAN on Chord
 // this brackets the maintenance-vs-lookup tradeoff the five-curve figures
 // exist to show: identical workload, identical directories, opposite end of
-// the DHT design space.
+// the DHT design space. Membership runs through the same DirectoryService
+// path and handoff as MAAN's, over the single-hop ring.
 #pragma once
 
 #include "discovery/maan_service.hpp"

@@ -1,16 +1,23 @@
 // What the five discovery services share besides their query executor: the
-// per-node directories and the state around them.
+// per-node directories, the state around them and the membership path.
 //
 // Every service keeps its tuples in a DirectoryStore keyed by its overlay's
 // key type, feeds the planner's histograms from it, serves repeated
 // sub-queries from a result cache, counts the query visits each node absorbs
 // and meters replication handoff. This base holds that state once, with the
 // operations that only read or expire it, the directory probe every
-// resolver runs, the membership flight record, the placement every
-// Advertise runs (Place) and the query executor (ExecuteQuery, defined in
-// query_executor.hpp). A service adds its overlay, its keys, its membership
-// handlers, the root lookups of a sub-query (RootLookups) and its
-// ResolveSub.
+// resolver runs, the placement every Advertise runs (Place) and the query
+// executor (ExecuteQuery, defined in query_executor.hpp).
+//
+// It also runs every join, leave and crash. A service registers each of its
+// rings with the observer that hands off that ring's entries (AddRing: one
+// ring for LORM, SWORD, MAAN and D1HT, one per attribute for Mercury); the
+// base checks the first ring's capacity, drives every ring, records the
+// flight event and drops a departed node's directory once every ring's
+// handoff ran. The Chord-keyed rings share one observer (RingHandoff,
+// replication.hpp); LORM hands off across its Cycloid clusters itself. What
+// a service adds is its placement (Advertise), the root lookups of a
+// sub-query (RootLookups), its walk (ResolveSub) and its ring(s).
 #pragma once
 
 #include <cstdint>
@@ -34,17 +41,80 @@
 
 namespace lorm::discovery {
 
-/// Entry filter that keeps every entry (probes and replication handoffs of
-/// systems that store one record kind).
-inline constexpr auto kAllEntries = [](const auto&) { return true; };
+/// The knobs every service's Config starts from; harness::Setup sets them
+/// alike for all five systems.
+struct ServiceOptions {
+  /// Copies of each directory entry: 1 = primary only; r > 1 places r - 1
+  /// more on the owner's successors (ring successors, or LORM's cyclic
+  /// successors inside the owner's cluster).
+  std::size_t replicas = 1;
+  /// Serve repeated (attribute, range) sub-queries from a result cache,
+  /// invalidated on every membership/advertise/expiry event (`--cache`).
+  bool result_cache = false;
+  /// Selectivity-driven query planning (`--plan`): execute sub-queries
+  /// most-selective-first, intersect incrementally and stop once the
+  /// candidate set empties. Off = the classic path, byte-identical to
+  /// pre-planner builds.
+  bool plan = false;
+};
 
-template <typename Key>
+/// `Ring` is the overlay every lookup of the service routes on (its key
+/// type keys the directories): chord::ChordRing, cycloid::CycloidNetwork or
+/// singlehop::SingleHopRing.
+template <typename Ring>
 class DirectoryService : public DiscoveryService {
  public:
+  using Key = typename Ring::LookupKeyType;
+
   DirectoryService(const DirectoryService&) = delete;
   DirectoryService& operator=(const DirectoryService&) = delete;
 
   std::string name() const final { return name_; }
+
+  /// Rejected (false) when the first ring's identifier space is full; then
+  /// every ring adds the node and hands off its arcs.
+  bool JoinNode(NodeAddr addr) final {
+    const Ring& first = *rings_.front();
+    if (first.size() >= Capacity(first)) return false;
+    for (Ring* ring : rings_) ring->AddNode(addr);
+    RecordMembership(obs::FlightEventKind::kJoin, addr);
+    return true;
+  }
+  void LeaveNode(NodeAddr addr) final {
+    RecordMembership(obs::FlightEventKind::kLeave, addr);
+    for (Ring* ring : rings_) ring->RemoveNode(addr);
+    store_.Drop(addr);  // every ring's handoff already moved what survives
+  }
+  void FailNode(NodeAddr addr) final {
+    RecordMembership(obs::FlightEventKind::kCrash, addr);
+    for (Ring* ring : rings_) ring->FailNode(addr);
+    store_.Drop(addr);  // the crashed node's copies do not survive
+  }
+  bool HasNode(NodeAddr addr) const final {
+    return rings_.front()->Contains(addr);
+  }
+  std::size_t NetworkSize() const final { return rings_.front()->size(); }
+  std::vector<NodeAddr> Nodes() const final {
+    return rings_.front()->Members();
+  }
+  void Maintain() final {
+    for (Ring* ring : rings_) ring->StabilizeAll();
+  }
+  std::uint64_t MaintenanceMessages() const final {
+    std::uint64_t total = 0;
+    for (const Ring* ring : rings_) total += ring->maintenance().Total();
+    return total;
+  }
+  /// A node's out-links summed over every ring (Mercury: all m hubs).
+  std::vector<double> OutlinkCounts() const final {
+    std::vector<double> out;
+    for (const NodeAddr addr : Nodes()) {
+      std::size_t links = 0;
+      for (const Ring* ring : rings_) links += ring->Outlinks(addr);
+      out.push_back(static_cast<double>(links));
+    }
+    return out;
+  }
 
   void SetEpoch(std::uint64_t epoch) final { epoch_ = epoch; }
   std::uint64_t CurrentEpoch() const final { return epoch_; }
@@ -86,26 +156,35 @@ class DirectoryService : public DiscoveryService {
   using Store = DirectoryStore<Key>;
   using Matches = std::vector<resource::ResourceInfo>;
 
-  /// `result_cache` enables the (attribute, range) result cache (`--cache`);
-  /// `plan` feeds the planner's histograms from the directories and runs
-  /// planned execution (`--plan`).
+  /// `options.result_cache` enables the (attribute, range) result cache
+  /// (`--cache`); `options.plan` feeds the planner's histograms from the
+  /// directories and runs planned execution (`--plan`).
   DirectoryService(std::string system,
                    const resource::AttributeRegistry& registry,
-                   bool result_cache, bool plan)
+                   const ServiceOptions& options)
       : name_(system), registry_(registry), repl_(std::move(system)),
-        advertise_obs_(name_), plan_(plan) {
-    if (result_cache) result_cache_.Enable();
-    if (plan) {
+        advertise_obs_(name_), plan_(options.plan) {
+    if (options.result_cache) result_cache_.Enable();
+    if (plan_) {
       selectivity_.Configure(registry_);
       store_.SetEstimator(&selectivity_);
     }
   }
 
-  /// Runs `q` on `svc`, a service whose lookups route on `Ring`: the
-  /// executor routes the root lookups `svc.RootLookups` names for each
-  /// sub-query and hands their results to `svc.ResolveSub`, which walks and
-  /// probes (query_executor.hpp, which defines it).
-  template <typename Ring, typename Service>
+  /// Registers `ring`, whose membership events `observer` hands off. Call
+  /// once per ring after it was built (a bulk build refuses an observer);
+  /// both must outlive the service. The first ring is the one membership
+  /// queries read.
+  void AddRing(Ring& ring, typename Ring::ObserverType* observer) {
+    ring.SetObserver(observer);
+    rings_.push_back(&ring);
+  }
+
+  /// Runs `q` on `svc`: the executor routes the root lookups
+  /// `svc.RootLookups` names for each sub-query and hands their results to
+  /// `svc.ResolveSub`, which walks and probes (query_executor.hpp, which
+  /// defines it).
+  template <typename Service>
   QueryResult ExecuteQuery(const resource::MultiQuery& q,
                            QueryScratch& scratch, const Service& svc) const;
 
@@ -186,14 +265,6 @@ class DirectoryService : public DiscoveryService {
     return obs::MetricsEnabled() || obs::TracingActive();
   }
 
-  /// Flight-records a membership change at the current network size (after
-  /// a join, before a leave or crash).
-  void RecordMembership(obs::FlightEventKind kind, NodeAddr addr) const {
-    if (obs::FlightEnabled()) {
-      obs::RecordFlight(kind, name_, addr, NetworkSize());
-    }
-  }
-
   const std::string name_;
   const resource::AttributeRegistry& registry_;
   /// Declared before store_ so the directories (whose destructor un-counts
@@ -212,10 +283,29 @@ class DirectoryService : public DiscoveryService {
   mutable cache::ResultCache result_cache_;
 
  private:
+  /// The most members a ring's identifier space seats.
+  static std::uint64_t Capacity(const Ring& ring) {
+    if constexpr (requires { ring.capacity(); }) {
+      return ring.capacity();  // Cycloid: d * 2^d positions
+    } else {
+      return ring.space();  // Chord-keyed: 2^bits ids
+    }
+  }
+
+  /// Flight-records a membership change at the current network size (after
+  /// a join, before a leave or crash).
+  void RecordMembership(obs::FlightEventKind kind, NodeAddr addr) const {
+    if (obs::FlightEnabled()) {
+      obs::RecordFlight(kind, name_, addr, NetworkSize());
+    }
+  }
+
   AdvertiseInstruments advertise_obs_;
   /// Place's route, reused so a warm Advertise allocates no path.
   RouteResult<Key> placement_;
   bool plan_;
+  /// Every ring the service routes on, in registration order.
+  std::vector<Ring*> rings_;
 };
 
 }  // namespace lorm::discovery

@@ -11,10 +11,10 @@
 //
 // All five expose identical advertise/query/membership operations so the
 // experiment harnesses and examples can drive them interchangeably. They
-// share their directory state (directory_service.hpp) and one query
-// executor (query_executor.hpp), which routes every lookup; each
-// contributes only its placement, the root lookups of one sub-query and how
-// it walks and probes from their owners.
+// share their directory state and membership path (directory_service.hpp)
+// and one query executor (query_executor.hpp), which routes every lookup;
+// each contributes only its ring(s), its placement, the root lookups of one
+// sub-query and how it walks and probes from their owners.
 #pragma once
 
 #include <cstddef>

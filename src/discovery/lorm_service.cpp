@@ -15,7 +15,7 @@ namespace lorm::discovery {
 LormService::LormService(std::size_t n,
                          const resource::AttributeRegistry& registry,
                          Config cfg)
-    : DirectoryService("LORM", registry, cfg.result_cache, cfg.plan),
+    : DirectoryService("LORM", registry, cfg),
       cfg_(std::move(cfg)),
       net_(cycloid::MakeCycloid(n, cfg_.overlay)) {
   const ConsistentHash ch(cfg_.overlay.dimension);
@@ -23,7 +23,7 @@ LormService::LormService(std::size_t n,
   for (AttrId a = 0; a < registry_.size(); ++a) {
     attr_cubical_.push_back(ch(registry_.Get(a).name()));
   }
-  net_.SetObserver(this);
+  AddRing(net_, this);
 }
 
 std::uint64_t LormService::CubicalOf(AttrId attr) const {
@@ -52,23 +52,6 @@ cycloid::CycloidId LormService::KeyFor(AttrId attr,
   return cycloid::CycloidId{CyclicOf(attr, ordinal), CubicalOf(attr)};
 }
 
-bool LormService::JoinNode(NodeAddr addr) {
-  if (net_.size() >= net_.capacity()) return false;  // id space exhausted
-  net_.AddNode(addr);
-  RecordMembership(obs::FlightEventKind::kJoin, addr);
-  return true;
-}
-
-void LormService::LeaveNode(NodeAddr addr) {
-  RecordMembership(obs::FlightEventKind::kLeave, addr);
-  net_.RemoveNode(addr);
-}
-
-void LormService::FailNode(NodeAddr addr) {
-  RecordMembership(obs::FlightEventKind::kCrash, addr);
-  net_.FailNode(addr);
-}
-
 HopCount LormService::Advertise(const resource::ResourceInfo& info) {
   HopCount hops = 0;
   // Replicas ride the small cycle to the owner's cyclic successors. A route
@@ -84,7 +67,7 @@ HopCount LormService::Advertise(const resource::ResourceInfo& info) {
 
 QueryResult LormService::Query(const resource::MultiQuery& q,
                                QueryScratch& scratch) const {
-  return ExecuteQuery<cycloid::CycloidNetwork>(q, scratch, *this);
+  return ExecuteQuery(q, scratch, *this);
 }
 
 void LormService::ResolveSub(const resource::SubQuery& sub, double lo,
@@ -105,15 +88,6 @@ void LormService::ResolveSub(const resource::SubQuery& sub, double lo,
     stats.visited_nodes += 1;
     Probe(walk.cur, sub.attr, lo, hi, kAllEntries, matches, stats);
   } while (ClusterWalkAdvance(net_, walk, stats));
-}
-
-std::vector<double> LormService::OutlinkCounts() const {
-  std::vector<double> out;
-  out.reserve(net_.size());
-  for (NodeAddr addr : net_.Members()) {
-    out.push_back(static_cast<double>(net_.Outlinks(addr)));
-  }
-  return out;
 }
 
 void LormService::OnJoin(NodeAddr node,
@@ -143,23 +117,17 @@ void LormService::OnJoin(NodeAddr node,
 
 void LormService::OnFail(NodeAddr node) {
   result_cache_.InvalidateAll();
-  if (cfg_.replicas > 1) {
-    // The crashed copies die with the node; the rest of its cluster still
-    // holds every tuple that had a surviving copy, and the rebuild spreads
-    // them back to full replication depth. A whole-cluster crash still
-    // loses its attribute's data — cluster replication cannot reach across
-    // the cubical dimension.
-    const std::uint64_t a = net_.IdOf(node).a;
-    store_.Drop(node);
-    if (net_.ClusterCount() > 0) {
-      RebuildClusterReplicas({}, {a}, obs::FlightEventKind::kReplicaRepair,
-                             node);
-    }
-    return;
+  // The crashed copies die with the node (FailNode drops its directory).
+  // Unreplicated there is no handoff: what it stored is gone until providers
+  // re-advertise in a later epoch. Replicated, the rest of its cluster still
+  // holds every tuple that had a surviving copy, and the rebuild spreads
+  // them back to full replication depth. A whole-cluster crash still loses
+  // its attribute's data — cluster replication cannot reach across the
+  // cubical dimension.
+  if (cfg_.replicas > 1 && net_.ClusterCount() > 0) {
+    RebuildClusterReplicas({}, {net_.IdOf(node).a},
+                           obs::FlightEventKind::kReplicaRepair, node);
   }
-  // No handoff: whatever the failed node stored is gone until providers
-  // re-advertise in a later epoch.
-  store_.Drop(node);
 }
 
 void LormService::OnLeave(NodeAddr node) {
@@ -167,7 +135,6 @@ void LormService::OnLeave(NodeAddr node) {
   if (cfg_.replicas > 1) {
     const std::uint64_t a = net_.IdOf(node).a;
     auto pool = store_.TakeAll(node);
-    store_.Drop(node);
     if (net_.ClusterCount() > 0) {
       RebuildClusterReplicas(std::move(pool), {a},
                              obs::FlightEventKind::kHandoff, node);
@@ -175,7 +142,6 @@ void LormService::OnLeave(NodeAddr node) {
     return;
   }
   auto orphaned = store_.TakeAll(node);
-  store_.Drop(node);
   if (net_.ClusterCount() == 0) return;  // last node left: information is lost
   for (auto& e : orphaned) {
     // Primaries re-home with their key sector; replicas are dropped here and

@@ -16,6 +16,11 @@
 // (Proposition 3.1 guarantees all matches lie on that arc). Sub-queries of a
 // multi-attribute query resolve in parallel and are joined on the provider
 // address.
+//
+// DirectoryService runs joins, leaves and crashes on the Cycloid; LORM is
+// the ring's observer and hands off within the affected clusters itself
+// (OnJoin, OnLeave, OnFail), since its replicas follow cyclic successors
+// inside a cluster rather than a global ring.
 #pragma once
 
 #include <functional>
@@ -29,27 +34,17 @@
 
 namespace lorm::discovery {
 
-class LormService final : public DirectoryService<cycloid::CycloidId>,
+class LormService final : public DirectoryService<cycloid::CycloidNetwork>,
                           private cycloid::MembershipObserver {
  public:
-  struct Config {
-    cycloid::Config overlay;
-    /// Copies of each directory entry: 1 = primary only; r > 1 additionally
-    /// places r-1 replicas on the owner's cyclic successors (crash
-    /// resilience — see the robustness_replication bench).
-    std::size_t replicas = 1;
+  /// Replicas go to the owner's cyclic successors (crash resilience; see
+  /// the robustness_replication bench).
+  struct Config : ServiceOptions {
+    cycloid::Config overlay{};
     /// If set, the locality-preserving hash equalizes through this CDF of
     /// the value distribution (load-balance ablation, DESIGN.md §5.2); the
     /// default is MAAN's linear construction, as in the paper.
-    std::function<double(double)> value_cdf;
-    /// Serve repeated (attribute, range) sub-queries from a result cache,
-    /// invalidated on every membership/advertise/expiry event (`--cache`).
-    bool result_cache = false;
-    /// Selectivity-driven query planning (`--plan`): execute sub-queries
-    /// most-selective-first and stop walking clusters once the candidate
-    /// intersection empties. Off = the classic path, byte-identical to
-    /// pre-planner builds.
-    bool plan = false;
+    std::function<double(double)> value_cdf{};
   };
 
   /// Builds a LORM system of `n` nodes (addresses 0..n-1), evenly populated
@@ -57,23 +52,10 @@ class LormService final : public DirectoryService<cycloid::CycloidId>,
   LormService(std::size_t n, const resource::AttributeRegistry& registry,
               Config cfg);
 
-  bool JoinNode(NodeAddr addr) override;
-  void LeaveNode(NodeAddr addr) override;
-  void FailNode(NodeAddr addr) override;
-  bool HasNode(NodeAddr addr) const override { return net_.Contains(addr); }
-  std::size_t NetworkSize() const override { return net_.size(); }
-  std::vector<NodeAddr> Nodes() const override { return net_.Members(); }
-  void Maintain() override { net_.StabilizeAll(); }
-  std::uint64_t MaintenanceMessages() const override {
-    return net_.maintenance().Total();
-  }
-
   HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
-
-  std::vector<double> OutlinkCounts() const override;
 
   /// The resource ID ⟨𝓗(π_a), H(a)⟩ of an (attribute, value) pair.
   cycloid::CycloidId KeyFor(AttrId attr, const resource::AttrValue& v) const;

@@ -5,27 +5,26 @@
 #include "common/error.hpp"
 #include "discovery/query_executor.hpp"
 #include "discovery/ring_walk.hpp"
-#include "obs/flight.hpp"
 
 namespace lorm::discovery {
 
 template <typename Ring>
 BasicMaanService<Ring>::BasicMaanService(
     std::size_t n, const resource::AttributeRegistry& registry, Config cfg)
-    : DirectoryService(MaanSubstrate<Ring>::kName, registry, cfg.result_cache,
-                       cfg.plan),
+    : DirectoryService<Ring>(MaanSubstrate<Ring>::kName, registry, cfg),
       cfg_(cfg),
-      ring_(MaanSubstrate<Ring>::Make(n, cfg.ring, cfg.deterministic_ids)) {
+      ring_(MaanSubstrate<Ring>::Make(n, cfg.ring)),
+      handoff_(*this) {
   const ConsistentHash ch(cfg_.ring.bits);
-  attr_key_.reserve(registry_.size());
-  lph_.reserve(registry_.size());
-  for (AttrId a = 0; a < registry_.size(); ++a) {
-    const auto& schema = registry_.Get(a);
+  attr_key_.reserve(registry.size());
+  lph_.reserve(registry.size());
+  for (AttrId a = 0; a < registry.size(); ++a) {
+    const auto& schema = registry.Get(a);
     attr_key_.push_back(ch(schema.name()));
     lph_.emplace_back(cfg_.ring.bits, schema.ordinal_min(),
                       schema.ordinal_max());
   }
-  ring_.SetObserver(this);
+  this->AddRing(ring_, &handoff_);
 }
 
 template <typename Ring>
@@ -37,27 +36,7 @@ chord::Key BasicMaanService<Ring>::AttributeKeyFor(AttrId attr) const {
 template <typename Ring>
 chord::Key BasicMaanService<Ring>::ValueKeyFor(
     AttrId attr, const resource::AttrValue& v) const {
-  return lph_[attr](registry_.Get(attr).OrdinalOf(v));
-}
-
-template <typename Ring>
-bool BasicMaanService<Ring>::JoinNode(NodeAddr addr) {
-  if (ring_.size() >= ring_.space()) return false;
-  ring_.AddNode(addr);
-  RecordMembership(obs::FlightEventKind::kJoin, addr);
-  return true;
-}
-
-template <typename Ring>
-void BasicMaanService<Ring>::LeaveNode(NodeAddr addr) {
-  RecordMembership(obs::FlightEventKind::kLeave, addr);
-  ring_.RemoveNode(addr);
-}
-
-template <typename Ring>
-void BasicMaanService<Ring>::FailNode(NodeAddr addr) {
-  RecordMembership(obs::FlightEventKind::kCrash, addr);
-  ring_.FailNode(addr);
+  return lph_[attr](this->registry_.Get(attr).OrdinalOf(v));
 }
 
 template <typename Ring>
@@ -66,21 +45,22 @@ HopCount BasicMaanService<Ring>::Advertise(
   HopCount hops = 0;
   const auto successor = [this](NodeAddr a) { return ring_.Successor(a); };
   const bool attr_placed =
-      Place(ring_, info, AttributeKeyFor(info.attr), kAttributeRecord,
-            cfg_.replicas, successor, hops);
+      this->Place(ring_, info, AttributeKeyFor(info.attr), kAttributeRecord,
+                  cfg_.replicas, successor, hops);
   LORM_CHECK_MSG(attr_placed,
-                 name_ + " attribute-record insert failed to route");
+                 this->name_ + " attribute-record insert failed to route");
   const bool value_placed =
-      Place(ring_, info, ValueKeyFor(info.attr, info.value), kValueRecord,
-            cfg_.replicas, successor, hops);
-  LORM_CHECK_MSG(value_placed, name_ + " value-record insert failed to route");
-  return Advertised(info.attr, hops);
+      this->Place(ring_, info, ValueKeyFor(info.attr, info.value),
+                  kValueRecord, cfg_.replicas, successor, hops);
+  LORM_CHECK_MSG(value_placed,
+                 this->name_ + " value-record insert failed to route");
+  return this->Advertised(info.attr, hops);
 }
 
 template <typename Ring>
 QueryResult BasicMaanService<Ring>::Query(const resource::MultiQuery& q,
                                           QueryScratch& scratch) const {
-  return ExecuteQuery<Ring>(q, scratch, *this);
+  return this->ExecuteQuery(q, scratch, *this);
 }
 
 template <typename Ring>
@@ -94,18 +74,18 @@ void BasicMaanService<Ring>::ResolveSub(
     // value walk. This is MAAN's single-attribute dominated query.
     if (!attr_root.ok) return;
     stats.visited_nodes += 1;
-    Probe(attr_root.owner, sub.attr, lo, hi,
-          [](const Store::Entry& e) { return e.tag == kAttributeRecord; },
-          matches, stats);
+    this->Probe(attr_root.owner, sub.attr, lo, hi,
+                [](const Entry& e) { return e.tag == kAttributeRecord; },
+                matches, stats);
     return;
   }
   if (attr_root.ok) {
     // The attribute root is checked but yields no value matches; the probe
     // is recorded so a trace's probe count equals visited_nodes.
     stats.visited_nodes += 1;
-    visit_counts_.Record(attr_root.owner);
-    if (ProbeObserved()) {
-      const auto* dir = store_.Find(attr_root.owner);
+    this->visit_counts_.Record(attr_root.owner);
+    if (this->ProbeObserved()) {
+      const auto* dir = this->store_.Find(attr_root.owner);
       obs::OnDirectoryProbe(attr_root.owner, 0, dir ? dir->size() : 0);
     }
   }
@@ -113,58 +93,24 @@ void BasicMaanService<Ring>::ResolveSub(
   // The value root, then (for ranges) the system-wide value walk.
   const RootLane<Ring>& value_root = roots[1];
   if (!value_root.result.ok) return;
-  const auto value_records = [](const Store::Entry& e) {
+  const auto value_records = [](const Entry& e) {
     return e.tag == kValueRecord;
   };
   WalkSuccessors(ring_, value_root.result.owner, value_root.key,
                  lph_[sub.attr](hi), stats, [&](NodeAddr cur) {
-                   Probe(cur, sub.attr, lo, hi, value_records, matches, stats);
+                   this->Probe(cur, sub.attr, lo, hi, value_records, matches,
+                               stats);
                  });
-}
-
-template <typename Ring>
-std::vector<double> BasicMaanService<Ring>::OutlinkCounts() const {
-  std::vector<double> out;
-  for (NodeAddr addr : ring_.Members()) {
-    out.push_back(static_cast<double>(ring_.Outlinks(addr)));
-  }
-  return out;
 }
 
 // Both record kinds replicate through the one successor-list protocol: an
 // attribute record's key is the attribute key and a value record's key is the
-// locality-preserving value key, so the generic ring-arc handoff places each
-// kind correctly without knowing about tags (kAllEntries).
-
-template <typename Ring>
-void BasicMaanService<Ring>::OnJoin(NodeAddr node, NodeAddr successor) {
-  result_cache_.InvalidateAll();  // the join re-homed part of some arc
-  RingJoinHandoff(ring_, store_, cfg_.replicas, node, successor, repl_,
-                  kAllEntries);
-}
-
-template <typename Ring>
-void BasicMaanService<Ring>::OnFail(NodeAddr node) {
-  result_cache_.InvalidateAll();
-  if (cfg_.replicas > 1) {
-    // The crashed node's copies are gone, but each lost key range survives on
-    // the rest of its replica group; the generic protocol restores both
-    // record kinds of every lost range, so the attribute-keyed and
-    // value-keyed record sets stay in lockstep with no extra work.
-    ChordReplicaFail(ring_, store_, cfg_.replicas, node, repl_, kAllEntries);
-    store_.Drop(node);
-    return;
-  }
-  ReconcileTwins(node);
-}
-
-template <typename Ring>
-void BasicMaanService<Ring>::OnLeave(NodeAddr node, NodeAddr successor) {
-  result_cache_.InvalidateAll();
-  RingLeaveHandoff(ring_, store_, cfg_.replicas, node, successor, repl_,
-                   kAllEntries);
-  store_.Drop(node);
-}
+// locality-preserving value key, so the shared ring-arc handoff (RingHandoff)
+// places each kind correctly without knowing about tags. With replicas > 1 a
+// crash loses nothing that survives on the rest of its replica group, and
+// the protocol restores both record kinds of every lost range, so the two
+// record sets stay in lockstep with no extra work; unreplicated, the
+// handoff's OnFail runs ReconcileTwins.
 
 template <typename Ring>
 void BasicMaanService<Ring>::ReconcileTwins(NodeAddr node) {
@@ -174,8 +120,8 @@ void BasicMaanService<Ring>::ReconcileTwins(NodeAddr node) {
   // the classic path and the planned path (which answers dominated
   // sub-queries from attribute records) disagree forever after a crash.
   // Walk the lost records and re-synchronize both sets.
-  const auto lost = store_.TakeAll(node);
-  store_.Drop(node);
+  auto& store = this->store_;
+  const auto lost = store.TakeAll(node);
   for (const auto& e : lost) {
     if (e.tag == kValueRecord) {
       // The authoritative value record died; retire its attribute-record
@@ -185,7 +131,7 @@ void BasicMaanService<Ring>::ReconcileTwins(NodeAddr node) {
       const NodeAddr attr_root =
           ring_.OwnerOfExcluding(AttributeKeyFor(e.info.attr), node);
       if (attr_root == kNoNode) continue;
-      store_.EraseIf(attr_root, [&](const Store::Entry& t) {
+      store.EraseIf(attr_root, [&](const Entry& t) {
         return t.tag == kAttributeRecord && t.info.attr == e.info.attr &&
                t.ordinal == e.ordinal && t.info.provider == e.info.provider &&
                t.epoch == e.epoch;
@@ -197,11 +143,11 @@ void BasicMaanService<Ring>::ReconcileTwins(NodeAddr node) {
       const NodeAddr value_root =
           ring_.OwnerOfExcluding(lph_[e.info.attr](e.ordinal), node);
       if (value_root == kNoNode) continue;
-      const auto* dir = store_.Find(value_root);
+      const auto* dir = store.Find(value_root);
       if (dir == nullptr) continue;
       bool twin_alive = false;
       dir->ForEachMatch(e.info.attr, e.ordinal, e.ordinal,
-                        [&](const Store::Entry& t) {
+                        [&](const Entry& t) {
                           if (t.tag == kValueRecord &&
                               t.info.provider == e.info.provider &&
                               t.epoch == e.epoch) {
@@ -212,9 +158,9 @@ void BasicMaanService<Ring>::ReconcileTwins(NodeAddr node) {
       const NodeAddr attr_root =
           ring_.OwnerOfExcluding(AttributeKeyFor(e.info.attr), node);
       if (attr_root == kNoNode) continue;
-      Store::Entry rebuilt = e;
+      Entry rebuilt = e;
       rebuilt.replica = 0;
-      store_.Insert(attr_root, std::move(rebuilt));
+      store.Insert(attr_root, std::move(rebuilt));
     }
   }
 }

@@ -20,7 +20,10 @@
 // The placement is a template over its ring: MaanService runs it on Chord,
 // D1htService (d1ht_service.hpp) on the single-hop ring. Both rings share
 // Chord's key space, so the directories, walks and replication protocol
-// are the same code.
+// are the same code. DirectoryService runs joins, leaves and crashes; the
+// ring's observer is the shared Chord-keyed handoff (RingHandoff), except
+// that an unreplicated crash also re-synchronizes the lost records' twins
+// (ReconcileTwins).
 #pragma once
 
 #include <string>
@@ -42,9 +45,8 @@ template <>
 struct MaanSubstrate<chord::ChordRing> {
   using Config = chord::Config;
   static constexpr const char* kName = "MAAN";
-  static chord::ChordRing Make(std::size_t n, const Config& cfg,
-                               bool deterministic_ids) {
-    return chord::MakeRing(n, cfg, deterministic_ids);
+  static chord::ChordRing Make(std::size_t n, const Config& cfg) {
+    return chord::MakeRing(n, cfg, /*deterministic_ids=*/true);
   }
 };
 
@@ -52,33 +54,22 @@ template <>
 struct MaanSubstrate<singlehop::SingleHopRing> {
   using Config = singlehop::Config;
   static constexpr const char* kName = "D1HT";
-  static singlehop::SingleHopRing Make(std::size_t n, const Config& cfg,
-                                       bool deterministic_ids) {
-    return singlehop::MakeSingleHopRing(n, cfg, deterministic_ids);
+  static singlehop::SingleHopRing Make(std::size_t n, const Config& cfg) {
+    return singlehop::MakeSingleHopRing(n, cfg, /*deterministic_ids=*/true);
   }
 };
 
 /// MAAN's dual placement and query resolution over `Ring` (see the file
 /// comment); explicitly instantiated for the two rings in maan_service.cpp.
+/// Both record kinds replicate to the owner's ring successors. With
+/// `plan`, the most selective sub-query pays the full value-segment walk
+/// and every later one is answered at its attribute root alone: MAAN's own
+/// "single-attribute dominated query", driven by the histograms.
 template <typename Ring>
-class BasicMaanService final : public DirectoryService<chord::Key>,
-                               private chord::MembershipObserver {
+class BasicMaanService final : public DirectoryService<Ring> {
  public:
-  struct Config {
-    typename MaanSubstrate<Ring>::Config ring;
-    bool deterministic_ids = true;
-    /// Copies of each record (1 = primary only; replicas go to the owner's
-    /// ring successors; both record kinds replicate).
-    std::size_t replicas = 1;
-    /// Serve repeated (attribute, range) sub-queries from a result cache,
-    /// invalidated on every membership/advertise/expiry event (`--cache`).
-    bool result_cache = false;
-    /// Selectivity-driven query planning (`--plan`): the most selective
-    /// sub-query pays the full value-segment walk; every later sub-query is
-    /// resolved at its attribute root alone — MAAN's own "single-attribute
-    /// dominated query" optimization, driven by the histograms. Off = the
-    /// classic path, byte-identical to pre-planner builds.
-    bool plan = false;
+  struct Config : ServiceOptions {
+    typename MaanSubstrate<Ring>::Config ring{};
   };
 
   /// Entry tags distinguishing the two record kinds.
@@ -88,23 +79,10 @@ class BasicMaanService final : public DirectoryService<chord::Key>,
   BasicMaanService(std::size_t n, const resource::AttributeRegistry& registry,
                    Config cfg);
 
-  bool JoinNode(NodeAddr addr) override;
-  void LeaveNode(NodeAddr addr) override;
-  void FailNode(NodeAddr addr) override;
-  bool HasNode(NodeAddr addr) const override { return ring_.Contains(addr); }
-  std::size_t NetworkSize() const override { return ring_.size(); }
-  std::vector<NodeAddr> Nodes() const override { return ring_.Members(); }
-  void Maintain() override { ring_.StabilizeAll(); }
-  std::uint64_t MaintenanceMessages() const override {
-    return ring_.maintenance().Total();
-  }
-
   HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
-
-  std::vector<double> OutlinkCounts() const override;
 
   chord::Key AttributeKeyFor(AttrId attr) const;
   chord::Key ValueKeyFor(AttrId attr, const resource::AttrValue& v) const;
@@ -112,7 +90,9 @@ class BasicMaanService final : public DirectoryService<chord::Key>,
   const Ring& overlay() const { return ring_; }
 
  private:
-  friend DirectoryService;  // the executor calls the two below
+  friend DirectoryService<Ring>;  // the executor calls the two below
+  using Matches = typename DirectoryService<Ring>::Matches;
+  using Entry = typename DirectoryService<Ring>::Store::Entry;
 
   /// Two root lookups: the attribute root (resolves the attribute name),
   /// then the value root. A dominated sub-query (planned, not the most
@@ -137,12 +117,27 @@ class BasicMaanService final : public DirectoryService<chord::Key>,
   /// failures.
   void ReconcileTwins(NodeAddr node);
 
-  void OnJoin(NodeAddr node, NodeAddr successor) override;
-  void OnLeave(NodeAddr node, NodeAddr successor) override;
-  void OnFail(NodeAddr node) override;
+  /// The shared handoff; an unreplicated crash also reconciles the twins,
+  /// while the crashed node is still in the ring's ownership oracle.
+  class Handoff final : public RingHandoff<Ring, AllEntries> {
+   public:
+    explicit Handoff(BasicMaanService& svc)
+        : RingHandoff<Ring, AllEntries>(svc.ring_, svc.store_,
+                                        svc.result_cache_, svc.repl_,
+                                        svc.cfg_.replicas),
+          svc_(svc) {}
+    void OnFail(NodeAddr node) override {
+      RingHandoff<Ring, AllEntries>::OnFail(node);
+      if (this->replicas() == 1) svc_.ReconcileTwins(node);
+    }
+
+   private:
+    BasicMaanService& svc_;
+  };
 
   Config cfg_;
   Ring ring_;
+  Handoff handoff_;
   std::vector<chord::Key> attr_key_;
   std::vector<LocalityPreservingHash> lph_;
 };

@@ -11,6 +11,12 @@
 //
 // The data-record/pointer optimization of the original system is disabled,
 // exactly as in the paper's comparative setup (§IV).
+//
+// Every hub is registered with DirectoryService, which adds, removes and
+// fails a node on all m hubs in turn and drops its directory once the last
+// hub ran. Each hub's observer is the shared Chord-keyed handoff
+// (RingHandoff) filtered to the hub's attribute, so a membership change
+// invalidates the result cache once per hub.
 #pragma once
 
 #include <memory>
@@ -23,44 +29,20 @@
 
 namespace lorm::discovery {
 
-class MercuryService final : public DirectoryService<chord::Key> {
+class MercuryService final : public DirectoryService<chord::ChordRing> {
  public:
-  struct Config {
-    chord::Config ring;  ///< per-hub Chord parameters (bits sized to n)
-    /// Copies of each directory entry (1 = primary only; replicas go to the
-    /// owner's ring successors).
-    std::size_t replicas = 1;
-    /// Evenly spaced deterministic IDs (the paper's fully populated rings)
-    /// for the initial population; churn joins always use hashed IDs.
-    bool deterministic_ids = true;
-    /// Serve repeated (attribute, range) sub-queries from a result cache,
-    /// invalidated on every membership/advertise/expiry event (`--cache`).
-    bool result_cache = false;
-    /// Selectivity-driven query planning (`--plan`): execute sub-queries
-    /// most-selective-first and stop walking hubs once the candidate
-    /// intersection empties. Off = the classic path, byte-identical to
-    /// pre-planner builds.
-    bool plan = false;
+  /// Replicas go to the owner's successors in its attribute's hub.
+  struct Config : ServiceOptions {
+    chord::Config ring{};  ///< per-hub Chord parameters (bits sized to n)
   };
 
   MercuryService(std::size_t n, const resource::AttributeRegistry& registry,
                  Config cfg);
 
-  bool JoinNode(NodeAddr addr) override;
-  void LeaveNode(NodeAddr addr) override;
-  void FailNode(NodeAddr addr) override;
-  bool HasNode(NodeAddr addr) const override;
-  std::size_t NetworkSize() const override;
-  std::vector<NodeAddr> Nodes() const override;
-  void Maintain() override;
-  std::uint64_t MaintenanceMessages() const override;
-
   HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
-
-  std::vector<double> OutlinkCounts() const override;
 
   chord::Key KeyFor(AttrId attr, const resource::AttrValue& v) const;
   const chord::ChordRing& hub(AttrId attr) const;
@@ -80,27 +62,18 @@ class MercuryService final : public DirectoryService<chord::Key> {
                   bool dominated, const RootLane<chord::ChordRing>* roots,
                   Matches& matches, QueryStats& stats) const;
 
-  /// Adapter wiring one hub's membership events back to the service.
-  class HubObserver final : public chord::MembershipObserver {
-   public:
-    HubObserver(MercuryService* svc, AttrId attr) : svc_(svc), attr_(attr) {}
-    void OnJoin(NodeAddr node, NodeAddr successor) override;
-    void OnLeave(NodeAddr node, NodeAddr successor) override;
-    void OnFail(NodeAddr node) override;
-
-   private:
-    MercuryService* svc_;
-    AttrId attr_;
+  /// A hub's handoff touches only its own attribute's entries in the
+  /// shared store.
+  struct OfAttr {
+    AttrId attr = 0;
+    bool operator()(const Store::Entry& e) const { return e.info.attr == attr; }
   };
-
-  void HubJoin(AttrId attr, NodeAddr node, NodeAddr successor);
-  void HubLeave(AttrId attr, NodeAddr node, NodeAddr successor);
-  void HubFail(AttrId attr, NodeAddr node);
+  using HubHandoff = RingHandoff<chord::ChordRing, OfAttr>;
 
   Config cfg_;
   std::vector<std::unique_ptr<chord::ChordRing>> hubs_;  // one per attribute
-  std::vector<std::unique_ptr<HubObserver>> observers_;
-  std::vector<LocalityPreservingHash> lph_;  // one per attribute
+  std::vector<std::unique_ptr<HubHandoff>> handoffs_;    // one per hub
+  std::vector<LocalityPreservingHash> lph_;              // one per attribute
 };
 
 }  // namespace lorm::discovery

@@ -1,5 +1,5 @@
 // The one multi-attribute query executor every discovery service runs:
-// DirectoryService<Key>::ExecuteQuery, declared in directory_service.hpp and
+// DirectoryService<Ring>::ExecuteQuery, declared in directory_service.hpp and
 // defined here. A service's .cpp includes this header where its Query()
 // calls the executor.
 //
@@ -101,9 +101,9 @@ void RouteRootLanes(RootLane<Ring>* lanes, std::size_t n, NodeAddr origin) {
 
 // Each service calls this from one place with its own type, so the
 // function-local instruments below exist once per service type.
-template <typename Key>
-template <typename Ring, typename Service>
-QueryResult DirectoryService<Key>::ExecuteQuery(
+template <typename Ring>
+template <typename Service>
+QueryResult DirectoryService<Ring>::ExecuteQuery(
     const resource::MultiQuery& q, QueryScratch& scratch,
     const Service& svc) const {
   QueryResult result;

@@ -22,17 +22,17 @@
 //            detection; *routing* repair stays deferred to Maintain(), so
 //            the degraded-phase routing experiments are unchanged.
 //
-// Every handler is a no-op at replicas == 1. RingJoinHandoff and
-// RingLeaveHandoff at the end of this file pick the protocol at r > 1 and
+// Every handler is a no-op at replicas == 1. RingHandoff at the end of this
+// file is the membership observer of every Chord-keyed ring (SWORD's, each
+// of Mercury's hubs, MAAN's and D1HT's): it picks the protocol at r > 1 and
 // the primary-only re-homing at r == 1 (byte-identical to the
-// pre-replication code) for every Chord-keyed service. The `filter`
-// predicate scopes the handoff to the entries a ring is responsible for
-// (Mercury: one attribute hub per ring; SWORD/MAAN: everything). Entry
-// `replica` labels are recomputed on every copy this protocol performs,
-// but copies sitting on untouched nodes may keep a stale label after the
-// group rotates — the label is a best-effort diagnostic (replica_hits
-// accounting); protocol decisions always derive from oracle distance,
-// never from labels.
+// pre-replication code). The `filter` predicate scopes the handoff to the
+// entries a ring is responsible for (Mercury: one attribute per hub;
+// SWORD, MAAN and D1HT: everything). Entry `replica` labels are recomputed
+// on every copy this protocol performs, but copies sitting on untouched
+// nodes may keep a stale label after the group rotates — the label is a
+// best-effort diagnostic (replica_hits accounting); protocol decisions
+// always derive from oracle distance, never from labels.
 //
 // LORM replicates over cyclic cluster successors instead of a global ring;
 // its cluster-local rebuild lives in lorm_service.cpp.
@@ -49,6 +49,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/result_cache.hpp"
 #include "chord/chord.hpp"
 #include "common/ring_diff.hpp"
 #include "common/types.hpp"
@@ -58,6 +59,13 @@
 #include "obs/metrics.hpp"
 
 namespace lorm::discovery {
+
+/// Entry filter that keeps every entry (probes and replication handoffs of
+/// systems that store one record kind).
+struct AllEntries {
+  bool operator()(const auto&) const { return true; }
+};
+inline constexpr AllEntries kAllEntries{};
 
 /// Modeled wire size of one moved directory entry: key + ordinal + epoch +
 /// provider + attr/value payload. Fixed so bytes_moved is a deterministic
@@ -259,42 +267,69 @@ void ChordReplicaFail(const Ring& ring,
   }
 }
 
-/// Ownership handoff when `node` joins ahead of `successor`: the join
-/// protocol above with replicas > 1; otherwise the joiner takes the
-/// primaries it now owns from its successor.
+/// The membership observer of one Chord-keyed ring (Chord or the
+/// single-hop ring): every event invalidates the result cache, then hands
+/// off the entries `filter` accepts. With replicas > 1 it runs the
+/// protocol above; otherwise a joiner takes the primaries it now owns from
+/// its successor, a leaver's primaries move to its successor (kNoNode: it
+/// was the last node, the information is lost) and its stray replicas are
+/// dropped for the next epoch to rebuild, and a crash hands off nothing.
+/// The service drops the departed node's directory once every ring ran.
 template <typename Ring, typename Filter>
-void RingJoinHandoff(const Ring& ring, DirectoryStore<chord::Key>& store,
-                     std::size_t replicas, NodeAddr node, NodeAddr successor,
-                     ReplicationRecorder& rec, Filter&& filter) {
-  if (replicas > 1) {
-    ChordReplicaJoin(ring, store, replicas, node, rec, filter);
-    return;
-  }
-  if (node == successor) return;  // first node of the ring
-  auto moved = store.TakeIf(successor, [&](const auto& e) {
-    return e.replica == 0 && filter(e) && ring.Owns(node, e.key);
-  });
-  for (auto& e : moved) store.Insert(node, std::move(e));
-}
+class RingHandoff : public chord::MembershipObserver {
+ public:
+  RingHandoff(const Ring& ring, DirectoryStore<chord::Key>& store,
+              cache::ResultCache& cache, ReplicationRecorder& rec,
+              std::size_t replicas, Filter filter = {})
+      : ring_(ring), store_(store), cache_(cache), rec_(rec),
+        replicas_(replicas), filter_(filter) {}
+  // The ring holds the observer's address.
+  RingHandoff(const RingHandoff&) = delete;
+  RingHandoff& operator=(const RingHandoff&) = delete;
 
-/// Ownership handoff when `node` leaves gracefully: the leave protocol
-/// above with replicas > 1; otherwise its primaries move to `successor`
-/// (kNoNode: it was the last node, the information is lost) and its stray
-/// replicas are dropped for the next epoch to rebuild. The caller drops the
-/// node's emptied directory.
-template <typename Ring, typename Filter>
-void RingLeaveHandoff(const Ring& ring, DirectoryStore<chord::Key>& store,
-                      std::size_t replicas, NodeAddr node, NodeAddr successor,
-                      ReplicationRecorder& rec, Filter&& filter) {
-  if (replicas > 1) {
-    ChordReplicaLeave(ring, store, replicas, node, rec, filter);
-    return;
+  void OnJoin(NodeAddr node, NodeAddr successor) override {
+    cache_.InvalidateAll();  // the join re-homed part of some arc
+    if (replicas_ > 1) {
+      ChordReplicaJoin(ring_, store_, replicas_, node, rec_, filter_);
+      return;
+    }
+    if (node == successor) return;  // first node of the ring
+    auto moved = store_.TakeIf(successor, [&](const auto& e) {
+      return e.replica == 0 && filter_(e) && ring_.Owns(node, e.key);
+    });
+    for (auto& e : moved) store_.Insert(node, std::move(e));
   }
-  auto moved = store.TakeIf(node, filter);
-  if (successor == kNoNode) return;
-  for (auto& e : moved) {
-    if (e.replica == 0) store.Insert(successor, std::move(e));
+
+  void OnLeave(NodeAddr node, NodeAddr successor) override {
+    cache_.InvalidateAll();
+    if (replicas_ > 1) {
+      ChordReplicaLeave(ring_, store_, replicas_, node, rec_, filter_);
+      return;
+    }
+    auto moved = store_.TakeIf(node, filter_);
+    if (successor == kNoNode) return;
+    for (auto& e : moved) {
+      if (e.replica == 0) store_.Insert(successor, std::move(e));
+    }
   }
-}
+
+  void OnFail(NodeAddr node) override {
+    cache_.InvalidateAll();
+    if (replicas_ > 1) {
+      ChordReplicaFail(ring_, store_, replicas_, node, rec_, filter_);
+    }
+  }
+
+ protected:
+  std::size_t replicas() const { return replicas_; }
+
+ private:
+  const Ring& ring_;
+  DirectoryStore<chord::Key>& store_;
+  cache::ResultCache& cache_;
+  ReplicationRecorder& rec_;
+  std::size_t replicas_;
+  Filter filter_;
+};
 
 }  // namespace lorm::discovery

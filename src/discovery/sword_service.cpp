@@ -1,47 +1,28 @@
 #include "discovery/sword_service.hpp"
 
-#include <utility>
-
 #include "common/error.hpp"
 #include "discovery/query_executor.hpp"
-#include "obs/flight.hpp"
 
 namespace lorm::discovery {
 
 SwordService::SwordService(std::size_t n,
                            const resource::AttributeRegistry& registry,
                            Config cfg)
-    : DirectoryService("SWORD", registry, cfg.result_cache, cfg.plan),
+    : DirectoryService("SWORD", registry, cfg),
       cfg_(cfg),
-      ring_(chord::MakeRing(n, cfg.ring, cfg.deterministic_ids)) {
+      ring_(chord::MakeRing(n, cfg.ring, /*deterministic_ids=*/true)),
+      handoff_(ring_, store_, result_cache_, repl_, cfg.replicas) {
   const ConsistentHash ch(cfg_.ring.bits);
   attr_key_.reserve(registry_.size());
   for (AttrId a = 0; a < registry_.size(); ++a) {
     attr_key_.push_back(ch(registry_.Get(a).name()));
   }
-  ring_.SetObserver(this);
+  AddRing(ring_, &handoff_);
 }
 
 chord::Key SwordService::KeyFor(AttrId attr) const {
   LORM_CHECK_MSG(attr < attr_key_.size(), "attribute id out of range");
   return attr_key_[attr];
-}
-
-bool SwordService::JoinNode(NodeAddr addr) {
-  if (ring_.size() >= ring_.space()) return false;
-  ring_.AddNode(addr);
-  RecordMembership(obs::FlightEventKind::kJoin, addr);
-  return true;
-}
-
-void SwordService::LeaveNode(NodeAddr addr) {
-  RecordMembership(obs::FlightEventKind::kLeave, addr);
-  ring_.RemoveNode(addr);
-}
-
-void SwordService::FailNode(NodeAddr addr) {
-  RecordMembership(obs::FlightEventKind::kCrash, addr);
-  ring_.FailNode(addr);
 }
 
 HopCount SwordService::Advertise(const resource::ResourceInfo& info) {
@@ -55,7 +36,7 @@ HopCount SwordService::Advertise(const resource::ResourceInfo& info) {
 
 QueryResult SwordService::Query(const resource::MultiQuery& q,
                                 QueryScratch& scratch) const {
-  return ExecuteQuery<chord::ChordRing>(q, scratch, *this);
+  return ExecuteQuery(q, scratch, *this);
 }
 
 void SwordService::ResolveSub(const resource::SubQuery& sub, double lo,
@@ -67,35 +48,6 @@ void SwordService::ResolveSub(const resource::SubQuery& sub, double lo,
   // locally, no forwarding (Theorem 4.9's m visited nodes per query).
   stats.visited_nodes += 1;
   Probe(roots[0].result.owner, sub.attr, lo, hi, kAllEntries, matches, stats);
-}
-
-std::vector<double> SwordService::OutlinkCounts() const {
-  std::vector<double> out;
-  for (NodeAddr addr : ring_.Members()) {
-    out.push_back(static_cast<double>(ring_.Outlinks(addr)));
-  }
-  return out;
-}
-
-void SwordService::OnJoin(NodeAddr node, NodeAddr successor) {
-  result_cache_.InvalidateAll();  // the join re-homed part of some arc
-  RingJoinHandoff(ring_, store_, cfg_.replicas, node, successor, repl_,
-                  kAllEntries);
-}
-
-void SwordService::OnFail(NodeAddr node) {
-  result_cache_.InvalidateAll();
-  if (cfg_.replicas > 1) {
-    ChordReplicaFail(ring_, store_, cfg_.replicas, node, repl_, kAllEntries);
-  }
-  store_.Drop(node);  // the crashed node's copies do not survive
-}
-
-void SwordService::OnLeave(NodeAddr node, NodeAddr successor) {
-  result_cache_.InvalidateAll();
-  RingLeaveHandoff(ring_, store_, cfg_.replicas, node, successor, repl_,
-                   kAllEntries);
-  store_.Drop(node);
 }
 
 }  // namespace lorm::discovery

@@ -8,6 +8,10 @@
 // entirely inside that node's directory — one lookup, one visited node —
 // at the price of the worst information-balance of the four systems
 // (Theorems 4.4, 4.9). Per the paper's setup, Bamboo is replaced by Chord.
+//
+// DirectoryService runs joins, leaves and crashes over the one ring, whose
+// observer is the shared Chord-keyed handoff (RingHandoff); this file is
+// SWORD's placement and its one-lookup, one-probe sub-query.
 #pragma once
 
 #include <string>
@@ -19,45 +23,20 @@
 
 namespace lorm::discovery {
 
-class SwordService final : public DirectoryService<chord::Key>,
-                           private chord::MembershipObserver {
+class SwordService final : public DirectoryService<chord::ChordRing> {
  public:
-  struct Config {
-    chord::Config ring;
-    bool deterministic_ids = true;
-    /// Copies of each directory entry (1 = primary only; replicas go to the
-    /// owner's ring successors).
-    std::size_t replicas = 1;
-    /// Serve repeated (attribute, range) sub-queries from a result cache,
-    /// invalidated on every membership/advertise/expiry event (`--cache`).
-    bool result_cache = false;
-    /// Selectivity-driven query planning (`--plan`): execute sub-queries
-    /// most-selective-first, intersect incrementally, stop when the
-    /// candidate set empties. Off = the classic path, byte-identical to
-    /// pre-planner builds.
-    bool plan = false;
+  /// Replicas go to the owner's ring successors.
+  struct Config : ServiceOptions {
+    chord::Config ring{};
   };
 
   SwordService(std::size_t n, const resource::AttributeRegistry& registry,
                Config cfg);
 
-  bool JoinNode(NodeAddr addr) override;
-  void LeaveNode(NodeAddr addr) override;
-  void FailNode(NodeAddr addr) override;
-  bool HasNode(NodeAddr addr) const override { return ring_.Contains(addr); }
-  std::size_t NetworkSize() const override { return ring_.size(); }
-  std::vector<NodeAddr> Nodes() const override { return ring_.Members(); }
-  void Maintain() override { ring_.StabilizeAll(); }
-  std::uint64_t MaintenanceMessages() const override {
-    return ring_.maintenance().Total();
-  }
-
   HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
-
-  std::vector<double> OutlinkCounts() const override;
 
   /// The placement key of an attribute: H(attribute name).
   chord::Key KeyFor(AttrId attr) const;
@@ -78,12 +57,9 @@ class SwordService final : public DirectoryService<chord::Key>,
                   bool dominated, const RootLane<chord::ChordRing>* roots,
                   Matches& matches, QueryStats& stats) const;
 
-  void OnJoin(NodeAddr node, NodeAddr successor) override;
-  void OnLeave(NodeAddr node, NodeAddr successor) override;
-  void OnFail(NodeAddr node) override;
-
   Config cfg_;
   chord::ChordRing ring_;
+  RingHandoff<chord::ChordRing, AllEntries> handoff_;
   std::vector<chord::Key> attr_key_;
 };
 

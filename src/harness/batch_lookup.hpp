@@ -1,17 +1,22 @@
 // Batched, software-pipelined lookup engine.
 //
-// BENCH_micro_dht.json shows the lookup hot path is memory-bound at scale:
-// Chord's ns/hop explodes 36.8 -> 120.7 as the ring grows 256 -> 16k nodes,
-// because every hop chases cold slab lines (node header -> routing arrays ->
-// link-target headers) and each miss serializes behind the last. A single
-// walk cannot hide that latency — hop t+1's address depends on hop t.
+// The lookup hot path is memory-bound at scale: once the slabs outgrow the
+// cache, every hop chases cold slab lines (node header -> routing arrays ->
+// link-target headers) and each miss serializes behind the last
+// (`micro_dht --benchmark_filter=Lookup` shows ns/hop growing with n; the
+// end-to-end measurement is perfbench's, see BENCHMARK.json and
+// `python3 perfbench/run.py`). A single walk cannot hide that latency —
+// hop t+1's address depends on hop t.
 //
 // B *independent* walks can. The engine keeps up to `batch` lookups in
-// flight and advances them round-robin, one pipeline stage per visit:
+// flight and advances them round-robin, one pipeline stage per visit, as
+// many stages as the ring asks for (Ring::kPrefetchStages):
 //
-//   stage 0   __builtin_prefetch the walk's current node header
-//   stage 1   header resident: prefetch the routing arrays + first targets
-//   stage 2   arrays resident: prefetch the link-target headers
+//   stage 0   __builtin_prefetch what the walk's next step reads at
+//             addresses computed from its slot (Chord and the single-hop
+//             ring need no more)
+//   stage 1   header resident: prefetch the first link targets (Cycloid)
+//   stage 2   prefetch the fallback walk's link targets (Cycloid)
 //   step      execute one LookupStep (reads are now cache-resident),
 //             then issue stage 0 for the node it hopped to
 //
@@ -64,19 +69,19 @@ class BatchLookupEngine {
     NodeAddr origin = kNoNode;
   };
 
-  /// `batch` lanes, advancing each walk through `stages` prefetch stages
-  /// before every step (clamped to [1, 3]). Three stages cover the full
-  /// pointer chase (header -> arrays -> link targets); rings whose steps
-  /// stop chasing earlier run tighter with fewer — each extra stage is one
-  /// more round-robin visit per hop. A fresh Chord ring reads only
-  /// computed addresses, so stage 0 alone (issued right after the previous
-  /// step, a full lane round before use) suffices. Prefetch stages have no
-  /// observable effect, so the stage count never changes results.
-  explicit BatchLookupEngine(std::size_t batch, unsigned stages = 3)
-      : stages_(std::clamp(stages, 1u, 3u)), lanes_(batch == 0 ? 1 : batch) {}
+  /// `batch` lanes, advancing each walk through the ring's
+  /// Ring::kPrefetchStages prefetch stages before every step. Cycloid's
+  /// three cover its full pointer chase (node -> leaf-set and cubical
+  /// targets -> cyclic targets); each extra stage is one more round-robin
+  /// visit per hop, so Chord and the single-hop ring, whose steps read
+  /// only addresses computed from the slot, run stage 0 alone (issued
+  /// right after the previous step, a full lane round before use).
+  /// Prefetch stages have no observable effect, so they never change
+  /// results.
+  explicit BatchLookupEngine(std::size_t batch)
+      : lanes_(batch == 0 ? 1 : batch) {}
 
   std::size_t batch() const { return lanes_.size(); }
-  unsigned stages() const { return stages_; }
 
   /// Routes reqs[0..count) and calls done(index, result) exactly once per
   /// request, in submission order. The result reference is only valid for
@@ -100,7 +105,7 @@ class BatchLookupEngine {
       for (std::size_t l = 0; l < lanes; ++l) {
         Lane& lane = lanes_[l];
         if (!lane.active) continue;
-        if (lane.stage + 1 < stages_) {
+        if (lane.stage + 1 < Ring::kPrefetchStages) {
           ring.LookupPrefetch(lane.state, lane.stage + 1);
           ++lane.stage;
         } else if (ring.LookupStep(lane.state)) {
@@ -161,7 +166,6 @@ class BatchLookupEngine {
     }
   }
 
-  unsigned stages_ = 3;
   std::vector<Lane> lanes_;
 };
 

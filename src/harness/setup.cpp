@@ -33,18 +33,21 @@ RegistryEntry* FindEntry(SystemKind kind) {
   return nullptr;
 }
 
+/// The options `setup` gives every system (`--cache` turns on the result
+/// cache here and each overlay's route cache below).
+discovery::ServiceOptions OptionsOf(const Setup& setup) {
+  return {setup.replicas, setup.cache, setup.plan};
+}
+
 template <typename Service>
 std::unique_ptr<discovery::DiscoveryService> MakeRingService(
     const Setup& setup, const resource::AttributeRegistry& registry) {
-  typename Service::Config cfg;
+  typename Service::Config cfg{OptionsOf(setup)};
   cfg.ring.bits = setup.chord_bits;
   cfg.ring.seed = setup.seed;
   if constexpr (requires { cfg.ring.route_cache; }) {
     cfg.ring.route_cache = setup.cache;  // the single-hop ring has none
   }
-  cfg.replicas = setup.replicas;
-  cfg.result_cache = setup.cache;
-  cfg.plan = setup.plan;
   return std::make_unique<Service>(setup.nodes, registry, cfg);
 }
 
@@ -53,13 +56,10 @@ std::deque<RegistryEntry> MakeBuiltins() {
   reg.push_back({SystemKind::kLorm, "LORM",
                  [](const Setup& setup,
                     const resource::AttributeRegistry& registry) {
-                   discovery::LormService::Config cfg;
+                   discovery::LormService::Config cfg{OptionsOf(setup)};
                    cfg.overlay.dimension = setup.dimension;
                    cfg.overlay.seed = setup.seed;
                    cfg.overlay.route_cache = setup.cache;
-                   cfg.replicas = setup.replicas;
-                   cfg.result_cache = setup.cache;
-                   cfg.plan = setup.plan;
                    return std::make_unique<discovery::LormService>(
                        setup.nodes, registry, std::move(cfg));
                  }});

@@ -43,19 +43,17 @@ std::size_t RoundUpPow2(std::size_t n) {
   return p;
 }
 
-/// Shortest fixed-precision time rendering that still round-trips the sim
-/// clocks we use (event-queue seconds, synthetic phase indices).
-void WriteTime(std::ostream& os, double t) {
-  if (t == static_cast<double>(static_cast<std::int64_t>(t))) {
-    os << static_cast<std::int64_t>(t);
+}  // namespace
+
+void WriteFixedNumber(std::ostream& os, double v) {
+  if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
+    os << static_cast<std::int64_t>(v);
     return;
   }
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", t);
+  std::snprintf(buf, sizeof(buf), "%.6f", v);
   os << buf;
 }
-
-}  // namespace
 
 const char* FlightEventKindName(FlightEventKind kind) {
   switch (kind) {
@@ -175,7 +173,7 @@ void WriteFlightJsonLines(std::ostream& os,
                           const std::vector<FlightEvent>& events) {
   for (const FlightEvent& e : events) {
     os << "{\"seq\":" << e.seq << ",\"t\":";
-    WriteTime(os, e.sim_time);
+    WriteFixedNumber(os, e.sim_time);
     os << ",\"kind\":\"" << FlightEventKindName(e.kind) << "\",\"label\":\""
        << FlightLabelName(e.label) << "\",\"node\":" << e.node
        << ",\"a\":" << e.a << ",\"b\":" << e.b << "}\n";

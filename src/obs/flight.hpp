@@ -136,6 +136,13 @@ class FlightRecorder {
 void RecordFlight(FlightEventKind kind, std::string_view label, NodeAddr node,
                   std::uint64_t a = 0, std::uint64_t b = 0);
 
+/// Writes `v` as an integer when it is one, otherwise with six fixed
+/// decimals: the shortest rendering that still round-trips the sim clocks
+/// in use (event-queue seconds, synthetic phase indices). Flight and
+/// timeline JSONL both write their numbers this way, so their bytes are
+/// stable.
+void WriteFixedNumber(std::ostream& os, double v);
+
 /// Writes an already-captured event list as flight JSONL (the format
 /// FlightRecorder::WriteJsonLines emits).
 void WriteFlightJsonLines(std::ostream& os,

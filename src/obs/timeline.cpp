@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 
 namespace lorm::obs {
@@ -75,22 +75,6 @@ LatencyTail SummarizeTail(const LatencyHistogram& h) {
 }
 
 // ---- TimelineSampler -------------------------------------------------------
-
-namespace {
-
-/// Integer-exact, otherwise fixed 6-digit — the same shape the flight
-/// recorder uses, so timeline files stay byte-stable.
-void WriteTimelineNumber(std::ostream& os, double v) {
-  if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
-    os << static_cast<std::int64_t>(v);
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  os << buf;
-}
-
-}  // namespace
 
 TimelineSampler::TimelineSampler(TimelineConfig cfg) : cfg_(cfg) {
   if (cfg_.window <= 0.0) cfg_.window = 5.0;
@@ -168,23 +152,23 @@ void TimelineSampler::Finish(SimTime end) {
 void TimelineSampler::WriteJsonLines(std::ostream& os) const {
   for (const Window& w : closed_) {
     os << "{\"window\":" << w.index << ",\"t0\":";
-    WriteTimelineNumber(os, w.t0);
+    WriteFixedNumber(os, w.t0);
     os << ",\"t1\":";
-    WriteTimelineNumber(os, w.t1);
+    WriteFixedNumber(os, w.t1);
     os << ",\"series\":{";
     bool first = true;
     for (const auto& [name, value] : w.series) {
       if (!first) os << ",";
       first = false;
       os << "\"" << name << "\":";
-      WriteTimelineNumber(os, value);
+      WriteFixedNumber(os, value);
     }
     os << "}";
     if (w.has_load) {
       os << ",\"load\":{\"nodes\":" << w.load_nodes << ",\"total\":";
-      WriteTimelineNumber(os, w.load_total);
+      WriteFixedNumber(os, w.load_total);
       os << ",\"max\":";
-      WriteTimelineNumber(os, w.load_max);
+      WriteFixedNumber(os, w.load_max);
       os << "}";
     }
     os << "}\n";

@@ -162,10 +162,12 @@ class SingleHopRing
   // LookupFinish come from RingRoute; the one step resolves the owner from
   // the origin's full table.
 
-  /// Prefetch stages for the batch engine. Stage 0 warms the walk head's
-  /// header line; the owner resolution is an oracle binary search with no
-  /// further dependent loads, so stages 1/2 are no-ops.
+  /// Stage 0 warms the walk head's header line; the owner resolution is an
+  /// oracle binary search with no further dependent loads, so later stages
+  /// are no-ops.
   void LookupPrefetch(const LookupState& st, unsigned stage) const;
+  /// Prefetch stages a batch engine runs before each step.
+  static constexpr unsigned kPrefetchStages = 1;
 
   // ---- Maintenance ------------------------------------------------------
 

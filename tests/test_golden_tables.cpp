@@ -26,6 +26,8 @@
 #include "common/sha1.hpp"
 #include "harness/experiments.hpp"
 #include "harness/setup.hpp"
+#include "obs/flight.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resource/workload.hpp"
 
@@ -369,6 +371,154 @@ TEST_P(ExecutorGolden, StaleRingsWithCachesOffMatchCommittedHash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSystems, ExecutorGolden,
+                         ::testing::ValuesIn(harness::AllSystems()),
+                         [](const auto& info) {
+                           return std::string(harness::SystemName(info.param));
+                         });
+
+// ---- Membership side effects ------------------------------------------------
+//
+// ExecutorGolden pins query answers after churn; this pins what the churn
+// itself does, per system: each join, leave, crash and maintenance round's
+// return value, network size, stored pieces, replication work and
+// maintenance messages, and at the end the members, directory sizes,
+// outlinks, every nonzero registry counter and the flight recorder's event
+// stream (joins, leaves, crashes, handoffs, replica repairs and cache
+// invalidations, in order). The script joins a node the full Quick Cycloid
+// refuses, crashes a burst of members, and then takes a leave and a crash
+// of earlier joiners; every accepted joiner advertises one tuple. The
+// constants were computed on the per-service membership code that
+// DirectoryService's shared path replaced.
+
+void AppendMembershipLeg(std::ostream& out, harness::SystemKind kind,
+                         std::size_t replicas, bool cache) {
+  harness::Setup setup = harness::Setup::Quick();
+  setup.replicas = replicas;
+  setup.cache = cache;
+  const resource::Workload workload(setup.MakeWorkloadConfig());
+  auto service = harness::MakeService(kind, setup, workload.registry());
+  std::vector<NodeAddr> providers;
+  for (std::size_t i = 0; i < setup.nodes; ++i) {
+    providers.push_back(static_cast<NodeAddr>(i));
+  }
+  Rng rng(setup.seed ^ 0xBEEF);
+  const auto infos = workload.GenerateInfos(providers, rng);
+  harness::AdvertiseAll(*service, infos);
+
+  obs::Registry::Global().Reset();
+  obs::FlightRecorder::Global().Reset();
+  obs::SetMetricsEnabled(true);
+  obs::SetFlightEnabled(true);
+
+  // Each op stamps its flight events with its own index as the sim time.
+  double op = 0;
+  const auto state = [&] {
+    const discovery::ReplicationStats moved = service->ReplicationWork();
+    out << ",size=" << service->NetworkSize()
+        << ",pieces=" << service->TotalInfoPieces()
+        << ",moved=" << moved.entries_moved << '/' << moved.bytes_moved
+        << ",maint=" << service->MaintenanceMessages() << '\n';
+  };
+  const auto join = [&](NodeAddr a) {
+    obs::SetFlightSimTime(++op);
+    const bool joined = service->JoinNode(a);
+    out << "join " << a << '=' << joined;
+    if (joined) {
+      resource::ResourceInfo info = infos[a % infos.size()];
+      info.provider = a;
+      out << ",advertise=" << service->Advertise(info);
+    }
+    state();
+  };
+  const auto leave = [&](NodeAddr a) {
+    obs::SetFlightSimTime(++op);
+    service->LeaveNode(a);
+    out << "leave " << a;
+    state();
+  };
+  const auto crash = [&](NodeAddr a) {
+    obs::SetFlightSimTime(++op);
+    service->FailNode(a);
+    out << "crash " << a;
+    state();
+  };
+  const auto maintain = [&] {
+    obs::SetFlightSimTime(++op);
+    service->Maintain();
+    out << "maintain";
+    state();
+  };
+
+  // Every member named below holds directory entries on all five systems
+  // at replicas 1, so each leave hands off and each crash loses something.
+  join(1000);  // LORM's Quick Cycloid is full: refused there
+  leave(57);
+  leave(116);
+  crash(153);
+  crash(243);
+  join(1001);
+  join(1002);
+  maintain();
+  for (NodeAddr a = 20; a < setup.nodes; a += 36) crash(a);  // 11 members
+  join(1003);
+  join(1004);
+  leave(217);
+  leave(327);
+  leave(1001);
+  crash(1002);
+  crash(299);
+  maintain();
+
+  out << "nodes=";
+  for (const NodeAddr a : service->Nodes()) out << a << ' ';
+  out << "\ndirectories=";
+  for (const double v : service->DirectorySizes()) out << v << ' ';
+  out << "\noutlinks=";
+  for (const double v : service->OutlinkCounts()) out << v << ' ';
+  out << "\nmaintenance_bytes=" << service->MaintenanceBytes() << '\n';
+  for (const auto& [name, value] : obs::Registry::Global().Snapshot()) {
+    if (value != 0) out << name << '=' << value << '\n';
+  }
+  const obs::FlightRecorder& flight = obs::FlightRecorder::Global();
+  EXPECT_LE(flight.total(), flight.capacity()) << "the flight ring wrapped";
+  flight.WriteJsonLines(out);
+
+  obs::SetMetricsEnabled(false);
+  obs::SetFlightEnabled(false);
+  obs::SetFlightSimTime(0.0);
+}
+
+std::string MembershipSerialization(harness::SystemKind kind) {
+  std::ostringstream out;
+  for (const std::size_t replicas : {1u, 3u}) {
+    for (const bool cache : {false, true}) {
+      out << "replicas=" << replicas << ",cache=" << cache << '\n';
+      AppendMembershipLeg(out, kind, replicas, cache);
+    }
+  }
+  return out.str();
+}
+
+class MembershipGolden
+    : public ::testing::TestWithParam<harness::SystemKind> {};
+
+TEST_P(MembershipGolden, EverySideEffectMatchesCommittedHash) {
+  static const std::map<harness::SystemKind, const char*> kGolden{
+      {harness::SystemKind::kLorm,
+       "49064c72892ce731639c75705f9780e8419e246c"},
+      {harness::SystemKind::kMercury,
+       "25373b89804df99fe1d79058f086f8d50c2ce4c7"},
+      {harness::SystemKind::kSword,
+       "5039a2ac68cc9658ba0674d274ed8d36d8008810"},
+      {harness::SystemKind::kMaan,
+       "45fd6bb5c3099217e32e6cdc1e46d28c4a30e995"},
+      {harness::SystemKind::kD1ht,
+       "f3e2c8a8407981525f775b2176eb136c47cfc9ff"},
+  };
+  ExpectGolden(kGolden.at(GetParam()), MembershipSerialization(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSystems, MembershipGolden,
                          ::testing::ValuesIn(harness::AllSystems()),
                          [](const auto& info) {
                            return std::string(harness::SystemName(info.param));

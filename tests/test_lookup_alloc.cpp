@@ -187,7 +187,7 @@ TEST(LookupAllocFree, ChordBatchEngineWarmRoundsDoNotAllocate) {
   const auto members = ring.Members();
 
   using Engine = harness::BatchLookupEngine<chord::ChordRing>;
-  Engine engine(16, 1);
+  Engine engine(16);
   Rng rng(37);
   std::vector<Engine::Request> reqs(2000);
   for (auto& r : reqs) {
@@ -213,7 +213,7 @@ TEST(LookupAllocFree, CycloidBatchEngineWarmRoundsDoNotAllocate) {
   const auto d = net.dimension();
 
   using Engine = harness::BatchLookupEngine<cycloid::CycloidNetwork>;
-  Engine engine(16, 3);
+  Engine engine(16);
   Rng rng(41);
   std::vector<Engine::Request> reqs(2000);
   for (auto& r : reqs) {
