@@ -6,17 +6,9 @@
 // identical query by query (the planner is a pure execution-order
 // optimization) and reports the visited-node and routing-hop savings. The
 // line `mean visited reduction (k=3): X.XX` is parsed by the CI gate.
-//
-// A second leg times the BatchWalkEngine: the same value-segment walks over
-// MAAN's ring replayed at batch widths 1/8/32, with a hit checksum proving
-// the batched replay visits exactly the sequential walks' nodes.
-#include <cstdlib>
 #include <map>
 
 #include "fig_common.hpp"
-#include "discovery/ring_walk.hpp"
-#include "harness/batch_walk.hpp"
-#include "discovery/maan_service.hpp"
 
 namespace {
 
@@ -119,92 +111,6 @@ int main(int argc, char** argv) {
   std::cout << "\nmean visited reduction (k=3): "
             << harness::TablePrinter::Num(mean_reduction, 2) << "\n";
 
-  // ---- Batched range-walk leg ---------------------------------------------
-  // Replay one batch of MAAN value-segment walks sequentially and through
-  // the BatchWalkEngine at widths 1/8/32. The per-width hit checksums must
-  // agree with the sequential replay (same visits, same order per walk).
-  const auto* maan =
-      dynamic_cast<const discovery::MaanService*>(off[SystemKind::kMaan].get());
-  const auto& ring = maan->overlay();
-  const auto& dirs = maan->directories();
-  const std::size_t walks = opt.quick ? 128 : 512;
-  std::vector<harness::BatchWalkEngine::Request> reqs;
-  std::vector<resource::SubQuery> walk_subs;
-  Rng wrng(0xBA7C4ull);
-  for (std::size_t i = 0; i < walks; ++i) {
-    const NodeAddr requester =
-        static_cast<NodeAddr>(wrng.NextBelow(base.nodes));
-    auto q = workload.MakeRangeQuery(1, requester,
-                                     resource::RangeStyle::kBounded, wrng);
-    const auto& sub = q.subs.front();
-    harness::BatchWalkEngine::Request r;
-    r.key_lo = maan->ValueKeyFor(sub.attr, sub.range.lo);
-    r.key_hi = maan->ValueKeyFor(sub.attr, sub.range.hi);
-    r.root = ring.OwnerOf(r.key_lo);
-    reqs.push_back(r);
-    walk_subs.push_back(sub);
-  }
-  const auto& registry = workload.registry();
-  const auto probe = [&](std::size_t index, NodeAddr node,
-                         std::uint64_t& hits) {
-    if (const auto* dir = dirs.Find(node)) {
-      const auto& sub = walk_subs[index];
-      const auto& schema = registry.Get(sub.attr);
-      dir->ForEachMatch(sub.attr, schema.OrdinalOf(sub.range.lo),
-                        schema.OrdinalOf(sub.range.hi), [&](const auto& e) {
-                          if (e.tag == discovery::MaanService::kValueRecord) {
-                            ++hits;
-                          }
-                        });
-    }
-  };
-  std::uint64_t seq_hits = 0;
-  std::uint64_t seq_visited = 0;
-  const auto seq_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < walks; ++i) {
-    discovery::QueryStats stats;
-    discovery::WalkSuccessors(
-        ring, reqs[i].root, reqs[i].key_lo, reqs[i].key_hi, stats,
-        [&](NodeAddr node) { probe(i, node, seq_hits); });
-    seq_visited += stats.visited_nodes;
-  }
-  const double seq_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - seq_start)
-                            .count();
-  std::cout << "\nbatched walk replay (" << walks << " MAAN value walks, "
-            << seq_visited << " visits, " << seq_hits << " hits):\n"
-            << "  sequential       " << harness::TablePrinter::Num(seq_ms, 2)
-            << " ms\n";
-  for (const std::size_t width : {std::size_t{1}, std::size_t{8},
-                                  std::size_t{32}}) {
-    harness::BatchWalkEngine engine(width);
-    std::uint64_t hits = 0;
-    std::uint64_t visited = 0;
-    const auto start = std::chrono::steady_clock::now();
-    engine.Run(
-        ring, reqs.data(), reqs.size(),
-        [&](std::size_t index, NodeAddr node) { probe(index, node, hits); },
-        [&](std::size_t index, NodeAddr node) {
-          if (const auto* dir = dirs.Find(node)) {
-            dir->PrefetchMatch(walk_subs[index].attr);
-          }
-        },
-        [&](std::size_t, const discovery::QueryStats& stats) {
-          visited += stats.visited_nodes;
-        });
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-    if (hits != seq_hits || visited != seq_visited) {
-      std::cerr << "batched walk diverged at width " << width << ": " << hits
-                << "/" << visited << " vs sequential " << seq_hits << "/"
-                << seq_visited << "\n";
-      return 1;
-    }
-    std::cout << "  batch=" << width << (width < 10 ? "          " : "         ")
-              << harness::TablePrinter::Num(ms, 2) << " ms\n";
-  }
-
-  bench::FinishBench(opt, replayed + walks * 4);
+  bench::FinishBench(opt, replayed);
   return 0;
 }

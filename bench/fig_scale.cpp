@@ -62,7 +62,7 @@ ScalePoint MeasurePoint(
     const std::vector<typename harness::BatchLookupEngine<Ring>::Request>& reqs,
     std::size_t batch) {
   ScalePoint p;
-  typename Ring::LookupResultType res;
+  typename Ring::LookupResult res;
 
   std::uint64_t seq_hops = 0;
   std::uint64_t seq_owner_sum = 0;
@@ -94,17 +94,15 @@ ScalePoint MeasurePoint(
 
   std::uint64_t batch_hops = 0;
   std::uint64_t batch_owner_sum = 0;
-  // The ring sets the pipeline depth (Ring::kPrefetchStages): Chord's hop
-  // reads only computed addresses, so one stage issued after each step
-  // covers it a full lane round ahead; Cycloid chases link targets and
-  // pipelines 3 deep.
+  // One prefetch after each step, of the lines the walk's next step reads,
+  // lands a full lane round ahead of its use.
   harness::BatchLookupEngine<Ring> engine(batch);
   // Warm the lane results so the timed run replays allocation-free.
   engine.Run(ring, reqs.data(), std::min<std::size_t>(reqs.size(), batch),
-             [&](std::size_t, const typename Ring::LookupResultType&) {});
+             [&](std::size_t, const typename Ring::LookupResult&) {});
   const double batch_start = NowNs();
   engine.Run(ring, reqs.data(), reqs.size(),
-             [&](std::size_t, const typename Ring::LookupResultType& r) {
+             [&](std::size_t, const typename Ring::LookupResult& r) {
                batch_hops += r.hops;
                batch_owner_sum += r.owner;
              });

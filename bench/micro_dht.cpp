@@ -234,12 +234,11 @@ void BM_ChordLookupBatch(benchmark::State& state) {
                     members[rng.NextBelow(members.size())]});
   }
 
-  // 16 lanes, 1 pipeline stage (ChordRing::kPrefetchStages): a fresh Chord
-  // ring reads only the header line (successor(0) cached inside it) and the
-  // finger-extent tail, both at addresses computed from the slot index, so
-  // stage 0 issued right after each step covers everything — the
-  // prefetch-to-use distance is a full round of lanes. 16 lanes already
-  // put ~10 independent misses in flight.
+  // 16 lanes: a fresh Chord ring reads only the header line (successor(0)
+  // cached inside it) and the finger-extent tail, both at addresses
+  // computed from the slot index, so the one prefetch issued right after
+  // each step covers everything — the prefetch-to-use distance is a full
+  // round of lanes. 16 lanes already put ~10 independent misses in flight.
   harness::BatchLookupEngine<chord::ChordRing> engine(16);
   // Micro-assert: the pipelined walks must return bit-identical results to
   // the plain sequential walk before we time anything.

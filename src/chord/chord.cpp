@@ -547,10 +547,10 @@ bool ChordRing::LookupStep(LookupState& st) const {
   return false;
 }
 
-void ChordRing::LookupPrefetch(const LookupState& st, unsigned stage) const {
-  if (st.done || stage != 0) return;
+void ChordRing::LookupPrefetch(const LookupState& st) const {
+  if (st.done) return;
   // Every address below is computed from the slot index alone — no
-  // dependent chase, so one stage covers the whole hop. A fresh step reads
+  // dependent chase, so one prefetch covers the whole hop. A fresh step reads
   // the header line (successor(0) is cached inside it), scans the id mirror
   // tail-first, then reads the matched link from the finger extent.
   __builtin_prefetch(&slab_[st.cur], 0, 3);

@@ -238,13 +238,11 @@ class ChordRing
   bool LookupStep(LookupState& st) const;
 
   /// Issues __builtin_prefetch for the slab lines the walk's next LookupStep
-  /// will read: at stage 0 (the only one; call right after Begin or a hop)
-  /// the node header line and its routing extent. Both addresses are
-  /// computed from the slot index, so no stage has to wait for another's
-  /// load. Pure prefetch: no observable effect, safe to skip or repeat.
-  void LookupPrefetch(const LookupState& st, unsigned stage) const;
-  /// Prefetch stages a batch engine runs before each step.
-  static constexpr unsigned kPrefetchStages = 1;
+  /// will read (call right after Begin or a hop): the node header line and
+  /// its routing extent. Both addresses are computed from the slot index,
+  /// so no prefetch waits for another's load. Pure prefetch: no observable
+  /// effect, safe to skip or repeat.
+  void LookupPrefetch(const LookupState& st) const;
 
   // ---- Maintenance ------------------------------------------------------
 

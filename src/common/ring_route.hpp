@@ -8,10 +8,10 @@
 //    vacating that also size and clear the route cache's per-slot blocks;
 //  * the lookup. `LookupInto` is LookupBegin, LookupStep until the walk is
 //    done, LookupFinish; `Lookup` does the same into a fresh result. The
-//    resumable Begin / Step / Finish triple lets a batch engine interleave
-//    B walks (harness/batch_lookup.hpp), and since LookupInto is a plain
-//    loop over it, results, route-cache order, counters and traces are the
-//    same either way;
+//    resumable Begin / Step / Finish triple lets `RouteLanes` (below)
+//    interleave several walks, and since LookupInto is a plain loop over
+//    it, results, route-cache order, counters and traces are the same
+//    either way;
 //  * Begin's preamble (result reset, origin -> slot, trace timestamp) and
 //    Finish: route-cache teaching, the `<prefix>.lookup.*` metrics and the
 //    trace record;
@@ -36,8 +36,18 @@
 // range walks both step through it. Each ring instantiates the base in its
 // own .cpp (and declares it extern in its header), so the lookup loop is
 // compiled next to the step it inlines.
+//
+// `RouteLanes` is the one scheduler for lookups in flight together: the
+// query executor's root lookups (discovery/query_executor.hpp) and the batch
+// engine (harness/batch_lookup.hpp) both run it. It keeps up to `width`
+// walks in lanes, steps them round-robin and, after each step, prefetches
+// what that walk's next step reads (LookupPrefetch), so one walk's cache
+// misses overlap the others' steps. Walks that do not touch the route cache
+// only read the rings, so interleaving them changes no result; lookups
+// retire in submission order, so traces and counters come out in that order.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -91,15 +101,12 @@ template <typename Derived, typename NodeT, typename Observer,
 class RingRoute {
  public:
   using Id = decltype(NodeT::id);
-  /// Index into the node slot slab. Public so resumable lookup state (and
-  /// the batch engine built on it) can carry slab positions across steps.
+  /// Index into the node slot slab. Public so resumable lookup state can
+  /// carry slab positions across steps.
   using Slot = SlabSlot;
   static constexpr Slot kNoSlot = kNoSlabSlot;
   using LookupResult = RouteResult<Id>;
   using LookupState = State;
-  /// Aliases the batch engine templates over.
-  using LookupKeyType = Id;
-  using LookupResultType = LookupResult;
   /// What SetObserver registers.
   using ObserverType = Observer;
 
@@ -146,7 +153,7 @@ class RingRoute {
   void LookupFinish(State& st) const;
 
   /// Warms the membership-table probe line for a LookupBegin(.., origin, ..)
-  /// issued later: a batch engine calls this one refill ahead so the next
+  /// issued later: the batch engine calls this one lookup ahead so the next
   /// request's origin->slot resolution overlaps the walks in flight. Pure
   /// prefetch, no observable effect.
   void PrefetchOrigin(NodeAddr origin) const { slab_.PrefetchFind(origin); }
@@ -271,7 +278,7 @@ template <typename D, typename N, typename O, typename A, typename S>
 bool RingRoute<D, N, O, A, S>::LookupStep(S& st) const {
   if (st.done) return false;
   // Attribute dead-link detections to this walk step by step: exact even
-  // when a batch engine interleaves walks over the shared counter.
+  // when RouteLanes interleaves walks over the shared counter.
   const std::uint64_t dead_before = maintenance_.dead_links_skipped;
   const bool more = self().StepOnce(st, *st.out);
   st.dead_skips += maintenance_.dead_links_skipped - dead_before;
@@ -335,6 +342,67 @@ void RingRoute<D, N, O, A, S>::LookupFinish(S& st) const {
   }
   const std::uint64_t dur_ns = st.start_ns != 0 ? st.end_ns - st.start_ns : 0;
   obs::OnLookup(r.path, r.hops, r.ok, st.dead_skips, dur_ns, r.cache_hits);
+}
+
+/// One lookup in a lane of RouteLanes: the ring and key it routes from
+/// `origin`, the caller's tag `sub` (the query executor's sub-query index),
+/// and the resumable walk with its result.
+template <typename Ring>
+struct RouteLane {
+  const Ring* ring = nullptr;
+  typename Ring::Id key{};
+  NodeAddr origin = kNoNode;
+  std::size_t sub = 0;
+  typename Ring::LookupState state;
+  typename Ring::LookupResult result;
+};
+
+/// Routes lookups [0, count) in lanes[0, min(width, count)), width >= 1.
+/// Lookup i lives in lane i % width: name(i, lane) sets the lane's ring, key
+/// and origin just before its LookupBegin, and retire(i, lane) runs once per
+/// lookup, in submission order, after its walk completed. A lane begins
+/// lookup i + width only after retire(i) returned, so retire may call
+/// LookupFinish; with count <= width no lane is reused, and the caller may
+/// instead finish the lanes itself afterwards. Every walk is stepped
+/// round-robin, and each step is followed by one LookupPrefetch for the
+/// walk's next step.
+template <typename Ring, typename Name, typename Retire>
+void RouteLanes(RouteLane<Ring>* lanes, std::size_t width, std::size_t count,
+                Name&& name, Retire&& retire) {
+  if (count == 0) return;
+  width = std::min(width, count);
+  std::size_t begun = 0;
+  const auto begin = [&](RouteLane<Ring>& lane) {
+    name(begun++, lane);
+    lane.ring->LookupBegin(lane.key, lane.origin, lane.result, lane.state);
+    lane.ring->LookupPrefetch(lane.state);
+  };
+  for (std::size_t l = 0; l < width; ++l) begin(lanes[l]);
+  std::size_t retired = 0;
+  std::size_t head = 0;  // the lane of lookup `retired`
+  // A lookup whose origin is not a member completes at Begin, so the retire
+  // loop runs once before any step, then only after a step completed a walk.
+  bool completed = true;
+  while (true) {
+    if (completed) {
+      while (lanes[head].state.done) {
+        retire(retired, lanes[head]);
+        if (++retired == count) return;
+        if (begun < count) begin(lanes[head]);
+        head = head + 1 == width ? 0 : head + 1;
+      }
+      completed = false;
+    }
+    for (std::size_t l = 0; l < width; ++l) {
+      RouteLane<Ring>& lane = lanes[l];
+      if (lane.state.done) continue;
+      if (lane.ring->LookupStep(lane.state)) {
+        lane.ring->LookupPrefetch(lane.state);
+      } else {
+        completed = true;
+      }
+    }
+  }
 }
 
 }  // namespace lorm

@@ -481,39 +481,16 @@ bool CycloidNetwork::StepOnce(LookupState& st, LookupResult& r) const {
   return r.hops <= st.max_hops;  // past the cap, ok stays false
 }
 
-void CycloidNetwork::LookupPrefetch(const LookupState& st,
-                                    unsigned stage) const {
+void CycloidNetwork::LookupPrefetch(const LookupState& st) const {
   if (st.done) return;
-  const Node& n = slab_[st.cur];
-  auto fetch_target = [&](const Link& l) {
-    if (l.slot != kNoSlot) __builtin_prefetch(&slab_[l.slot], 0, 3);
-  };
-  switch (stage) {
-    case 0: {
-      // The whole node is inline (id + 7 links, ~4 lines) — no arrays to
-      // chase, so stage 0 covers everything the step reads locally.
-      const char* base = reinterpret_cast<const char*>(&n);
-      __builtin_prefetch(base, 0, 3);
-      __builtin_prefetch(base + 64, 0, 3);
-      __builtin_prefetch(base + 128, 0, 3);
-      __builtin_prefetch(base + 192, 0, 3);
-      break;
-    }
-    case 1:
-      // Header resident: the targets OwnsNode and the structured routing
-      // step generation-check (leaf sets + cubical neighbor).
-      fetch_target(n.outside_pred);
-      fetch_target(n.inside_pred);
-      fetch_target(n.inside_succ);
-      fetch_target(n.cubical);
-      break;
-    default:
-      // The cluster-walk fallback's reads.
-      fetch_target(n.cyclic_succ);
-      fetch_target(n.cyclic_pred);
-      fetch_target(n.outside_succ);
-      break;
-  }
+  // The whole node is inline (id + 7 links, ~4 lines). Prefetching the link
+  // targets as well, one round-robin visit per extra stage, measured no
+  // faster at any n (DESIGN.md §6).
+  const char* base = reinterpret_cast<const char*>(&slab_[st.cur]);
+  __builtin_prefetch(base, 0, 3);
+  __builtin_prefetch(base + 64, 0, 3);
+  __builtin_prefetch(base + 128, 0, 3);
+  __builtin_prefetch(base + 192, 0, 3);
 }
 
 void CycloidNetwork::StabilizeAll() {

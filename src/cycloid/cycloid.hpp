@@ -197,14 +197,10 @@ class CycloidNetwork
   // LookupFinish come from RingRoute: routing from `origin` to the owner of
   // a key using only per-node state.
 
-  /// Prefetches the slab lines the next LookupStep will read. Stages:
-  ///   0 — the current node's slab header (all 7 links are inline);
-  ///   1 — leaf-set / cubical targets (OwnsNode + structured routing);
-  ///   2 — cyclic/outside targets (the cluster-walk fallback reads).
-  /// Pure prefetch: no observable effect, safe to skip or repeat.
-  void LookupPrefetch(const LookupState& st, unsigned stage) const;
-  /// Prefetch stages a batch engine runs before each step: all three.
-  static constexpr unsigned kPrefetchStages = 3;
+  /// Prefetches the current node's slab lines, which the next LookupStep
+  /// reads (all 7 links are inline). Pure prefetch: no observable effect,
+  /// safe to skip or repeat.
+  void LookupPrefetch(const LookupState& st) const;
 
   // ---- Maintenance --------------------------------------------------------
 

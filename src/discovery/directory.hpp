@@ -20,9 +20,9 @@
 //
 // Presence word. Each directory also keeps a 64-bit word with bit
 // attr % 64 set for every attribute it holds, rebuilt wherever the sorted
-// run changes (the merge, EraseIf, TakeIf). ForEachMatch and PrefetchMatch
-// test it before searching. A clear bit proves the directory holds no entry
-// of the attribute, so the search is skipped. A set bit only says that some
+// run changes (the merge, EraseIf, TakeIf). ForEachMatch tests it before
+// searching. A clear bit proves the directory holds no entry of the
+// attribute, so the search is skipped. A set bit only says that some
 // attribute with the same residue is present, and the exact search runs;
 // the word can skip work but never change an answer. Over a 30 s run of
 // the discovery benchmark (perfbench/, seed 20261017) it skips 77.1% of
@@ -119,17 +119,6 @@ class Directory {
          ++it) {
       fn(*it);
     }
-  }
-
-  /// Warms an upcoming ForEachMatch for `attr`: merges any pending inserts
-  /// (observationally what the scan's own MergePending would do) and, unless
-  /// the presence word rules the attribute out, prefetches the entry the
-  /// search probes first. Used by the batched walk engine to overlap the
-  /// next visit's directory miss with this one's scan.
-  void PrefetchMatch(AttrId attr) const {
-    MergePending();
-    if ((present_ & PresenceBit(attr)) == 0) return;
-    __builtin_prefetch(sorted_.data() + sorted_.size() / 2);
   }
 
   /// Removes and returns every entry satisfying `pred(entry)`.

@@ -64,7 +64,7 @@ struct ServiceOptions {
 template <typename Ring>
 class DirectoryService : public DiscoveryService {
  public:
-  using Key = typename Ring::LookupKeyType;
+  using Key = typename Ring::Id;
 
   DirectoryService(const DirectoryService&) = delete;
   DirectoryService& operator=(const DirectoryService&) = delete;

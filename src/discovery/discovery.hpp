@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "chord/chord.hpp"
+#include "common/ring_route.hpp"
 #include "common/types.hpp"
 #include "cycloid/cycloid.hpp"
 #include "discovery/join.hpp"
@@ -53,18 +54,6 @@ struct QueryResult {
   QueryStats stats;
 };
 
-/// One root lookup of a sub-query while the query executor has it in
-/// flight: the ring and key it routes, the sub-query it serves (query
-/// order), and the resumable walk with its result.
-template <typename Ring>
-struct RootLane {
-  const Ring* ring = nullptr;
-  typename Ring::LookupKeyType key{};
-  std::size_t sub = 0;
-  typename Ring::LookupState state;
-  typename Ring::LookupResult result;
-};
-
 /// Caller-owned scratch space for Query(). Reusing one scratch per thread
 /// keeps the steady-state query path free of heap allocation: the lanes'
 /// path vectors, the plan buffers and the dedup and join buffers keep
@@ -82,10 +71,11 @@ struct QueryScratch {
   /// The executor's sub-query matches before dedup, the dedup's keys and
   /// the classic join's provider sets.
   JoinScratch join;
-  /// The executor's root-lookup lanes, one vector per ring type.
-  std::tuple<std::vector<RootLane<chord::ChordRing>>,
-             std::vector<RootLane<cycloid::CycloidNetwork>>,
-             std::vector<RootLane<singlehop::SingleHopRing>>>
+  /// The executor's root-lookup lanes (`sub` is the sub-query each serves),
+  /// one vector per ring type.
+  std::tuple<std::vector<RouteLane<chord::ChordRing>>,
+             std::vector<RouteLane<cycloid::CycloidNetwork>>,
+             std::vector<RouteLane<singlehop::SingleHopRing>>>
       lanes;
 };
 

@@ -72,7 +72,7 @@ QueryResult LormService::Query(const resource::MultiQuery& q,
 
 void LormService::ResolveSub(const resource::SubQuery& sub, double lo,
                              double hi, bool /*dominated*/,
-                             const RootLane<cycloid::CycloidNetwork>* roots,
+                             const RouteLane<cycloid::CycloidNetwork>* roots,
                              Matches& matches, QueryStats& stats) const {
   if (!roots[0].result.ok) return;
   // Visit the root, then walk the small cycle's successors until the cyclic

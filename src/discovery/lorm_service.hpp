@@ -74,7 +74,7 @@ class LormService final : public DirectoryService<cycloid::CycloidNetwork>,
   /// Walks the small cycle's successors over the range from that owner.
   void ResolveSub(const resource::SubQuery& sub, double lo, double hi,
                   bool dominated,
-                  const RootLane<cycloid::CycloidNetwork>* roots,
+                  const RouteLane<cycloid::CycloidNetwork>* roots,
                   Matches& matches, QueryStats& stats) const;
 
   /// Replicated handoff (replicas > 1): re-establishes, for every cluster

@@ -66,7 +66,7 @@ QueryResult BasicMaanService<Ring>::Query(const resource::MultiQuery& q,
 template <typename Ring>
 void BasicMaanService<Ring>::ResolveSub(
     const resource::SubQuery& sub, double lo, double hi, bool dominated,
-    const RootLane<Ring>* roots, Matches& matches, QueryStats& stats) const {
+    const RouteLane<Ring>* roots, Matches& matches, QueryStats& stats) const {
   const auto& attr_root = roots[0].result;
   if (dominated) {
     // Dominated sub-query: the attribute root holds every tuple of this
@@ -91,7 +91,7 @@ void BasicMaanService<Ring>::ResolveSub(
   }
 
   // The value root, then (for ranges) the system-wide value walk.
-  const RootLane<Ring>& value_root = roots[1];
+  const RouteLane<Ring>& value_root = roots[1];
   if (!value_root.result.ok) return;
   const auto value_records = [](const Entry& e) {
     return e.tag == kValueRecord;

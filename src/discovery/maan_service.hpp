@@ -107,7 +107,7 @@ class BasicMaanService final : public DirectoryService<Ring> {
   /// segment system-wide from the value root. A dominated sub-query is
   /// answered from the attribute root's attribute records alone.
   void ResolveSub(const resource::SubQuery& sub, double lo, double hi,
-                  bool dominated, const RootLane<Ring>* roots,
+                  bool dominated, const RouteLane<Ring>* roots,
                   Matches& matches, QueryStats& stats) const;
 
   /// Unreplicated crash repair: a tuple's two records (attribute + value)

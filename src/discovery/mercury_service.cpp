@@ -61,9 +61,9 @@ QueryResult MercuryService::Query(const resource::MultiQuery& q,
 
 void MercuryService::ResolveSub(const resource::SubQuery& sub, double lo,
                                 double hi, bool /*dominated*/,
-                                const RootLane<chord::ChordRing>* roots,
+                                const RouteLane<chord::ChordRing>* roots,
                                 Matches& matches, QueryStats& stats) const {
-  const RootLane<chord::ChordRing>& root = roots[0];
+  const RouteLane<chord::ChordRing>& root = roots[0];
   if (!root.result.ok) return;
   WalkSuccessors(*root.ring, root.result.owner, root.key, lph_[sub.attr](hi),
                  stats, [&](NodeAddr cur) {

@@ -59,7 +59,7 @@ class MercuryService final : public DirectoryService<chord::ChordRing> {
   }
   /// Walks hub successors over the range from that root.
   void ResolveSub(const resource::SubQuery& sub, double lo, double hi,
-                  bool dominated, const RootLane<chord::ChordRing>* roots,
+                  bool dominated, const RouteLane<chord::ChordRing>* roots,
                   Matches& matches, QueryStats& stats) const;
 
   /// A hub's handoff touches only its own attribute's entries in the

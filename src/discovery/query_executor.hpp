@@ -48,19 +48,17 @@
 // Routing order. A classic query with the result cache and every ring's
 // route cache off routes every sub-query, and no route can change another
 // (routes only read the rings; the route cache is the one thing a lookup
-// writes). Such a query begins all of its root lookups together
-// (LookupBegin, into lanes held in QueryScratch) and steps them round-robin,
-// prefetching the lines each walk's next step reads (LookupPrefetch stage
-// 0) while the others step, so their cache misses overlap — the sub-queries
-// resolve in parallel, as the paper has them. Then it takes the sub-queries
-// in query order: inside each one's SubQueryScope, LookupFinish on its
-// lanes (trace record, `<ring>.lookup.*` metrics), billing, then the walk
-// and probes. Every other query runs the same steps one lookup at a time,
-// finishing each before the next begins: a planned query may skip
-// sub-queries, a per-sub cache hit skips routing, and a route-cache lookup
-// teaches shortcuts that later lookups take. Either way every lookup,
-// result, trace line and counter is what routing one lookup after another
-// gives.
+// writes). Such a query routes all of its root lookups together through
+// RouteLanes (common/ring_route.hpp), one lane each in QueryScratch, so
+// their cache misses overlap — the sub-queries resolve in parallel, as the
+// paper has them. Then it takes the sub-queries in query order: inside each
+// one's SubQueryScope, LookupFinish on its lanes (trace record,
+// `<ring>.lookup.*` metrics), billing, then the walk and probes. Every other
+// query routes one lookup at a time, finishing each before the next begins:
+// a planned query may skip sub-queries, a per-sub cache hit skips routing,
+// and a route-cache lookup teaches shortcuts that later lookups take.
+// Either way every lookup, result, trace line and counter is what routing
+// one lookup after another gives.
 #pragma once
 
 #include <cstddef>
@@ -76,28 +74,6 @@
 #include "obs/trace.hpp"
 
 namespace lorm::discovery {
-
-/// Begins lanes[0, n) from `origin` and steps them round-robin until every
-/// walk completed; after each step a walk prefetches what its next step
-/// reads, so the lines load while the other walks step.
-template <typename Ring>
-void RouteRootLanes(RootLane<Ring>* lanes, std::size_t n, NodeAddr origin) {
-  for (std::size_t l = 0; l < n; ++l) {
-    RootLane<Ring>& lane = lanes[l];
-    lane.ring->LookupBegin(lane.key, origin, lane.result, lane.state);
-    lane.ring->LookupPrefetch(lane.state, 0);
-  }
-  for (bool more = true; more;) {
-    more = false;
-    for (std::size_t l = 0; l < n; ++l) {
-      RootLane<Ring>& lane = lanes[l];
-      if (lane.ring->LookupStep(lane.state)) {
-        lane.ring->LookupPrefetch(lane.state, 0);
-        more = true;
-      }
-    }
-  }
-}
 
 // Each service calls this from one place with its own type, so the
 // function-local instruments below exist once per service type.
@@ -134,19 +110,23 @@ QueryResult DirectoryService<Ring>::ExecuteQuery(
     stats.sub_costs.assign(k, 0);
 
     // Root lookups go into lanes [0, named), each tagged with its sub-query.
-    std::vector<RootLane<Ring>>& lanes =
-        std::get<std::vector<RootLane<Ring>>>(scratch.lanes);
+    std::vector<RouteLane<Ring>>& lanes =
+        std::get<std::vector<RouteLane<Ring>>>(scratch.lanes);
     std::size_t named = 0;
     const auto name_roots = [&](std::size_t idx, bool dominated) {
       svc.RootLookups(q.subs[idx], ps.lo[idx], dominated,
-                      [&](const Ring& ring, typename Ring::LookupKeyType key) {
+                      [&](const Ring& ring, Key key) {
                         if (named == lanes.size()) lanes.emplace_back();
-                        RootLane<Ring>& lane = lanes[named++];
+                        RouteLane<Ring>& lane = lanes[named++];
                         lane.ring = &ring;
                         lane.key = key;
+                        lane.origin = q.requester;
                         lane.sub = idx;
                       });
     };
+    // The lanes are named before routing, and finished in their sub-query's
+    // scope below.
+    const auto none = [](std::size_t, RouteLane<Ring>&) {};
     // Overlapped routing (see the file comment): every root lookup of the
     // query is in flight before the first sub-query's turn.
     bool overlap = !plan_ && !result_cache_.enabled();
@@ -155,7 +135,7 @@ QueryResult DirectoryService<Ring>::ExecuteQuery(
       for (std::size_t l = 0; l < named && overlap; ++l) {
         overlap = !lanes[l].ring->RouteCacheEnabled();
       }
-      if (overlap) RouteRootLanes(lanes.data(), named, q.requester);
+      if (overlap) RouteLanes(lanes.data(), named, named, none, none);
     }
     std::size_t next_lane = 0;  // overlapped: the next sub-query's first lane
 
@@ -189,13 +169,13 @@ QueryResult DirectoryService<Ring>::ExecuteQuery(
         }
         const std::size_t first = next_lane;
         for (; next_lane < named && lanes[next_lane].sub == idx; ++next_lane) {
-          RootLane<Ring>& lane = lanes[next_lane];
+          RouteLane<Ring>& lane = lanes[next_lane];
           // One lookup in flight routes in lane 0's path buffer: a query that
           // never overlaps keeps one warm buffer, as one reused result would,
           // not one per lane.
           if (!overlap) {
             lane.result.path.swap(lanes[0].result.path);
-            RouteRootLanes(&lane, 1, q.requester);
+            RouteLanes(&lane, 1, 1, none, none);
           }
           lane.ring->LookupFinish(lane.state);
           if (!overlap) lane.result.path.swap(lanes[0].result.path);

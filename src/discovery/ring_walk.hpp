@@ -23,12 +23,9 @@
 // header's cached s0_slot, so a step touches one header line per node.
 //
 // The walk is factored into a resumable Begin/Advance/Finish state machine
-// (mirroring the rings' LookupBegin/Step/Finish) so the batched walk engine
-// (src/harness/batch_walk.hpp) can keep B walks in flight and prefetch the
-// next node's directory bucket one visit ahead. WalkSuccessors is the
-// sequential wrapper: Begin; do { visit } while (Advance); Finish — the
-// one-walk path *is* the batched path with B = 1, byte-identical stats and
-// metrics by construction.
+// (mirroring the rings' LookupBegin/Step/Finish), so a caller can hold
+// several walks in flight and interleave their visits. WalkSuccessors is
+// the sequential wrapper: Begin; do { visit } while (Advance); Finish.
 #pragma once
 
 #include "chord/chord.hpp"

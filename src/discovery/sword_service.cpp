@@ -41,7 +41,7 @@ QueryResult SwordService::Query(const resource::MultiQuery& q,
 
 void SwordService::ResolveSub(const resource::SubQuery& sub, double lo,
                               double hi, bool /*dominated*/,
-                              const RootLane<chord::ChordRing>* roots,
+                              const RouteLane<chord::ChordRing>* roots,
                               Matches& matches, QueryStats& stats) const {
   if (!roots[0].result.ok) return;
   // The attribute's entire directory is at the root: ranges resolve

@@ -54,7 +54,7 @@ class SwordService final : public DirectoryService<chord::ChordRing> {
   }
   /// Scans the attribute root's directory for the range.
   void ResolveSub(const resource::SubQuery& sub, double lo, double hi,
-                  bool dominated, const RootLane<chord::ChordRing>* roots,
+                  bool dominated, const RouteLane<chord::ChordRing>* roots,
                   Matches& matches, QueryStats& stats) const;
 
   Config cfg_;

@@ -140,9 +140,8 @@ bool SingleHopRing::StepOnce(LookupState& st, LookupResult& r) const {
   return Arrive(st, r);
 }
 
-void SingleHopRing::LookupPrefetch(const LookupState& st,
-                                   unsigned stage) const {
-  if (stage != 0 || st.done || st.cur == kNoSlot) return;
+void SingleHopRing::LookupPrefetch(const LookupState& st) const {
+  if (st.done || st.cur == kNoSlot) return;
   __builtin_prefetch(&slab_[st.cur]);
 }
 

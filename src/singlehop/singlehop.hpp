@@ -36,9 +36,8 @@
 //
 // Routing: the lookup loop, its begin and finish, the maintenance meter and
 // the membership observer are the shared `RingRoute` (common/ring_route.hpp),
-// so the resumable LookupBegin/Step/Finish state machine is the one the
-// batch engine drives on the other rings (harness/batch_lookup.hpp). A
-// lookup completes in one Step — origin consults its full table and hops
+// and its `RouteLanes` steps this ring's lookups as it does the other rings'.
+// A lookup completes in one Step — origin consults its full table and hops
 // straight to the owner — and Finish reports the same metrics/trace surface
 // as the other rings ("singlehop.lookup.*"). The route cache is never
 // enabled: a complete table cannot be shortcut.
@@ -162,12 +161,9 @@ class SingleHopRing
   // LookupFinish come from RingRoute; the one step resolves the owner from
   // the origin's full table.
 
-  /// Stage 0 warms the walk head's header line; the owner resolution is an
-  /// oracle binary search with no further dependent loads, so later stages
-  /// are no-ops.
-  void LookupPrefetch(const LookupState& st, unsigned stage) const;
-  /// Prefetch stages a batch engine runs before each step.
-  static constexpr unsigned kPrefetchStages = 1;
+  /// Warms the walk head's header line; the owner resolution is an oracle
+  /// binary search with no further dependent loads.
+  void LookupPrefetch(const LookupState& st) const;
 
   // ---- Maintenance ------------------------------------------------------
 

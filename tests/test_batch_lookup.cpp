@@ -3,13 +3,16 @@
 // every walk, every system's overlay, every batch width, cache off and on.
 // The workloads here are the quick fig4a/fig5a populations (Setup::Quick's
 // advertised tuples routed through each service's real key derivation), so
-// the walks exercised are exactly the ones the figure benches time.
+// the walks exercised are exactly the ones the figure benches time. The
+// scheduler under the engine, RouteLanes, is also driven directly, in the
+// forms the engine and the query executor use, over several rings at once.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <memory>
 #include <vector>
 
+#include "common/ring_route.hpp"
 #include "discovery/lorm_service.hpp"
 #include "discovery/maan_service.hpp"
 #include "discovery/mercury_service.hpp"
@@ -33,7 +36,7 @@ void ExpectBatchMatchesSequential(
     const Ring& sequential_ring, const Ring& batch_ring,
     const std::vector<typename BatchLookupEngine<Ring>::Request>& reqs,
     std::size_t batch) {
-  std::vector<typename Ring::LookupResultType> expected(reqs.size());
+  std::vector<typename Ring::LookupResult> expected(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     sequential_ring.LookupInto(reqs[i].key, reqs[i].origin, expected[i]);
   }
@@ -41,7 +44,7 @@ void ExpectBatchMatchesSequential(
   BatchLookupEngine<Ring> engine(batch);
   std::size_t seen = 0;
   engine.Run(batch_ring, reqs.data(), reqs.size(),
-             [&](std::size_t index, const typename Ring::LookupResultType& r) {
+             [&](std::size_t index, const typename Ring::LookupResult& r) {
                ASSERT_EQ(index, seen) << "retirement out of submission order";
                ++seen;
                const auto& e = expected[index];
@@ -228,6 +231,83 @@ TEST(BatchLookup, MissingOriginStillRetiresInOrder) {
   reqs.push_back({ring.space() / 5, kNoNode});  // not a member: walk fails
   reqs.push_back({ring.space() / 7, members[1]});
   ExpectBatchMatchesSequential(ring, ring, reqs, 8);
+}
+
+// ---- RouteLanes, driven directly -------------------------------------------
+
+TEST(RouteLanes, MixedRingsMatchLookupIntoInSubmissionOrder) {
+  // Mercury's first four hubs interleave from lookup to lookup, so below
+  // the lookup count a lane routes on several rings in turn, which neither
+  // client does: the executor mixes rings in one pass but never reuses a
+  // lane, and the engine reuses lanes on one ring.
+  using Lane = RouteLane<chord::ChordRing>;
+  auto bed = MakeQuickBed(SystemKind::kMercury, /*cache=*/false);
+  const auto* svc =
+      dynamic_cast<const discovery::MercuryService*>(bed.service.get());
+  ASSERT_NE(svc, nullptr);
+  std::vector<Lane> lookups;
+  for (std::size_t i = 0; i < bed.infos.size() && lookups.size() < 40; ++i) {
+    const auto& info = bed.infos[i];
+    if (info.attr >= 4) continue;
+    Lane l;
+    l.ring = &svc->hub(info.attr);
+    l.key = svc->KeyFor(info.attr, info.value);
+    l.origin = OriginFor(bed, i);
+    lookups.push_back(l);
+  }
+  ASSERT_EQ(lookups.size(), 40u);
+  // An origin that is not a member completes its walk at LookupBegin: at
+  // the head, in the middle and last.
+  const auto stranger = static_cast<NodeAddr>(bed.setup.nodes + 7);
+  ASSERT_FALSE(lookups[0].ring->Contains(stranger));
+  for (const std::size_t i : {0, 20, 39}) lookups[i].origin = stranger;
+  std::vector<chord::LookupResult> want(lookups.size());
+  for (std::size_t i = 0; i < lookups.size(); ++i) {
+    lookups[i].ring->LookupInto(lookups[i].key, lookups[i].origin, want[i]);
+  }
+  const auto expect_want = [&](std::size_t i, const chord::LookupResult& r) {
+    EXPECT_EQ(r.ok, want[i].ok) << "lookup " << i;
+    EXPECT_EQ(r.key, want[i].key) << "lookup " << i;
+    EXPECT_EQ(r.owner, want[i].owner) << "lookup " << i;
+    EXPECT_EQ(r.hops, want[i].hops) << "lookup " << i;
+    EXPECT_EQ(r.path, want[i].path) << "lookup " << i;
+    EXPECT_EQ(r.cache_hits, want[i].cache_hits) << "lookup " << i;
+  };
+  const auto none = [](std::size_t, Lane&) {};
+
+  // The engine's form: lanes reused, each lookup named as it begins and
+  // finished as it retires.
+  for (const std::size_t width : {1, 3, 8}) {
+    SCOPED_TRACE(::testing::Message() << "width " << width);
+    std::vector<Lane> lanes(width);
+    std::size_t retired = 0;
+    RouteLanes(
+        lanes.data(), width, lookups.size(),
+        [&](std::size_t i, Lane& lane) {
+          lane.ring = lookups[i].ring;
+          lane.key = lookups[i].key;
+          lane.origin = lookups[i].origin;
+        },
+        [&](std::size_t i, Lane& lane) {
+          EXPECT_EQ(i, retired++) << "retired out of submission order";
+          lane.ring->LookupFinish(lane.state);
+          expect_want(i, lane.result);
+        });
+    EXPECT_EQ(retired, lookups.size());
+  }
+
+  // The executor's form: one named lane per lookup (count <= width), no
+  // retire, and LookupFinish on each lane afterwards, in order.
+  for (const std::size_t width : {lookups.size(), lookups.size() + 8}) {
+    SCOPED_TRACE(::testing::Message() << "width " << width);
+    std::vector<Lane> lanes = lookups;
+    lanes.resize(width);
+    RouteLanes(lanes.data(), width, lookups.size(), none, none);
+    for (std::size_t i = 0; i < lookups.size(); ++i) {
+      lanes[i].ring->LookupFinish(lanes[i].state);
+      expect_want(i, lanes[i].result);
+    }
+  }
 }
 
 }  // namespace

@@ -193,7 +193,7 @@ void ExpectLookupInstrumentsMatchResults(Ring& ring, const std::string& prefix,
   for (const bool batched : {false, true}) {
     SCOPED_TRACE(batched ? "batch engine" : "LookupInto");
     LookupTotals want;
-    const auto add = [&](const typename Ring::LookupResultType& r) {
+    const auto add = [&](const typename Ring::LookupResult& r) {
       ++want.lookups;
       if (!r.ok) ++want.failures;
       ++want.hop_count;
@@ -206,7 +206,7 @@ void ExpectLookupInstrumentsMatchResults(Ring& ring, const std::string& prefix,
       engine.Run(ring, reqs.data(), reqs.size(),
                  [&](std::size_t, const auto& r) { add(r); });
     } else {
-      typename Ring::LookupResultType res;
+      typename Ring::LookupResult res;
       for (const auto& r : reqs) {
         ring.LookupInto(r.key, r.origin, res);
         add(res);

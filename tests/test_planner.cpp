@@ -3,8 +3,8 @@
 // planned query must return exactly the providers the classic path returns.
 // These tests pin that equivalence by fuzzing twin services (planner off/on)
 // with identical query streams, and cover the planner's parts in isolation:
-// the estimator's directory mirroring, the galloping intersection, the
-// order-independent joined result-cache key and the batched walk engine.
+// the estimator's directory mirroring, the galloping intersection and the
+// order-independent joined result-cache key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,10 +18,8 @@
 #include "discovery/lorm_service.hpp"
 #include "discovery/maan_service.hpp"
 #include "discovery/mercury_service.hpp"
-#include "discovery/ring_walk.hpp"
 #include "discovery/selectivity.hpp"
 #include "discovery/sword_service.hpp"
-#include "harness/batch_walk.hpp"
 #include "obs/metrics.hpp"
 #include "service_test_util.hpp"
 
@@ -321,67 +319,6 @@ TEST(ResultCache, JoinedKeyIsOrderIndependentClassic) {
 
 TEST(ResultCache, JoinedKeyIsOrderIndependentPlanned) {
   ExpectCrossOrderJoinedHit(/*plan=*/true);
-}
-
-// ---- Batched walk engine ---------------------------------------------------
-
-TEST(BatchWalk, ByteIdenticalToSequentialWalks) {
-  auto bed = MakeBed(SystemKind::kMaan);
-  const auto& maan =
-      dynamic_cast<const discovery::MaanService&>(*bed.service);
-  const auto& ring = maan.overlay();
-
-  std::vector<harness::BatchWalkEngine::Request> reqs;
-  Rng rng(0xBA7C8EALL);
-  for (int i = 0; i < 48; ++i) {
-    const auto q = bed.workload->MakeRangeQuery(
-        1, static_cast<NodeAddr>(rng.NextBelow(bed.setup.nodes)),
-        resource::RangeStyle::kBounded, rng);
-    harness::BatchWalkEngine::Request r;
-    r.key_lo = maan.ValueKeyFor(q.subs[0].attr, q.subs[0].range.lo);
-    r.key_hi = maan.ValueKeyFor(q.subs[0].attr, q.subs[0].range.hi);
-    r.root = ring.OwnerOf(r.key_lo);
-    reqs.push_back(r);
-  }
-
-  struct WalkRecord {
-    std::vector<NodeAddr> visits;
-    discovery::QueryStats stats;
-  };
-  std::vector<WalkRecord> sequential(reqs.size());
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    discovery::WalkSuccessors(
-        ring, reqs[i].root, reqs[i].key_lo, reqs[i].key_hi,
-        sequential[i].stats,
-        [&](NodeAddr node) { sequential[i].visits.push_back(node); });
-  }
-
-  for (const std::size_t width : {std::size_t{1}, std::size_t{8},
-                                  std::size_t{32}}) {
-    harness::BatchWalkEngine engine(width);
-    std::vector<WalkRecord> batched(reqs.size());
-    std::size_t expected_done = 0;
-    engine.Run(
-        ring, reqs.data(), reqs.size(),
-        [&](std::size_t index, NodeAddr node) {
-          batched[index].visits.push_back(node);
-        },
-        [](std::size_t, NodeAddr) {},
-        [&](std::size_t index, const discovery::QueryStats& stats) {
-          EXPECT_EQ(index, expected_done++) << "done() out of submission "
-                                               "order at width " << width;
-          batched[index].stats = stats;
-        });
-    ASSERT_EQ(expected_done, reqs.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      EXPECT_EQ(batched[i].visits, sequential[i].visits)
-          << "request " << i << " at width " << width;
-      EXPECT_EQ(batched[i].stats.visited_nodes,
-                sequential[i].stats.visited_nodes);
-      EXPECT_EQ(batched[i].stats.walk_steps, sequential[i].stats.walk_steps);
-      EXPECT_EQ(batched[i].stats.failed, sequential[i].stats.failed);
-    }
-  }
 }
 
 }  // namespace

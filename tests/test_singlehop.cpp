@@ -11,8 +11,8 @@
 //   * cost model — every lookup resolves in at most one hop (mean <= 1.05
 //     at the paper's n = 2048), joins/leaves/crash-repair charge Θ(n)
 //     maintenance messages where Chord charges Θ(log n);
-//   * engine contract — the resumable lookup and walk state machines are
-//     byte-identical through the batch engines at widths 1/8/32;
+//   * engine contract — the resumable lookup state machine is
+//     byte-identical through the batch engine at widths 1/8/32;
 //   * placement — both rings' joiners take chord::HashedId's id against
 //     the taken ids, on full and sparse rings alike;
 //   * registry — a sixth system can be registered without touching the
@@ -31,9 +31,7 @@
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "discovery/d1ht_service.hpp"
-#include "discovery/ring_walk.hpp"
 #include "harness/batch_lookup.hpp"
-#include "harness/batch_walk.hpp"
 #include "service_test_util.hpp"
 
 namespace lorm {
@@ -495,62 +493,6 @@ TEST(SingleHopBatch, LookupEngineIsByteIdenticalAtAnyWidth) {
   for (const std::size_t batch : {std::size_t{1}, std::size_t{8},
                                   std::size_t{32}}) {
     EXPECT_EQ(LookupResultsSerialized(ring, reqs, batch), sequential)
-        << "batch width " << batch;
-  }
-}
-
-std::string WalkVisitsSerialized(
-    const singlehop::SingleHopRing& ring,
-    const std::vector<harness::BatchWalkEngine::Request>& reqs,
-    std::size_t batch) {
-  std::ostringstream out;
-  if (batch == 0) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      discovery::QueryStats stats;
-      out << i << ":";
-      discovery::WalkSuccessors(ring, reqs[i].root, reqs[i].key_lo,
-                                reqs[i].key_hi, stats,
-                                [&](NodeAddr a) { out << a << ";"; });
-      out << "|v=" << stats.visited_nodes << ",s=" << stats.walk_steps << "\n";
-    }
-  } else {
-    std::vector<std::string> visits(reqs.size());
-    std::vector<std::string> tails(reqs.size());
-    harness::BatchWalkEngine engine(batch);
-    engine.Run(
-        ring, reqs.data(), reqs.size(),
-        [&](std::size_t i, NodeAddr a) {
-          visits[i] += std::to_string(a) + ";";
-        },
-        [](std::size_t, NodeAddr) {},
-        [&](std::size_t i, const discovery::QueryStats& stats) {
-          tails[i] = "|v=" + std::to_string(stats.visited_nodes) +
-                     ",s=" + std::to_string(stats.walk_steps);
-        });
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      out << i << ":" << visits[i] << tails[i] << "\n";
-    }
-  }
-  return out.str();
-}
-
-TEST(SingleHopBatch, WalkEngineIsByteIdenticalAtAnyWidth) {
-  singlehop::Config cfg;
-  cfg.bits = 10;
-  const auto ring = singlehop::MakeSingleHopRing(384, cfg,
-                                                 /*deterministic_ids=*/true);
-  Rng rng(0xBA7C42ull);
-  std::vector<harness::BatchWalkEngine::Request> reqs(129);
-  for (auto& r : reqs) {
-    const singlehop::Key lo = rng.NextBelow(ring.space());
-    r.key_lo = lo;
-    r.key_hi = lo + rng.NextBelow(ring.space() / 16);
-    r.root = ring.OwnerOf(lo);
-  }
-  const std::string sequential = WalkVisitsSerialized(ring, reqs, 0);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{8},
-                                  std::size_t{32}}) {
-    EXPECT_EQ(WalkVisitsSerialized(ring, reqs, batch), sequential)
         << "batch width " << batch;
   }
 }
