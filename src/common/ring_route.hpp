@@ -38,8 +38,9 @@
 // compiled next to the step it inlines.
 //
 // `RouteLanes` is the one scheduler for lookups in flight together: the
-// query executor's root lookups (discovery/query_executor.hpp) and the batch
-// engine (harness/batch_lookup.hpp) both run it. It keeps up to `width`
+// query executor's root lookups (discovery/query_executor.hpp), the batch
+// engine (harness/batch_lookup.hpp) and block placement
+// (DirectoryService::AdvertiseAll) all run it. It keeps up to `width`
 // walks in lanes, steps them round-robin and, after each step, prefetches
 // what that walk's next step reads (LookupPrefetch), so one walk's cache
 // misses overlap the others' steps. Walks that do not touch the route cache

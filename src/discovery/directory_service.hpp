@@ -1,26 +1,43 @@
 // What the five discovery services share besides their query executor: the
-// per-node directories, the state around them and the membership path.
+// per-node directories, the state around them, the placement path and the
+// membership path.
 //
 // Every service keeps its tuples in a DirectoryStore keyed by its overlay's
 // key type, feeds the planner's histograms from it, serves repeated
 // sub-queries from a result cache, counts the query visits each node absorbs
 // and meters replication handoff. This base holds that state once, with the
 // operations that only read or expire it, the directory probe every
-// resolver runs, the placement every Advertise runs (Place) and the query
-// executor (ExecuteQuery, defined in query_executor.hpp).
+// resolver runs and the query executor (ExecuteQuery, defined in
+// query_executor.hpp).
 //
-// It also runs every join, leave and crash. A service registers each of its
+// It also places every tuple. Advertise is a block of one, and AdvertiseAll
+// names the placements of up to kPlacementWindow tuples, routes them
+// together through RouteLanes (common/ring_route.hpp), kPlacementLanes wide,
+// and stores each tuple's copies as its routes retire, in submission order.
+// Routes only read the rings, so directory contents and order, hop totals,
+// counters and traces are those of one Advertise per tuple; the one ring
+// state a lookup writes is the route cache, so with any ring's route cache on
+// the placements route one lane wide.
+//
+// And it runs every join, leave and crash. A service registers each of its
 // rings with the observer that hands off that ring's entries (AddRing: one
 // ring for LORM, SWORD, MAAN and D1HT, one per attribute for Mercury); the
 // base checks the first ring's capacity, drives every ring, records the
 // flight event and drops a departed node's directory once every ring's
 // handoff ran. The Chord-keyed rings share one observer (RingHandoff,
-// replication.hpp); LORM hands off across its Cycloid clusters itself. What
-// a service adds is its placement (Advertise), the root lookups of a
-// sub-query (RootLookups), its walk (ResolveSub) and its ring(s).
+// replication.hpp); LORM hands off across its Cycloid clusters itself.
+//
+// What a service adds is its ring(s) and four members: its placements
+// (Placements, the routes that store one tuple), its replica chain
+// (NextReplica), what a failed placement route means (CheckRouted), and for
+// queries the root lookups of a sub-query (RootLookups) and its walk
+// (ResolveSub).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +87,11 @@ class DirectoryService : public DiscoveryService {
   DirectoryService& operator=(const DirectoryService&) = delete;
 
   std::string name() const final { return name_; }
+
+  HopCount Advertise(const resource::ResourceInfo& info) final {
+    return AdvertiseAll({&info, 1});
+  }
+  HopCount AdvertiseAll(std::span<const resource::ResourceInfo> infos) final;
 
   /// Rejected (false) when the first ring's identifier space is full; then
   /// every ring adds the node and hands off its arcs.
@@ -163,7 +185,8 @@ class DirectoryService : public DiscoveryService {
                    const resource::AttributeRegistry& registry,
                    const ServiceOptions& options)
       : name_(system), registry_(registry), repl_(std::move(system)),
-        advertise_obs_(name_), plan_(options.plan) {
+        advertise_obs_(name_), replicas_(options.replicas),
+        plan_(options.plan) {
     if (options.result_cache) result_cache_.Enable();
     if (plan_) {
       selectivity_.Configure(registry_);
@@ -178,6 +201,7 @@ class DirectoryService : public DiscoveryService {
   void AddRing(Ring& ring, typename Ring::ObserverType* observer) {
     ring.SetObserver(observer);
     rings_.push_back(&ring);
+    if (ring.RouteCacheEnabled()) placement_width_ = 1;
   }
 
   /// Runs `q` on `svc`: the executor routes the root lookups
@@ -188,49 +212,32 @@ class DirectoryService : public DiscoveryService {
   QueryResult ExecuteQuery(const resource::MultiQuery& q,
                            QueryScratch& scratch, const Service& svc) const;
 
-  /// The placement every Advertise runs: routes `key` from the provider on
-  /// `overlay` into a reused result, then stores `info` under `key` and
-  /// `tag` on the owner and on up to replicas - 1 further members, each
-  /// `next(previous)`, stopping when the chain wraps back to the owner.
-  /// Adds the route's hops and one per further copy to `hops`. Returns
-  /// false, storing nothing, when the route fails.
-  template <typename Overlay, typename Next>
-  bool Place(const Overlay& overlay, const resource::ResourceInfo& info,
-             Key key, std::uint8_t tag, std::size_t replicas, Next&& next,
-             HopCount& hops) {
-    LORM_CHECK_MSG(overlay.Contains(info.provider),
-                   "provider is not a member of the overlay");
-    overlay.LookupInto(key, info.provider, placement_);
-    hops += placement_.hops;
-    if (!placement_.ok) return false;
-    const double ordinal = registry_.Get(info.attr).OrdinalOf(info.value);
-    NodeAddr target = placement_.owner;
-    for (std::size_t copy = 0; copy < replicas; ++copy) {
-      if (copy > 0) {
-        target = next(target);
-        if (target == placement_.owner) break;  // fewer members than copies
-        hops += 1;
-      }
-      typename Store::Entry e;
-      e.info = info;
-      e.ordinal = ordinal;
-      e.key = key;
-      e.epoch = epoch_;
-      e.tag = tag;
-      e.replica = static_cast<std::uint8_t>(copy);
-      store_.Insert(target, std::move(e));
-    }
-    return true;
-  }
+  /// One placement route: `key` on `ring` from the provider of `*info`,
+  /// every copy stored with `tag`.
+  struct Placement {
+    const Ring* ring;
+    Key key;
+    std::uint8_t tag;
+    const resource::ResourceInfo* info;
+  };
 
-  /// Closes an Advertise that stored its tuple: the attribute's ground
-  /// truth changed, so its cached results go; the cost is recorded under
-  /// "<system>.advertise.*".
-  HopCount Advertised(AttrId attr, HopCount hops) {
-    result_cache_.InvalidateAttr(attr);
-    advertise_obs_.Record(hops);
-    return hops;
-  }
+  /// The `add` a service's Placements calls once per placement of the tuple
+  /// it names: add(ring, key, tag) routes `key` on `ring` from the tuple's
+  /// provider and stores every copy with `tag`.
+  class AddPlacement {
+   public:
+    void operator()(const Ring& ring, Key key, std::uint8_t tag) const {
+      out_.push_back({&ring, key, tag, &info_});
+    }
+
+   private:
+    friend DirectoryService;
+    AddPlacement(std::vector<Placement>& out,
+                 const resource::ResourceInfo& info)
+        : out_(out), info_(info) {}
+    std::vector<Placement>& out_;
+    const resource::ResourceInfo& info_;
+  };
 
   /// One directory check at `node` for (attr, [lo, hi]): counts the visit,
   /// appends the matching entries `keep` accepts, and bills the probe; with
@@ -283,6 +290,64 @@ class DirectoryService : public DiscoveryService {
   mutable cache::ResultCache result_cache_;
 
  private:
+  /// Lookups in flight while a block of placements routes: 2 read best of
+  /// {2, 4, 8, 16} on perfbench's paper-scale set-up (DESIGN.md §6).
+  static constexpr std::size_t kPlacementLanes = 2;
+  /// Tuples whose placements AdvertiseAll names, and so keeps, at a time:
+  /// the lanes drain once per window, and the buffer stays under 40 KB.
+  static constexpr std::size_t kPlacementWindow = 512;
+
+  /// Names the placements of `info` in storing order, calling add(ring,
+  /// key, tag) once each: one for LORM, Mercury and SWORD, two for MAAN and
+  /// D1HT (the attribute record, then the value record).
+  virtual void Placements(const resource::ResourceInfo& info,
+                          const AddPlacement& add) const = 0;
+  /// The member after `node` in a copy chain on `ring`: the ring successor,
+  /// or LORM's cyclic successor inside the owner's cluster.
+  virtual NodeAddr NextReplica(const Ring& ring, NodeAddr node) const = 0;
+  /// Checks the route of a placement tagged `tag` before anything of it is
+  /// stored. LORM accepts a failed one, which stores nothing: the tuple
+  /// waits for its provider's next periodic re-advertisement. The
+  /// Chord-keyed services' routes from a live provider cannot fail; they
+  /// raise an invariant error.
+  virtual void CheckRouted(bool routed, std::uint8_t tag) const = 0;
+
+  /// Stores the placement's tuple under its key and tag on `owner` and on
+  /// up to replicas - 1 further members, each NextReplica(previous),
+  /// stopping when the chain wraps back to the owner. Returns the hops of
+  /// the further copies, one each.
+  HopCount StoreCopies(const Placement& p, NodeAddr owner) {
+    const resource::ResourceInfo& info = *p.info;
+    const double ordinal = registry_.Get(info.attr).OrdinalOf(info.value);
+    HopCount hops = 0;
+    NodeAddr target = owner;
+    for (std::size_t copy = 0; copy < replicas_; ++copy) {
+      if (copy > 0) {
+        target = NextReplica(*p.ring, target);
+        if (target == owner) break;  // fewer members than copies
+        hops += 1;
+      }
+      typename Store::Entry e;
+      e.info = info;
+      e.ordinal = ordinal;
+      e.key = p.key;
+      e.epoch = epoch_;
+      e.tag = p.tag;
+      e.replica = static_cast<std::uint8_t>(copy);
+      store_.Insert(target, std::move(e));
+    }
+    return hops;
+  }
+
+  /// Closes the placement of a tuple whose every route succeeded: the
+  /// attribute's ground truth changed, so its cached results go; the cost
+  /// is recorded under "<system>.advertise.*".
+  HopCount Advertised(AttrId attr, HopCount hops) {
+    result_cache_.InvalidateAttr(attr);
+    advertise_obs_.Record(hops);
+    return hops;
+  }
+
   /// The most members a ring's identifier space seats.
   static std::uint64_t Capacity(const Ring& ring) {
     if constexpr (requires { ring.capacity(); }) {
@@ -301,11 +366,63 @@ class DirectoryService : public DiscoveryService {
   }
 
   AdvertiseInstruments advertise_obs_;
-  /// Place's route, reused so a warm Advertise allocates no path.
-  RouteResult<Key> placement_;
+  /// Copies of each placement (ServiceOptions::replicas).
+  const std::size_t replicas_;
+  /// The placement lanes and the window's named placements, reused, so a
+  /// warm AdvertiseAll allocates no route.
+  std::array<RouteLane<Ring>, kPlacementLanes> lanes_{};
+  std::vector<Placement> placements_;
+  /// kPlacementLanes, or 1 once a registered ring's route cache is on.
+  std::size_t placement_width_ = kPlacementLanes;
   bool plan_;
   /// Every ring the service routes on, in registration order.
   std::vector<Ring*> rings_;
 };
+
+template <typename Ring>
+HopCount DirectoryService<Ring>::AdvertiseAll(
+    std::span<const resource::ResourceInfo> infos) {
+  HopCount total = 0;
+  for (std::size_t first = 0; first < infos.size();
+       first += kPlacementWindow) {
+    placements_.clear();
+    for (const resource::ResourceInfo& info : infos.subspan(
+             first, std::min(kPlacementWindow, infos.size() - first))) {
+      Placements(info, AddPlacement(placements_, info));
+    }
+    HopCount hops = 0;    // the current tuple's
+    bool stored = true;   // every route of the current tuple succeeded
+    RouteLanes(
+        lanes_.data(), placement_width_, placements_.size(),
+        [&](std::size_t i, RouteLane<Ring>& lane) {
+          const Placement& p = placements_[i];
+          lane.ring = p.ring;
+          lane.key = p.key;
+          lane.origin = p.info->provider;
+        },
+        [&](std::size_t i, RouteLane<Ring>& lane) {
+          const Placement& p = placements_[i];
+          // Every earlier tuple is stored by now, as in one Advertise per
+          // tuple; a non-member's route already completed at LookupBegin.
+          LORM_CHECK_MSG(lane.ring->Contains(p.info->provider),
+                         "provider is not a member of the overlay");
+          lane.ring->LookupFinish(lane.state);
+          hops += lane.result.hops;
+          CheckRouted(lane.result.ok, p.tag);
+          if (lane.result.ok) {
+            hops += StoreCopies(p, lane.result.owner);
+          } else {
+            stored = false;
+          }
+          if (i + 1 < placements_.size() && placements_[i + 1].info == p.info) {
+            return;  // the tuple has another placement
+          }
+          total += stored ? Advertised(p.info->attr, hops) : hops;
+          hops = 0;
+          stored = true;
+        });
+  }
+  return total;
+}
 
 }  // namespace lorm::discovery

@@ -11,14 +11,15 @@
 //
 // All five expose identical advertise/query/membership operations so the
 // experiment harnesses and examples can drive them interchangeably. They
-// share their directory state and membership path (directory_service.hpp)
-// and one query executor (query_executor.hpp), which routes every lookup;
-// each contributes only its ring(s), its placement, the root lookups of one
-// sub-query and how it walks and probes from their owners.
+// share their directory state, placement path and membership path
+// (directory_service.hpp) and one query executor (query_executor.hpp); each
+// contributes only its ring(s), the placements of one tuple, the root
+// lookups of one sub-query and how it walks and probes from their owners.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -137,6 +138,15 @@ class DiscoveryService {
   /// on successor lists or the full table, so a live provider's route
   /// cannot fail there; they keep checking it as an invariant.
   virtual HopCount Advertise(const resource::ResourceInfo& info) = 0;
+
+  /// Advertises every tuple of `infos`, in order, as one Advertise each
+  /// would; returns the hops spent in all. The five services route the
+  /// block's placements together (directory_service.hpp).
+  virtual HopCount AdvertiseAll(std::span<const resource::ResourceInfo> infos) {
+    HopCount total = 0;
+    for (const resource::ResourceInfo& info : infos) total += Advertise(info);
+    return total;
+  }
 
   // ---- Soft state (periodic re-advertisement, paper §III) -----------------
   //

@@ -52,19 +52,6 @@ cycloid::CycloidId LormService::KeyFor(AttrId attr,
   return cycloid::CycloidId{CyclicOf(attr, ordinal), CubicalOf(attr)};
 }
 
-HopCount LormService::Advertise(const resource::ResourceInfo& info) {
-  HopCount hops = 0;
-  // Replicas ride the small cycle to the owner's cyclic successors. A route
-  // through unrepaired crashes can fail: store nothing and let the
-  // provider's next periodic re-advertisement place the tuple.
-  if (!Place(net_, info, KeyFor(info.attr, info.value), /*tag=*/0,
-             cfg_.replicas,
-             [this](NodeAddr a) { return net_.InsideSuccessor(a); }, hops)) {
-    return hops;
-  }
-  return Advertised(info.attr, hops);
-}
-
 QueryResult LormService::Query(const resource::MultiQuery& q,
                                QueryScratch& scratch) const {
   return ExecuteQuery(q, scratch, *this);

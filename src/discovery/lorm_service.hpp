@@ -52,7 +52,6 @@ class LormService final : public DirectoryService<cycloid::CycloidNetwork>,
   LormService(std::size_t n, const resource::AttributeRegistry& registry,
               Config cfg);
 
-  HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
@@ -63,7 +62,21 @@ class LormService final : public DirectoryService<cycloid::CycloidNetwork>,
   const cycloid::CycloidNetwork& overlay() const { return net_; }
 
  private:
-  friend DirectoryService;  // the executor calls the two below
+  friend DirectoryService;  // the executor calls RootLookups and ResolveSub
+
+  /// One placement: the tuple's resource ID on the Cycloid.
+  void Placements(const resource::ResourceInfo& info,
+                  const AddPlacement& add) const override {
+    add(net_, KeyFor(info.attr, info.value), /*tag=*/0);
+  }
+  /// Replicas ride the small cycle to the owner's cyclic successors.
+  NodeAddr NextReplica(const cycloid::CycloidNetwork& ring,
+                       NodeAddr node) const override {
+    return ring.InsideSuccessor(node);
+  }
+  /// A route through unrepaired crashes can fail: nothing is stored, and
+  /// the provider's next periodic re-advertisement places the tuple.
+  void CheckRouted(bool /*routed*/, std::uint8_t /*tag*/) const override {}
 
   /// One root lookup: the owner of the range's lower endpoint.
   template <typename Add>

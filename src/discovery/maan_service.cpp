@@ -40,21 +40,13 @@ chord::Key BasicMaanService<Ring>::ValueKeyFor(
 }
 
 template <typename Ring>
-HopCount BasicMaanService<Ring>::Advertise(
-    const resource::ResourceInfo& info) {
-  HopCount hops = 0;
-  const auto successor = [this](NodeAddr a) { return ring_.Successor(a); };
-  const bool attr_placed =
-      this->Place(ring_, info, AttributeKeyFor(info.attr), kAttributeRecord,
-                  cfg_.replicas, successor, hops);
-  LORM_CHECK_MSG(attr_placed,
+void BasicMaanService<Ring>::CheckRouted(bool routed, std::uint8_t tag) const {
+  // A live provider's route falls back on successor lists (Chord) or the
+  // full membership table (single-hop).
+  LORM_CHECK_MSG(routed || tag != kAttributeRecord,
                  this->name_ + " attribute-record insert failed to route");
-  const bool value_placed =
-      this->Place(ring_, info, ValueKeyFor(info.attr, info.value),
-                  kValueRecord, cfg_.replicas, successor, hops);
-  LORM_CHECK_MSG(value_placed,
+  LORM_CHECK_MSG(routed,
                  this->name_ + " value-record insert failed to route");
-  return this->Advertised(info.attr, hops);
 }
 
 template <typename Ring>

@@ -79,7 +79,6 @@ class BasicMaanService final : public DirectoryService<Ring> {
   BasicMaanService(std::size_t n, const resource::AttributeRegistry& registry,
                    Config cfg);
 
-  HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
@@ -90,9 +89,23 @@ class BasicMaanService final : public DirectoryService<Ring> {
   const Ring& overlay() const { return ring_; }
 
  private:
-  friend DirectoryService<Ring>;  // the executor calls the two below
+  friend DirectoryService<Ring>;  // the executor calls RootLookups, ResolveSub
   using Matches = typename DirectoryService<Ring>::Matches;
   using Entry = typename DirectoryService<Ring>::Store::Entry;
+  using AddPlacement = typename DirectoryService<Ring>::AddPlacement;
+
+  /// Two placements: the attribute record at the attribute root, then the
+  /// value record at the value's locality-preserving hash. Both replicate
+  /// to the owner's ring successors.
+  void Placements(const resource::ResourceInfo& info,
+                  const AddPlacement& add) const override {
+    add(ring_, AttributeKeyFor(info.attr), kAttributeRecord);
+    add(ring_, ValueKeyFor(info.attr, info.value), kValueRecord);
+  }
+  NodeAddr NextReplica(const Ring& ring, NodeAddr node) const override {
+    return ring.Successor(node);
+  }
+  void CheckRouted(bool routed, std::uint8_t tag) const override;
 
   /// Two root lookups: the attribute root (resolves the attribute name),
   /// then the value root. A dominated sub-query (planned, not the most

@@ -43,15 +43,9 @@ chord::Key MercuryService::KeyFor(AttrId attr,
   return lph_[attr](registry_.Get(attr).OrdinalOf(v));
 }
 
-HopCount MercuryService::Advertise(const resource::ResourceInfo& info) {
-  const auto& ring = hub(info.attr);
-  HopCount hops = 0;
-  const bool placed =
-      Place(ring, info, KeyFor(info.attr, info.value), /*tag=*/0,
-            cfg_.replicas, [&ring](NodeAddr a) { return ring.Successor(a); },
-            hops);
-  LORM_CHECK_MSG(placed, "Mercury advertise lookup failed to route");
-  return Advertised(info.attr, hops);
+void MercuryService::CheckRouted(bool routed, std::uint8_t /*tag*/) const {
+  // A live provider's hub route falls back on successor lists.
+  LORM_CHECK_MSG(routed, "Mercury advertise lookup failed to route");
 }
 
 QueryResult MercuryService::Query(const resource::MultiQuery& q,

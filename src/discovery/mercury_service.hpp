@@ -39,7 +39,6 @@ class MercuryService final : public DirectoryService<chord::ChordRing> {
   MercuryService(std::size_t n, const resource::AttributeRegistry& registry,
                  Config cfg);
 
-  HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
@@ -48,7 +47,19 @@ class MercuryService final : public DirectoryService<chord::ChordRing> {
   const chord::ChordRing& hub(AttrId attr) const;
 
  private:
-  friend DirectoryService;  // the executor calls the two below
+  friend DirectoryService;  // the executor calls RootLookups and ResolveSub
+
+  /// One placement, by the value's locality-preserving hash in the
+  /// attribute's hub; replicas go to the owner's hub successors.
+  void Placements(const resource::ResourceInfo& info,
+                  const AddPlacement& add) const override {
+    add(hub(info.attr), KeyFor(info.attr, info.value), /*tag=*/0);
+  }
+  NodeAddr NextReplica(const chord::ChordRing& hub,
+                       NodeAddr node) const override {
+    return hub.Successor(node);
+  }
+  void CheckRouted(bool routed, std::uint8_t tag) const override;
 
   /// One root lookup: the owner of the range's lower endpoint in the
   /// attribute's hub.

@@ -25,13 +25,9 @@ chord::Key SwordService::KeyFor(AttrId attr) const {
   return attr_key_[attr];
 }
 
-HopCount SwordService::Advertise(const resource::ResourceInfo& info) {
-  HopCount hops = 0;
-  const bool placed =
-      Place(ring_, info, KeyFor(info.attr), /*tag=*/0, cfg_.replicas,
-            [this](NodeAddr a) { return ring_.Successor(a); }, hops);
-  LORM_CHECK_MSG(placed, "SWORD advertise lookup failed to route");
-  return Advertised(info.attr, hops);
+void SwordService::CheckRouted(bool routed, std::uint8_t /*tag*/) const {
+  // A live provider's route falls back on successor lists.
+  LORM_CHECK_MSG(routed, "SWORD advertise lookup failed to route");
 }
 
 QueryResult SwordService::Query(const resource::MultiQuery& q,

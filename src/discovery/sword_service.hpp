@@ -33,7 +33,6 @@ class SwordService final : public DirectoryService<chord::ChordRing> {
   SwordService(std::size_t n, const resource::AttributeRegistry& registry,
                Config cfg);
 
-  HopCount Advertise(const resource::ResourceInfo& info) override;
   QueryResult Query(const resource::MultiQuery& q,
                     QueryScratch& scratch) const override;
   using DiscoveryService::Query;
@@ -44,7 +43,18 @@ class SwordService final : public DirectoryService<chord::ChordRing> {
   const chord::ChordRing& overlay() const { return ring_; }
 
  private:
-  friend DirectoryService;  // the executor calls the two below
+  friend DirectoryService;  // the executor calls RootLookups and ResolveSub
+
+  /// One placement, at the attribute root; replicas go to its successors.
+  void Placements(const resource::ResourceInfo& info,
+                  const AddPlacement& add) const override {
+    add(ring_, KeyFor(info.attr), /*tag=*/0);
+  }
+  NodeAddr NextReplica(const chord::ChordRing& ring,
+                       NodeAddr node) const override {
+    return ring.Successor(node);
+  }
+  void CheckRouted(bool routed, std::uint8_t tag) const override;
 
   /// One root lookup: the attribute root.
   template <typename Add>

@@ -1,6 +1,7 @@
 #include "harness/failures.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
 #include "harness/experiments.hpp"
@@ -130,9 +131,11 @@ FailureResult RunFailureExperiment(
   BeginPhase(cfg, system, 3.0, 0);
   const std::uint64_t epoch = service.CurrentEpoch() + 1;
   service.SetEpoch(epoch);
+  std::vector<resource::ResourceInfo> live;
   for (const auto& info : infos) {
-    if (service.HasNode(info.provider)) service.Advertise(info);
+    if (service.HasNode(info.provider)) live.push_back(info);
   }
+  service.AdvertiseAll(live);
   service.ExpireEntriesBefore(epoch);
 
   // 5. Fully recovered service.

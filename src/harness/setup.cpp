@@ -166,9 +166,7 @@ std::unique_ptr<discovery::DiscoveryService> MakeService(
 
 HopCount AdvertiseAll(discovery::DiscoveryService& service,
                       const std::vector<resource::ResourceInfo>& infos) {
-  HopCount total = 0;
-  for (const auto& info : infos) total += service.Advertise(info);
-  return total;
+  return service.AdvertiseAll(infos);
 }
 
 }  // namespace lorm::harness

@@ -98,8 +98,9 @@ std::unique_ptr<discovery::DiscoveryService> MakeService(
     SystemKind kind, const Setup& setup,
     const resource::AttributeRegistry& registry);
 
-/// Advertises every tuple through the service (from its provider node).
-/// Returns the total routing hops spent.
+/// Advertises every tuple through the service (from its provider node), as
+/// one DiscoveryService::AdvertiseAll block. Returns the total routing hops
+/// spent.
 HopCount AdvertiseAll(discovery::DiscoveryService& service,
                       const std::vector<resource::ResourceInfo>& infos);
 

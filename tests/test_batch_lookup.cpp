@@ -310,5 +310,211 @@ TEST(RouteLanes, MixedRingsMatchLookupIntoInSubmissionOrder) {
   }
 }
 
+// ---- Block placement: AdvertiseAll against one Advertise per tuple ------
+
+std::string KeyText(std::uint64_t key) { return std::to_string(key); }
+std::string KeyText(const cycloid::CycloidId& key) {
+  return std::to_string(key.k) + ":" + std::to_string(key.a);
+}
+
+/// Every directory entry of `svc` (a DirectoryService over `Ring`), node by
+/// node in Nodes() order and in each directory's ForEach order, one line
+/// each: node|attr|value|provider|ordinal|key|epoch|tag|replica. False
+/// when `svc` runs on another ring.
+template <typename Ring>
+bool AppendDirectories(const discovery::DiscoveryService& svc,
+                       std::vector<std::string>& out) {
+  const auto* dir_svc =
+      dynamic_cast<const discovery::DirectoryService<Ring>*>(&svc);
+  if (dir_svc == nullptr) return false;
+  for (const NodeAddr node : svc.Nodes()) {
+    const auto* dir = dir_svc->directories().Find(node);
+    if (dir == nullptr) continue;
+    dir->ForEach([&](const auto& e) {
+      std::ostringstream line;
+      line << std::setprecision(17) << node << '|' << e.info.attr << '|'
+           << e.info.value.ToString() << '|' << e.info.provider << '|'
+           << e.ordinal << '|' << KeyText(e.key) << '|' << e.epoch << '|'
+           << int{e.tag} << '|' << int{e.replica};
+      out.push_back(line.str());
+    });
+  }
+  return true;
+}
+
+std::vector<std::string> Directories(const discovery::DiscoveryService& svc) {
+  std::vector<std::string> out;
+  const bool known = AppendDirectories<chord::ChordRing>(svc, out) ||
+                     AppendDirectories<cycloid::CycloidNetwork>(svc, out) ||
+                     AppendDirectories<singlehop::SingleHopRing>(svc, out);
+  EXPECT_TRUE(known) << svc.name() << " is not a DirectoryService";
+  return out;
+}
+
+/// The tuples testutil::MakeBed advertises: every node provides.
+std::vector<resource::ResourceInfo> QuickInfos(
+    const harness::Setup& setup, const resource::Workload& workload) {
+  std::vector<NodeAddr> providers(setup.nodes);
+  for (std::size_t i = 0; i < providers.size(); ++i) {
+    providers[i] = static_cast<NodeAddr>(i);
+  }
+  Rng rng(setup.seed ^ 0xBEEF);
+  return workload.GenerateInfos(providers, rng);
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> NonzeroCounters() {
+  auto counters = obs::Registry::Global().Snapshot();
+  std::erase_if(counters, [](const auto& c) { return c.second == 0; });
+  return counters;
+}
+
+std::string FlightLines() {
+  std::ostringstream out;
+  obs::FlightRecorder::Global().WriteJsonLines(out);
+  return out.str();
+}
+
+/// Metrics and flight recording on for one leg, each leg from zero.
+struct ObsLeg {
+  ObsLeg() {
+    obs::Registry::Global().Reset();
+    obs::FlightRecorder::Global().Reset();
+    obs::SetMetricsEnabled(true);
+    obs::SetFlightEnabled(true);
+  }
+  ~ObsLeg() {
+    obs::SetMetricsEnabled(false);
+    obs::SetFlightEnabled(false);
+    obs::Registry::Global().Reset();
+    obs::FlightRecorder::Global().Reset();
+  }
+};
+
+/// MAAN and D1HT store a tuple's attribute record before its value record.
+/// Where both records of one tuple share a node, ForEach (attr, ordinal,
+/// then insertion order) shows the attribute record first; returns how
+/// many such pairs `dirs` holds.
+std::size_t ExpectAttributeRecordsFirst(const std::vector<std::string>& dirs) {
+  struct Line {
+    std::string group;  // node, attr, ordinal: ForEach keeps these together
+    std::string copy;   // every field but the tag
+    int tag = 0;
+  };
+  std::vector<Line> lines;
+  for (const std::string& text : dirs) {
+    std::istringstream in(text);
+    std::vector<std::string> f;
+    for (std::string w; std::getline(in, w, '|');) f.push_back(w);
+    lines.push_back({f[0] + '|' + f[1] + '|' + f[4],
+                     f[2] + '|' + f[3] + '|' + f[6] + '|' + f[8],
+                     std::stoi(f[7])});
+  }
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    for (std::size_t j = i + 1;
+         j < lines.size() && lines[j].group == lines[i].group; ++j) {
+      if (lines[j].copy != lines[i].copy || lines[j].tag == lines[i].tag) {
+        continue;
+      }
+      ++pairs;
+      EXPECT_EQ(lines[i].tag, discovery::MaanService::kAttributeRecord)
+          << "value record stored first: " << dirs[i];
+    }
+  }
+  return pairs;
+}
+
+TEST(BlockPlacement, MatchesOneAdvertisePerTuple) {
+  for (const SystemKind kind : harness::AllSystems()) {
+    for (const std::size_t replicas : {1, 3}) {
+      for (const bool cache : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << harness::SystemName(kind) << " replicas " << replicas
+                     << " cache " << cache);
+        harness::Setup setup = harness::Setup::Quick();
+        setup.replicas = replicas;
+        setup.cache = cache;
+        const resource::Workload workload(setup.MakeWorkloadConfig());
+        auto a = harness::MakeService(kind, setup, workload.registry());
+        auto b = harness::MakeService(kind, setup, workload.registry());
+        const auto infos = QuickInfos(setup, workload);
+
+        HopCount block_hops = 0;
+        std::vector<std::pair<std::string, std::uint64_t>> block_counters;
+        std::string block_flight;
+        {
+          const ObsLeg leg;
+          block_hops = harness::AdvertiseAll(*a, infos);
+          block_counters = NonzeroCounters();
+          block_flight = FlightLines();
+        }
+        EXPECT_FALSE(block_counters.empty());
+        HopCount tuple_hops = 0;
+        {
+          const ObsLeg leg;
+          for (const auto& info : infos) tuple_hops += b->Advertise(info);
+          EXPECT_EQ(NonzeroCounters(), block_counters);
+          if (cache) {
+            EXPECT_FALSE(block_flight.empty());
+            EXPECT_EQ(FlightLines(), block_flight);
+          }
+        }
+        EXPECT_EQ(block_hops, tuple_hops);
+        EXPECT_GT(block_hops, 0u);
+        EXPECT_EQ(a->TotalInfoPieces(), b->TotalInfoPieces());
+        const auto dirs = Directories(*a);
+        EXPECT_EQ(dirs.size(), a->TotalInfoPieces());
+        EXPECT_EQ(dirs, Directories(*b));
+        if (a->name() == "MAAN" || a->name() == "D1HT") {
+          EXPECT_GT(ExpectAttributeRecordsFirst(dirs), 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockPlacement, FailedCycloidRoutesStoreNothingAsPerTuple) {
+  // Three crashes and no repair: routes through the crashed nodes' stale
+  // links fail, store nothing and still bill their hops.
+  const harness::Setup setup = harness::Setup::Quick();
+  auto a = testutil::MakeBed(SystemKind::kLorm, setup);
+  auto b = testutil::MakeBed(SystemKind::kLorm, setup);
+  for (const NodeAddr crashed : {3u, 100u, 200u}) {
+    a.service->FailNode(crashed);
+    b.service->FailNode(crashed);
+  }
+  std::vector<resource::ResourceInfo> live;
+  for (const auto& info : a.infos) {
+    if (a.service->HasNode(info.provider)) live.push_back(info);
+  }
+  const std::size_t before = a.service->TotalInfoPieces();
+  const HopCount block_hops = a.service->AdvertiseAll(live);
+  HopCount tuple_hops = 0;
+  for (const auto& info : live) tuple_hops += b.service->Advertise(info);
+  EXPECT_EQ(block_hops, tuple_hops);
+  EXPECT_LT(a.service->TotalInfoPieces() - before, live.size())
+      << "no route failed, so nothing here is checked";
+  EXPECT_EQ(a.service->TotalInfoPieces(), b.service->TotalInfoPieces());
+  EXPECT_EQ(Directories(*a.service), Directories(*b.service));
+}
+
+TEST(BlockPlacement, NonMemberProviderThrowsWithEarlierTuplesStored) {
+  for (const SystemKind kind : harness::AllSystems()) {
+    SCOPED_TRACE(harness::SystemName(kind));
+    const harness::Setup setup = harness::Setup::Quick();
+    const resource::Workload workload(setup.MakeWorkloadConfig());
+    auto a = harness::MakeService(kind, setup, workload.registry());
+    auto b = harness::MakeService(kind, setup, workload.registry());
+    auto infos = QuickInfos(setup, workload);
+    infos.resize(40);
+    infos[5].provider = static_cast<NodeAddr>(setup.nodes + 7);
+    EXPECT_THROW(a->AdvertiseAll(infos), InvariantError);
+    for (std::size_t i = 0; i < 5; ++i) b->Advertise(infos[i]);
+    EXPECT_GT(b->TotalInfoPieces(), 0u);
+    EXPECT_EQ(a->TotalInfoPieces(), b->TotalInfoPieces());
+    EXPECT_EQ(Directories(*a), Directories(*b));
+  }
+}
+
 }  // namespace
 }  // namespace lorm

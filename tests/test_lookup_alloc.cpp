@@ -3,8 +3,9 @@
 // caller's path buffer, ClosestPreceding reads cached finger IDs off the
 // slot slab, and OwnsNode's oracle fallback never fires on a stable
 // network — so a warm lookup loop must not touch the allocator at all. The
-// same holds for a warm Advertise, whose routes reuse one result per
-// service: only the owner directories' entry vectors grow. A warm classic
+// same holds for a warm Advertise or AdvertiseAll, whose routes reuse the
+// service's placement lanes: only the owner directories' entry vectors
+// grow. A warm classic
 // Query() allocates only the result it returns, and with the planner or
 // the result cache on its allocation count repeats from pass to pass.
 //
@@ -241,10 +242,11 @@ TEST(LookupAllocFree, CycloidBatchEngineWarmRoundsDoNotAllocate) {
 }
 
 TEST(LookupAllocFree, WarmAdvertiseRoutesWithoutAllocating) {
-  // Every Advertise routes through DirectoryService::Place into one reused
-  // result (MAAN and D1HT route twice), so a warm repeat of the same tuple
-  // allocates only when an owner directory's entry vector doubles. A fresh
-  // path per route would cost at least one allocation per route.
+  // Every Advertise and AdvertiseAll routes its placements (two per tuple
+  // for MAAN and D1HT) in the service's placement lanes, whose results and
+  // naming buffer are reused, so a warm repeat of the same tuple allocates
+  // only when an owner directory's entry vector doubles. A fresh path per
+  // route would cost at least one allocation per route.
   const harness::Setup setup = harness::Setup::Small();  // cache, plan off
   ASSERT_EQ(setup.replicas, 1u);
   resource::Workload workload(setup.MakeWorkloadConfig());
@@ -266,6 +268,14 @@ TEST(LookupAllocFree, WarmAdvertiseRoutesWithoutAllocating) {
     });
     EXPECT_LT(allocs, 16u);
     EXPECT_EQ(service->TotalInfoPieces() % 2000, 0u);
+
+    // The block path: after a warm-up block, a block of 1000 copies.
+    const std::vector<resource::ResourceInfo> block(1000, info);
+    service->AdvertiseAll(block);
+    const std::uint64_t block_allocs =
+        CountAllocations([&] { service->AdvertiseAll(block); });
+    EXPECT_LT(block_allocs, 16u);
+    EXPECT_EQ(service->TotalInfoPieces() % 4000, 0u);
   }
 }
 
