@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "chord/chord.hpp"
+#include "chord_reference.hpp"
 #include "common/hashing.hpp"
 #include "common/random.hpp"
 #include "common/sha1.hpp"
@@ -105,63 +106,6 @@ void BM_CycloidLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_CycloidLookup)->Arg(6)->Arg(8)->Arg(10);
 
-/// Reference implementation of the Chord iterative lookup, written against
-/// the public inspection API only (FingersOf / SuccessorListOf / IdOf /
-/// Owns): the textbook walk the slot-slab routing loop must reproduce
-/// hop-for-hop. Deliberately naive — every ID access goes back through the
-/// ring's accessors instead of the cached link IDs the hot path uses.
-chord::LookupResult ReferenceChordLookup(const chord::ChordRing& ring,
-                                         chord::Key key, NodeAddr origin) {
-  chord::LookupResult r;
-  r.ok = false;
-  r.key = key & (ring.space() - 1);
-  r.owner = kNoNode;
-  r.hops = 0;
-  if (!ring.Contains(origin)) return r;
-  const std::size_t max_hops = ring.size() + 200;
-  NodeAddr cur = origin;
-  r.path.push_back(cur);
-  while (!ring.Owns(cur, r.key)) {
-    const chord::Key cur_id = ring.IdOf(cur);
-    const NodeAddr succ = ring.Successor(cur);
-    if (succ == cur) break;
-    NodeAddr next = kNoNode;
-    if (chord::InIntervalOC(r.key, cur_id, ring.IdOf(succ))) {
-      next = succ;
-    } else {
-      const auto fingers = ring.FingersOf(cur);
-      for (auto it = fingers.rbegin(); it != fingers.rend(); ++it) {
-        const NodeAddr f = *it;
-        if (f == kNoNode || f == cur || !ring.Contains(f)) continue;
-        if (chord::InIntervalOO(ring.IdOf(f), cur_id, r.key)) {
-          next = f;
-          break;
-        }
-      }
-      if (next == kNoNode) {
-        chord::Key best_id = cur_id;
-        for (const NodeAddr s : ring.SuccessorListOf(cur)) {
-          if (s == kNoNode || s == cur || !ring.Contains(s)) continue;
-          const chord::Key sid = ring.IdOf(s);
-          if (!chord::InIntervalOO(sid, cur_id, r.key)) continue;
-          if (next == kNoNode || chord::InIntervalOO(best_id, cur_id, sid)) {
-            next = s;
-            best_id = sid;
-          }
-        }
-      }
-      if (next == kNoNode || next == cur) next = succ;
-    }
-    cur = next;
-    ++r.hops;
-    r.path.push_back(cur);
-    if (r.hops > max_hops) return r;
-  }
-  r.owner = cur;
-  r.ok = true;
-  return r;
-}
-
 bool SameLookup(const chord::LookupResult& a, const chord::LookupResult& b) {
   return a.ok == b.ok && a.key == b.key && a.owner == b.owner &&
          a.hops == b.hops && a.path == b.path;
@@ -177,7 +121,8 @@ void BM_ChordLookupScratch(benchmark::State& state) {
   auto ring = chord::MakeRing(n, cfg, /*deterministic_ids=*/false);
   const auto members = ring.Members();
   // Micro-assert: the slab walk must return bit-identical LookupResults to
-  // the reference map-based walk before we time it.
+  // the address-keyed reference walk (tests/chord_reference.hpp) before we
+  // time it.
   {
     Rng check_rng(13);
     chord::LookupResult got;
@@ -185,7 +130,8 @@ void BM_ChordLookupScratch(benchmark::State& state) {
       const chord::Key key = check_rng.NextBelow(ring.space());
       const NodeAddr origin = members[check_rng.NextBelow(members.size())];
       ring.LookupInto(key, origin, got);
-      if (!SameLookup(got, ReferenceChordLookup(ring, key, origin))) {
+      const auto want = chord::ReferenceChordLookup(ring, key, origin);
+      if (!SameLookup(got, want.result)) {
         state.SkipWithError("LookupInto disagrees with reference walk");
         return;
       }

@@ -6,11 +6,13 @@
 // (the standard remedy for the hotspot regimes of §IV, Thm 4.9-4.10).
 //
 // Correctness discipline mirrors the finger tables exactly: a cached entry
-// is a generation-checked `Link` into the slot slab. Before a jump the ring
-// re-validates the link (generation compare) *and* re-checks ownership with
-// the same OwnsNode predicate the plain walk terminates on — a cache hit can
-// therefore never produce an owner the uncached walk would not accept, and a
-// vacated slot invalidates every shortcut pointing at it for free.
+// is a generation-checked `SlotRef` into the slot slab. Before a jump the
+// ring re-validates the ref (generation compare) *and* re-checks ownership
+// with the same OwnsNode predicate the plain walk terminates on — a cache hit
+// can therefore never produce an owner the uncached walk would not accept,
+// and a vacated slot invalidates every shortcut pointing at it for free. The
+// jump takes the target's address from its header, so an entry is a ref and
+// its key (24 B).
 //
 // Layout: one direct-mapped block of `kWays` entries per slot, preallocated
 // by EnsureSlots whenever the slot slab grows. Probe/Insert/Evict never
@@ -63,9 +65,9 @@ inline void TickRouteEviction() {
   c.AddUnchecked(1);
 }
 
-/// LinkT is the ring's generation-checked routing link (chord or cycloid
-/// flavor); the table stores them verbatim and leaves validation to the ring,
-/// which owns the slot slab the links point into.
+/// LinkT is the ring's generation-checked reference (SlotRef); the table
+/// stores them verbatim and leaves validation to the ring, which owns the
+/// slot slab the refs point into.
 template <typename LinkT>
 class RouteCacheTable {
  public:

@@ -135,16 +135,16 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
 
   if (first) {
     Node& n = slab_[self_slot];
-    const Link self_link = slab_.MakeLink(self_slot);
-    n.predecessor = self_link;
-    SlotSuccessors(self_slot)[0] = self_link;
+    const SlotRef self_ref = slab_.MakeRef(self_slot);
+    n.predecessor = slab_.MakeLink(self_slot);
+    SlotSuccessors(self_slot)[0] = self_ref;
     n.succ_count = 1;
     SyncSucc0(n);
-    Link* fingers = SlotFingers(self_slot);
+    SlotRef* fingers = SlotFingers(self_slot);
     Key* fids = SlotFingerIds(self_slot);
     for (unsigned i = 0; i < cfg_.bits; ++i) {
-      fingers[i] = self_link;
-      fids[i] = self_link.id;
+      fingers[i] = self_ref;
+      fids[i] = id;
     }
     n.finger_count = static_cast<std::uint16_t>(cfg_.bits);
     maintenance_.join_messages += 1;  // bootstrap announcement
@@ -175,7 +175,7 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
     const Slot pred_slot = slab_.Resolve(pred);
     if (pred_slot != kNoSlot) {
       Node& p = slab_[pred_slot];
-      SlotSuccessors(pred_slot)[0] = slab_.MakeLink(self_slot);
+      SlotSuccessors(pred_slot)[0] = slab_.MakeRef(self_slot);
       if (p.succ_count == 0) p.succ_count = 1;
       SyncSucc0(p);
     }
@@ -228,7 +228,7 @@ void ChordRing::RemoveNode(NodeAddr addr) {
       if (pred_slot != kNoSlot) {
         Node& p = slab_[pred_slot];
         if (p.succ_count != 0 && SlotSuccessors(pred_slot)[0].addr == addr) {
-          SlotSuccessors(pred_slot)[0] = slab_.MakeLink(succ_slot);
+          SlotSuccessors(pred_slot)[0] = slab_.MakeRef(succ_slot);
         }
       }
     } else {
@@ -329,13 +329,13 @@ std::size_t ChordRing::Outlinks(NodeAddr addr) const {
     buf = heap.data();
   }
   std::size_t count = 0;
-  auto consider = [&](const Link& l) {
+  auto consider = [&](const SlotRef& l) {
     if (l.addr != kNoNode && l.addr != addr && slab_.Resolve(l) != kNoSlot) {
       buf[count++] = l.addr;
     }
   };
-  const Link* fingers = SlotFingers(slot);
-  const Link* succs = SlotSuccessors(slot);
+  const SlotRef* fingers = SlotFingers(slot);
+  const SlotRef* succs = SlotSuccessors(slot);
   for (std::size_t i = 0; i < n.finger_count; ++i) consider(fingers[i]);
   for (std::size_t i = 0; i < n.succ_count; ++i) consider(succs[i]);
   consider(n.predecessor);
@@ -346,9 +346,9 @@ std::size_t ChordRing::FingerTableSize(NodeAddr addr) const {
   const Node& n = slab_.MustGet(addr);
   std::array<NodeAddr, 64> buf;  // bits <= 63 fingers, always fits
   std::size_t count = 0;
-  const Link* fingers = SlotFingers(slab_.SlotOf(n));
+  const SlotRef* fingers = SlotFingers(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.finger_count; ++i) {
-    const Link& f = fingers[i];
+    const SlotRef& f = fingers[i];
     if (f.addr != kNoNode && f.addr != addr && slab_.Resolve(f) != kNoSlot) {
       buf[count++] = f.addr;
     }
@@ -364,8 +364,8 @@ std::vector<NodeAddr> ChordRing::NeighborsOf(NodeAddr addr) const {
     if (std::find(out.begin(), out.end(), a) == out.end()) out.push_back(a);
   };
   const Slot slot = slab_.SlotOf(n);
-  const Link* fingers = SlotFingers(slot);
-  const Link* succs = SlotSuccessors(slot);
+  const SlotRef* fingers = SlotFingers(slot);
+  const SlotRef* succs = SlotSuccessors(slot);
   for (std::size_t i = 0; i < n.finger_count; ++i) consider(fingers[i].addr);
   for (std::size_t i = 0; i < n.succ_count; ++i) consider(succs[i].addr);
   consider(n.predecessor.addr);
@@ -376,7 +376,7 @@ std::vector<NodeAddr> ChordRing::FingersOf(NodeAddr addr) const {
   const Node& n = slab_.MustGet(addr);
   std::vector<NodeAddr> out;
   out.reserve(n.finger_count);
-  const Link* fingers = SlotFingers(slab_.SlotOf(n));
+  const SlotRef* fingers = SlotFingers(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.finger_count; ++i) out.push_back(fingers[i].addr);
   return out;
 }
@@ -385,13 +385,13 @@ std::vector<NodeAddr> ChordRing::SuccessorListOf(NodeAddr addr) const {
   const Node& n = slab_.MustGet(addr);
   std::vector<NodeAddr> out;
   out.reserve(n.succ_count);
-  const Link* succs = SlotSuccessors(slab_.SlotOf(n));
+  const SlotRef* succs = SlotSuccessors(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.succ_count; ++i) out.push_back(succs[i].addr);
   return out;
 }
 
 ChordRing::Slot ChordRing::FirstLiveSuccessorSlot(const Node& n) const {
-  const Link* succs = SlotSuccessors(slab_.SlotOf(n));
+  const SlotRef* succs = SlotSuccessors(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.succ_count; ++i) {
     const Slot slot = slab_.Resolve(succs[i]);
     if (slot != kNoSlot) return slot;
@@ -405,9 +405,9 @@ ChordRing::Slot ChordRing::FirstLiveSuccessorSlot(const Node& n) const {
 
 ChordRing::Slot ChordRing::FirstLiveSuccessorSlotExcept(
     const Node& n, NodeAddr excluded) const {
-  const Link* succs = SlotSuccessors(slab_.SlotOf(n));
+  const SlotRef* succs = SlotSuccessors(slab_.SlotOf(n));
   for (std::size_t i = 0; i < n.succ_count; ++i) {
-    const Link& s = succs[i];
+    const SlotRef& s = succs[i];
     if (s.addr == excluded) continue;
     const Slot slot = slab_.Resolve(s);
     if (slot != kNoSlot) return slot;
@@ -417,45 +417,30 @@ ChordRing::Slot ChordRing::FirstLiveSuccessorSlotExcept(
 
 ChordRing::Slot ChordRing::ClosestPrecedingSlot(const Node& n, Key key) const {
   // Fingers from most- to least-significant, then the successor list; pick
-  // the live node whose ID most closely precedes the key. With a current
-  // generation the target's ID comes straight from the link — the loop
-  // touches no map.
+  // the live node whose ID most closely precedes the key. A current ref's
+  // target ID is on the header line its generation check read; a stale one
+  // resolves by address, to the same node if it rejoined elsewhere.
   const Slot self = slab_.SlotOf(n);
-  const Link* fingers = SlotFingers(self);
+  const SlotRef* fingers = SlotFingers(self);
   for (std::size_t i = n.finger_count; i-- > 0;) {
-    const Link& f = fingers[i];
+    const SlotRef& f = fingers[i];
     if (f.addr == kNoNode || f.addr == n.addr) continue;
-    Slot slot;
-    Key fid;
-    if (slab_.Current(f)) {
-      slot = f.slot;
-      fid = f.id;
-    } else {
-      slot = slab_.Find(f.addr);
-      if (slot == kNoSlot) {
-        ++maintenance_.dead_links_skipped;
-        continue;
-      }
-      fid = slab_[slot].id;  // the address rejoined with a different ID
+    const Slot slot = slab_.Resolve(f);
+    if (slot == kNoSlot) {
+      ++maintenance_.dead_links_skipped;
+      continue;
     }
-    if (InIntervalOO(fid, n.id, key)) return slot;
+    if (InIntervalOO(slab_[slot].id, n.id, key)) return slot;
   }
   Slot best = kNoSlot;
   Key best_id = n.id;
-  const Link* succs = SlotSuccessors(self);
+  const SlotRef* succs = SlotSuccessors(self);
   for (std::size_t i = 0; i < n.succ_count; ++i) {
-    const Link& s = succs[i];
+    const SlotRef& s = succs[i];
     if (s.addr == kNoNode || s.addr == n.addr) continue;
-    Slot slot;
-    Key sid;
-    if (slab_.Current(s)) {
-      slot = s.slot;
-      sid = s.id;
-    } else {
-      slot = slab_.Find(s.addr);
-      if (slot == kNoSlot) continue;
-      sid = slab_[slot].id;
-    }
+    const Slot slot = slab_.Resolve(s);
+    if (slot == kNoSlot) continue;
+    const Key sid = slab_[slot].id;
     if (!InIntervalOO(sid, n.id, key)) continue;
     if (best == kNoSlot || InIntervalOO(best_id, n.id, sid)) {
       best = slot;
@@ -465,34 +450,25 @@ ChordRing::Slot ChordRing::ClosestPrecedingSlot(const Node& n, Key key) const {
   return best;
 }
 
-const ChordRing::Link* ChordRing::ClosestPrecedingLinkFresh(const Node& n,
-                                                            Key key) const {
+const SlotRef* ChordRing::ClosestPrecedingRefFresh(const Node& n,
+                                                   Key key) const {
   // Mirror of ClosestPrecedingSlot under the freshness invariant: every
-  // generation compare in the general scan would pass, so the candidate ID
-  // and slot come straight from the link. Same iteration order, same skip
-  // conditions, same interval tests — returns the link the general scan's
-  // returned slot belongs to (proved byte-identical in test_chord).
+  // generation compare in the general scan would pass, so the candidate
+  // slot comes straight from the ref. Same iteration order, same skip
+  // conditions, same interval tests — returns the ref the general scan's
+  // returned slot belongs to (test_chord checks both paths against one
+  // address-keyed reference walk).
   const Slot self = slab_.SlotOf(n);
   // Pure-id scan over the dense mirror: on a fresh ring every finger entry
-  // is a live link (finger_count == bits), a self-pointing finger carries
+  // is a live ref (finger_count == bits), a self-pointing finger carries
   // id == n.id (which the open interval rejects), and kNoNode entries
   // cannot exist — so the general loop's skip conditions reduce to the
-  // interval test and the scan vectorizes.
+  // interval test and the scan vectorizes. The general scan's successor-list
+  // pass is never needed here: StepOnce asks only for a key past
+  // successor(0), which is finger 0 on a fresh ring, so the scan stops at a
+  // finger.
   const int idx = ScanFingerIds(SlotFingerIds(self), n.finger_count, n.id, key);
-  if (idx >= 0) return &SlotFingers(self)[idx];
-  const Link* best = nullptr;
-  Key best_id = n.id;
-  const Link* succs = SlotSuccessors(self);
-  for (std::size_t i = 0; i < n.succ_count; ++i) {
-    const Link& s = succs[i];
-    if (s.addr == kNoNode || s.addr == n.addr) continue;
-    if (!InIntervalOO(s.id, n.id, key)) continue;
-    if (best == nullptr || InIntervalOO(best_id, n.id, s.id)) {
-      best = &s;
-      best_id = s.id;
-    }
-  }
-  return best;
+  return idx >= 0 ? &SlotFingers(self)[idx] : nullptr;
 }
 
 bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
@@ -512,7 +488,7 @@ bool ChordRing::StepOnce(LookupState& st, LookupResult& r) const {
       next = n.s0_slot;
       next_addr = n.s0_addr;
     } else {
-      const Link* cp = ClosestPrecedingLinkFresh(n, r.key);
+      const SlotRef* cp = ClosestPrecedingRefFresh(n, r.key);
       if (cp == nullptr || cp->slot == st.cur) {
         next = n.s0_slot;
         next_addr = n.s0_addr;
@@ -561,45 +537,49 @@ void ChordRing::LookupPrefetch(const LookupState& st) const {
   for (std::size_t off = 1; off <= id_bytes && off <= kIdTail; off += 64) {
     __builtin_prefetch(iend - off, 0, 3);
   }
-  // The matched finger is then read from the full link extent; matches
-  // cluster at the top of the table, so fetch its last two lines.
-  const std::size_t link_bytes = cfg_.bits * sizeof(Link);
+  // The matched finger's ref is then read from the finger extent; matches
+  // cluster at the top of the table, so fetch the lines holding its last
+  // 128 bytes (the top ten refs).
+  const std::size_t ref_bytes = cfg_.bits * sizeof(SlotRef);
   const char* fend =
-      reinterpret_cast<const char*>(SlotFingers(st.cur)) + link_bytes;
-  __builtin_prefetch(fend - 64, 0, 3);
-  if (link_bytes > 64) __builtin_prefetch(fend - 128, 0, 3);
+      reinterpret_cast<const char*>(SlotFingers(st.cur)) + ref_bytes;
+  __builtin_prefetch(fend - 1, 0, 3);
+  if (ref_bytes > 64) __builtin_prefetch(fend - 65, 0, 3);
 }
 
 void ChordRing::SyncSucc0(Node& n) {
-  const Link& s0 = SlotSuccessors(slab_.SlotOf(n))[0];
-  n.s0_id = s0.id;
+  // Called right after s0 was built, so it is current: its target's header
+  // holds the id.
+  const SlotRef& s0 = SlotSuccessors(slab_.SlotOf(n))[0];
+  n.s0_id = slab_[s0.slot].id;
   n.s0_slot = s0.slot;
   n.s0_addr = s0.addr;
 }
 
 void ChordRing::BuildFingers(Node& n) {
   const Slot self = slab_.SlotOf(n);
-  Link* fingers = SlotFingers(self);
+  SlotRef* fingers = SlotFingers(self);
   Key* fids = SlotFingerIds(self);
   for (unsigned i = 0; i < cfg_.bits; ++i) {
-    fingers[i] = slab_.MakeLink(oracle_.OwnerSlot(FingerStart(n.id, i)));
-    fids[i] = fingers[i].id;
+    const Slot f = oracle_.OwnerSlot(FingerStart(n.id, i));
+    fingers[i] = slab_.MakeRef(f);
+    fids[i] = slab_[f].id;
   }
   n.finger_count = static_cast<std::uint16_t>(cfg_.bits);
 }
 
 void ChordRing::BuildSuccessors(Node& n, std::size_t pos) {
   const Slot self = slab_.SlotOf(n);
-  Link* succs = SlotSuccessors(self);
+  SlotRef* succs = SlotSuccessors(self);
   n.succ_count = 0;
   std::size_t idx = oracle_.Next(pos);
   for (std::size_t k = 0; k < cfg_.successor_list; ++k) {
     if (oracle_[idx].slot == self) break;  // wrapped all the way
-    succs[n.succ_count++] = slab_.MakeLink(oracle_[idx].slot);
+    succs[n.succ_count++] = slab_.MakeRef(oracle_[idx].slot);
     idx = oracle_.Next(idx);
   }
   if (n.succ_count == 0) {
-    succs[0] = slab_.MakeLink(self);
+    succs[0] = slab_.MakeRef(self);
     n.succ_count = 1;
   }
   SyncSucc0(n);
@@ -631,7 +611,7 @@ void ChordRing::NoteMovedArc(std::size_t pos, std::size_t found) {
 }
 
 void ChordRing::NoteRepointed(Slot s) {
-  if (!sweep_pending_) repointed_.push_back(slab_.MakeLink(s));
+  if (!sweep_pending_) repointed_.push_back(slab_.MakeRef(s));
 }
 
 void ChordRing::RepairArc(Key lo, Key hi) {
@@ -647,10 +627,9 @@ void ChordRing::RepairArc(Key lo, Key hi) {
     for (std::size_t k = 0; k < n && InIntervalOC(oracle_[pos].id, ylo, yhi);
          ++k, pos = oracle_.Next(pos)) {
       const Slot y = oracle_[pos].slot;
-      const Link f =
-          slab_.MakeLink(oracle_.OwnerSlot(FingerStart(oracle_[pos].id, i)));
-      SlotFingers(y)[i] = f;
-      SlotFingerIds(y)[i] = f.id;
+      const Slot f = oracle_.OwnerSlot(FingerStart(oracle_[pos].id, i));
+      SlotFingers(y)[i] = slab_.MakeRef(f);
+      SlotFingerIds(y)[i] = slab_[f].id;
     }
   }
   // The arc's current owner o: the successor_list members before it list
@@ -684,14 +663,15 @@ void ChordRing::RebuildAll() {
   for (std::size_t pos = 0; pos < n; ++pos) {
     const Slot self = oracle_[pos].slot;
     Node& node = slab_[self];
-    Link* fingers = SlotFingers(self);
+    SlotRef* fingers = SlotFingers(self);
     Key* fids = SlotFingerIds(self);
     for (unsigned i = 0; i < cfg_.bits; ++i) {
       const Key start = node.id + (Key{1} << i);
       std::size_t& c = cursor[i];
       while (lifted(c) < start) ++c;
-      fingers[i] = slab_.MakeLink(oracle_[c < n ? c : c - n].slot);
-      fids[i] = fingers[i].id;
+      const RingOracle::Entry& f = oracle_[c < n ? c : c - n];
+      fingers[i] = slab_.MakeRef(f.slot);
+      fids[i] = f.id;
     }
     node.finger_count = static_cast<std::uint16_t>(cfg_.bits);
     BuildSuccessors(node, pos);
@@ -704,7 +684,7 @@ void ChordRing::StabilizeAll() {
     RebuildAll();
   } else {
     for (const MovedArc& arc : moved_arcs_) RepairArc(arc.lo, arc.hi);
-    for (const Link& l : repointed_) {
+    for (const SlotRef& l : repointed_) {
       const Slot s = slab_.Resolve(l);
       if (s == kNoSlot) continue;  // left since; its arc was repaired
       Node& node = slab_[s];
@@ -728,9 +708,8 @@ void ChordRing::StabilizeAll() {
 bool ChordRing::LinksMatchOracle() const {
   // Deliberately independent of RebuildAll/RepairArc: one owner search per
   // finger and modular positions, as the converged state is defined.
-  auto same = [](const Link& a, const Link& b) {
-    return a.slot == b.slot && a.gen == b.gen && a.addr == b.addr &&
-           a.id == b.id;
+  auto same = [](const SlotRef& a, const SlotRef& b) {
+    return a.slot == b.slot && a.gen == b.gen && a.addr == b.addr;
   };
   const std::size_t n = oracle_.size();
   if (slab_.size() != n) return false;
@@ -739,31 +718,32 @@ bool ChordRing::LinksMatchOracle() const {
     const Node& node = slab_[self];
     if (node.finger_count != cfg_.bits) return false;
     for (unsigned i = 0; i < cfg_.bits; ++i) {
-      const Link want =
-          slab_.MakeLink(oracle_.OwnerSlot(FingerStart(node.id, i)));
-      if (!same(SlotFingers(self)[i], want)) return false;
-      if (SlotFingerIds(self)[i] != want.id) return false;
+      const Slot want = oracle_.OwnerSlot(FingerStart(node.id, i));
+      if (!same(SlotFingers(self)[i], slab_.MakeRef(want))) return false;
+      if (SlotFingerIds(self)[i] != slab_[want].id) return false;
     }
     const std::size_t count =
         n > 1 ? std::min(cfg_.successor_list, n - 1) : 1;
     if (node.succ_count != count) return false;
-    const Link* succs = SlotSuccessors(self);
+    const SlotRef* succs = SlotSuccessors(self);
     for (std::size_t k = 0; k < count; ++k) {
       const Slot want = n > 1 ? oracle_[(pos + 1 + k) % n].slot : self;
-      if (!same(succs[k], slab_.MakeLink(want))) return false;
+      if (!same(succs[k], slab_.MakeRef(want))) return false;
     }
-    if (node.s0_id != succs[0].id || node.s0_slot != succs[0].slot ||
-        node.s0_addr != succs[0].addr) {
+    if (node.s0_id != slab_[succs[0].slot].id ||
+        node.s0_slot != succs[0].slot || node.s0_addr != succs[0].addr) {
       return false;
     }
     const Link pred = slab_.MakeLink(oracle_[(pos + n - 1) % n].slot);
-    if (!same(node.predecessor, pred)) return false;
+    if (!same(node.predecessor, pred) || node.predecessor.id != pred.id) {
+      return false;
+    }
   }
   return true;
 }
 
 std::size_t ChordRing::ApproxMemoryBytes() const {
-  return slab_.MemoryBytes() + links_.capacity() * sizeof(Link) +
+  return slab_.MemoryBytes() + links_.capacity() * sizeof(SlotRef) +
          finger_ids_.capacity() * sizeof(Key) + oracle_.MemoryBytes();
 }
 
@@ -784,7 +764,7 @@ void ChordRing::CollapseSlabs() {
     }
   };
   collapse(slab_.data(), slab_.slot_count() * sizeof(Node));
-  collapse(links_.data(), links_.size() * sizeof(Link));
+  collapse(links_.data(), links_.size() * sizeof(SlotRef));
 #endif
 }
 

@@ -37,13 +37,18 @@
 // shared `RingRoute` (common/ring_route.hpp); this ring supplies the step,
 // its termination predicate and its tables.
 //
-// Storage: nodes live in a `SlotSlab` of one-cache-line headers and
-// routing entries are its generation-checked `SlotLink`s; the sorted
-// membership is a `RingOracle` (common/slot_slab.hpp describes all three).
-// The links themselves live in a second contiguous slab (`links_`): every
-// slot owns a fixed extent of `bits + successor_list` entries — fingers
-// first, successor list after — at an address computable from its slot
-// index alone (and one flat range to promote to huge pages).
+// Storage: nodes live in a `SlotSlab` of one-cache-line headers and the
+// sorted membership is a `RingOracle` (common/slot_slab.hpp describes
+// both). Fingers and successor lists live in a second contiguous slab
+// (`links_`) of 12-byte generation-checked `SlotRef`s: every slot owns a
+// fixed extent of `bits + successor_list` refs — fingers first, successor
+// list after — at an address computable from its slot index alone (and one
+// flat range to promote to huge pages). A ref holds no ID: finger ids live
+// only in a dense mirror (`finger_ids_`), and a successor's id is read from
+// its header, on the line the ref's generation check reads anyway. The
+// header caches successor(0) (`s0_*`) and holds the predecessor as a full
+// `SlotLink`. At bits 11 with 4 successors a member costs 332 B: the 64-B
+// header, 15 refs and 11 mirrored ids.
 //
 // The ring is configurable between the paper's deterministic mode (an
 // 11-bit space holding all 2048 IDs) and the standard random-ID mode
@@ -258,8 +263,10 @@ class ChordRing
 
   /// Re-derives every live node's fingers, finger-id mirror, successor
   /// list, cached successor(0) and predecessor from the oracle, and reports
-  /// whether each stored link matches in slot, generation, address and id.
-  /// For tests: holds after every StabilizeAll, whichever path it took.
+  /// whether each stored ref matches in slot, generation and address, each
+  /// finger's mirrored id and the cached successor(0) match their targets'
+  /// headers, and the predecessor matches in id too. For tests: holds after
+  /// every StabilizeAll, whichever path it took.
   bool LinksMatchOracle() const;
 
   unsigned bits() const { return cfg_.bits; }
@@ -281,15 +288,15 @@ class ChordRing
   /// write (see Node::s0_id).
   void SyncSucc0(Node& n);
   /// The slot's finger extent (finger_count valid entries).
-  Link* SlotFingers(Slot s) {
+  SlotRef* SlotFingers(Slot s) {
     return links_.data() + std::size_t{s} * link_stride_;
   }
-  const Link* SlotFingers(Slot s) const {
+  const SlotRef* SlotFingers(Slot s) const {
     return links_.data() + std::size_t{s} * link_stride_;
   }
   /// The slot's successor-list extent (succ_count valid entries).
-  Link* SlotSuccessors(Slot s) { return SlotFingers(s) + cfg_.bits; }
-  const Link* SlotSuccessors(Slot s) const {
+  SlotRef* SlotSuccessors(Slot s) { return SlotFingers(s) + cfg_.bits; }
+  const SlotRef* SlotSuccessors(Slot s) const {
     return SlotFingers(s) + cfg_.bits;
   }
   /// The slot's finger-id mirror (see finger_ids_).
@@ -318,11 +325,11 @@ class ChordRing
   /// the excluded node is departing).
   Slot FirstLiveSuccessorSlotExcept(const Node& n, NodeAddr excluded) const;
   Slot ClosestPrecedingSlot(const Node& n, Key key) const;
-  /// ClosestPrecedingSlot restricted to a fresh ring (links_fresh_): same
-  /// scan order and interval tests, but candidate IDs come from the links
-  /// themselves — no generation derefs. Returns the chosen link, or nullptr
-  /// where the general scan returns kNoSlot.
-  const Link* ClosestPrecedingLinkFresh(const Node& n, Key key) const;
+  /// ClosestPrecedingSlot restricted to a fresh ring (links_fresh_) and to
+  /// keys past successor(0): same scan order and interval tests, but finger
+  /// IDs come from the mirror — no generation derefs. Returns the chosen
+  /// ref, or nullptr where no finger precedes the key.
+  const SlotRef* ClosestPrecedingRefFresh(const Node& n, Key key) const;
   /// One iteration of the lookup loop (hop, cache shortcut, or
   /// termination); returns false when the walk completed.
   bool StepOnce(LookupState& st, LookupResult& r) const;
@@ -347,18 +354,18 @@ class ChordRing
 
   Config cfg_;
   std::uint64_t space_;
-  /// Routing-array slab: link_stride_ entries per slot (bits fingers, then
+  /// Routing-array slab: link_stride_ refs per slot (bits fingers, then
   /// successor_list successors). Grows with the node slab, entries stay put.
-  std::vector<Link, HugePageAllocator<Link>> links_;
-  /// 8-byte mirror of the finger extents' ids (stride cfg_.bits per slot),
-  /// written wherever the finger links are. The fresh-path
+  std::vector<SlotRef, HugePageAllocator<SlotRef>> links_;
+  /// The finger targets' ids (stride cfg_.bits per slot), written wherever
+  /// the finger refs are: the only copy of a finger's id. The fresh-path
   /// closest-preceding scan runs over this dense array — 8 ids per cache
-  /// line instead of 2.6 links, and contiguous 64-bit lanes the vectorized
-  /// scan can compare four at a time.
+  /// line, and contiguous 64-bit lanes the vectorized scan can compare four
+  /// at a time.
   std::vector<Key, HugePageAllocator<Key>> finger_ids_;
   std::size_t link_stride_ = 0;
   RingOracle oracle_;
-  /// Freshness invariant: true ⇒ every Link held by a live node (fingers,
+  /// Freshness invariant: true ⇒ every link held by a live node (fingers,
   /// successor list, predecessor) still points at its original occupant,
   /// i.e. slab_.Current(l) for every stored link. StabilizeAll
   /// establishes it (every link rebuilt from the oracle); any membership
@@ -383,7 +390,7 @@ class ChordRing
   /// next to it, so the repair rebuilds these predecessors. Every other
   /// splice write lands where the arcs' repair reaches anyway (DESIGN.md
   /// §5 item 7). Empty while sweep_pending_.
-  std::vector<Link> repointed_;
+  std::vector<SlotRef> repointed_;
   bool sweep_pending_ = true;
 };
 

@@ -233,7 +233,7 @@ class RingRoute {
   Observer* observer_ = nullptr;
   mutable MaintenanceStats maintenance_;  // mutable: routing is const
   /// Learned shortcuts; mutable: lookups teach it.
-  mutable cache::RouteCacheTable<Link> route_cache_;
+  mutable cache::RouteCacheTable<SlotRef> route_cache_;
 
  private:
   const Derived& self() const { return static_cast<const Derived&>(*this); }
@@ -290,7 +290,7 @@ bool RingRoute<D, N, O, A, S>::LookupStep(S& st) const {
 template <typename D, typename N, typename O, typename A, typename S>
 bool RingRoute<D, N, O, A, S>::ProbeShortcut(S& st, LookupResult& r) const {
   const std::uint64_t key = self().CacheKey(r.key);
-  Link shortcut;
+  SlotRef shortcut;
   if (route_cache_.Probe(st.cur, key, shortcut)) {
     // Same liveness discipline as a routing-table link, plus an ownership
     // re-check with the walk's own termination predicate: a stale or wrong
@@ -314,10 +314,10 @@ void RingRoute<D, N, O, A, S>::LookupFinish(S& st) const {
   if (r.ok && route_cache_.enabled() && r.hops > 0) {
     // Teach every node on the path a direct link to the owner.
     const std::uint64_t key = self().CacheKey(r.key);
-    const Link owner_link = slab_.MakeLink(st.cur);
+    const SlotRef owner_ref = slab_.MakeRef(st.cur);
     for (std::size_t i = 0; i + 1 < r.path.size(); ++i) {
       const Slot s = slab_.Find(r.path[i]);
-      if (s != kNoSlot && s != st.cur) route_cache_.Insert(s, key, owner_link);
+      if (s != kNoSlot && s != st.cur) route_cache_.Insert(s, key, owner_ref);
     }
   }
   // Report to the observability layer on every exit path. Costs one flag

@@ -6,14 +6,19 @@
 // first out); `AddrIndexMap` maps each member's address to its slot. Slots
 // never move, so a ring can address a node by slot index alone.
 //
-// Links. A routing-table entry is a `SlotLink`: the target's slot, the
-// generation observed when the link was built, and the target's address and
-// ID cached from the same moment. While the generation still matches, the
-// target is alive and `id` is its current ID — liveness costs one compare
-// and no hash probe. On a mismatch the occupant changed, and resolution
-// falls back to the address (the target may have rejoined at another slot),
-// which reproduces address-keyed routing tables exactly when a node departs,
-// or departs and rejoins, between maintenance rounds.
+// Links. A routing-table entry is a `SlotRef`: the target's slot, the
+// generation observed when the ref was built, and the target's address from
+// the same moment. While the generation still matches, the target is alive
+// and still occupies the slot — liveness costs one compare and no hash
+// probe, and the target's ID is on the header line that compare read. On a
+// mismatch the occupant changed, and resolution falls back to the address
+// (the target may have rejoined at another slot), which reproduces
+// address-keyed routing tables exactly when a node departs, or departs and
+// rejoins, between maintenance rounds. The address is what a stale ref
+// resolves by: a vacated slot no longer holds its old occupant's address.
+// A `SlotLink` is a ref plus the target's ID cached from the same moment:
+// Chord's fresh-ring ownership test reads its predecessor's ID that way,
+// and the Cycloid and single-hop tables hold links too.
 //
 // Sorted membership. `RingOracle` holds every member's (id, slot) of a
 // circular identifier space sorted by id — what stabilization converges to,
@@ -37,13 +42,19 @@ namespace lorm {
 using SlabSlot = std::uint32_t;
 inline constexpr SlabSlot kNoSlabSlot = 0xffffffffu;
 
-/// Generation-checked routing link (see the file comment). A null link is
-/// SlotLink{} (addr == kNoNode).
-template <typename Id>
-struct SlotLink {
+/// Generation-checked reference to a slot's occupant (see the file
+/// comment). A null ref is SlotRef{} (addr == kNoNode).
+struct SlotRef {
   SlabSlot slot = kNoSlabSlot;
   std::uint32_t gen = 0;
   NodeAddr addr = kNoNode;
+};
+static_assert(sizeof(SlotRef) == 12, "a ref is three 32-bit words");
+
+/// A ref plus the target's ID as of the same moment. A null link is
+/// SlotLink{} (addr == kNoNode).
+template <typename Id>
+struct SlotLink : SlotRef {
   Id id{};
 };
 
@@ -89,18 +100,20 @@ class SlotSlab {
   Node& MustGet(NodeAddr addr) { return nodes_[MustFind(addr)]; }
   const Node& MustGet(NodeAddr addr) const { return nodes_[MustFind(addr)]; }
 
-  /// Snapshot link to the slot's current occupant.
-  Link MakeLink(Slot s) const {
+  /// Snapshot ref to the slot's current occupant.
+  SlotRef MakeRef(Slot s) const {
     const Node& n = nodes_[s];
-    return Link{s, n.gen, n.addr, n.id};
+    return SlotRef{s, n.gen, n.addr};
   }
-  /// True while the link still points at the occupant it was built for.
-  bool Current(const Link& l) const {
+  /// Snapshot link to the slot's current occupant, its ID included.
+  Link MakeLink(Slot s) const { return Link{MakeRef(s), nodes_[s].id}; }
+  /// True while the ref still points at the occupant it was built for.
+  bool Current(const SlotRef& l) const {
     return l.slot != kNoSlabSlot && nodes_[l.slot].gen == l.gen;
   }
-  /// Live slot the link leads to, or kNoSlabSlot if the target is gone:
-  /// generation compare first, address fallback for stale links only.
-  Slot Resolve(const Link& l) const {
+  /// Live slot the ref leads to, or kNoSlabSlot if the target is gone:
+  /// generation compare first, address fallback for stale refs only.
+  Slot Resolve(const SlotRef& l) const {
     return Current(l) ? l.slot : Find(l.addr);
   }
 

@@ -39,7 +39,7 @@
 // closest to its ID" with exact, locally testable sectors.
 //
 // Storage: nodes live in a `SlotSlab` and the 7 routing entries are its
-// generation-checked `SlotLink`s (common/slot_slab.hpp), as on ChordRing.
+// generation-checked `SlotLink`s (common/slot_slab.hpp).
 // The lookup loop, its begin and finish, the route-cache shortcut, the
 // maintenance meter and the membership observer are the shared `RingRoute`
 // (common/ring_route.hpp); this network supplies the routing step, its

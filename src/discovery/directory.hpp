@@ -16,7 +16,10 @@
 // pays one stable sort + in-place merge. Both keep equal keys in insertion
 // order, so ForEach, TakeIf and TakeAll visit entries in (attr, ordinal,
 // insertion) order and handoffs re-insert them in a fixed order. A range
-// match is a binary search plus a contiguous scan.
+// match is a binary search plus a contiguous scan. When the run is empty —
+// the first read after a build's advertising — the sorted buffer becomes
+// the run instead of being copied into one, so a directory holds each entry
+// once and no emptied buffer keeps its capacity beside the run.
 //
 // Presence word. Each directory also keeps a 64-bit word with bit
 // attr % 64 set for every attribute it holds, rebuilt wherever the sorted
@@ -153,6 +156,12 @@ class Directory {
     for (const Entry& e : sorted_) fn(e);
   }
 
+  /// Bytes the run and the insert buffer reserve (capacity x entry size).
+  std::size_t MemoryBytes() const {
+    std::lock_guard<std::mutex> lock(merge_mu_);
+    return (sorted_.capacity() + pending_.capacity()) * sizeof(Entry);
+  }
+
  private:
   static std::uint64_t PresenceBit(AttrId attr) {
     return std::uint64_t{1} << (attr % 64);
@@ -175,12 +184,16 @@ class Directory {
     // among equal keys (pending entries all post-date sorted ones).
     std::stable_sort(pending_.begin(), pending_.end(), Precedes);
     for (const Entry& e : pending_) present_ |= PresenceBit(e.info.attr);
-    const auto mid = static_cast<std::ptrdiff_t>(sorted_.size());
-    sorted_.insert(sorted_.end(), std::make_move_iterator(pending_.begin()),
-                   std::make_move_iterator(pending_.end()));
+    if (sorted_.empty()) {
+      sorted_.swap(pending_);  // the sorted buffer is the whole run
+    } else {
+      const auto mid = static_cast<std::ptrdiff_t>(sorted_.size());
+      sorted_.insert(sorted_.end(), std::make_move_iterator(pending_.begin()),
+                     std::make_move_iterator(pending_.end()));
+      std::inplace_merge(sorted_.begin(), sorted_.begin() + mid,
+                         sorted_.end(), Precedes);
+    }
     pending_.clear();
-    std::inplace_merge(sorted_.begin(), sorted_.begin() + mid, sorted_.end(),
-                       Precedes);
     dirty_.store(false, std::memory_order_release);
   }
 
@@ -302,6 +315,15 @@ class DirectoryStore {
           [cutoff](const Entry& e) { return e.epoch < cutoff; });
     }
     return n;
+  }
+
+  /// Every directory's object and MemoryBytes, plus the owner index and
+  /// its slots.
+  std::size_t MemoryBytes() const {
+    std::size_t total =
+        index_.MemoryBytes() + dirs_.capacity() * sizeof(Slot);
+    for (const Slot& s : dirs_) total += sizeof(Dir) + s.dir->MemoryBytes();
+    return total;
   }
 
  private:

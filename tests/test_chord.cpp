@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <set>
 
+#include "chord_reference.hpp"
 #include "common/random.hpp"
 #include "common/stats.hpp"
 
@@ -278,6 +279,82 @@ TEST(ChordRing, ArcRepairFixesASpliceBeyondTheArcOwner) {
   EXPECT_EQ(ring.Successor(p), j1);
   EXPECT_FALSE(ring.Owns(b, 100));
   EXPECT_TRUE(ring.Owns(j1, 100));
+}
+
+/// Routes eight random keys from every member and checks each lookup
+/// against the address-keyed reference walk; `dead` sums the dead links
+/// the lookups detected and `through` counts their hops onto `watched`.
+void ExpectReferenceWalks(const ChordRing& ring, std::uint64_t seed,
+                          NodeAddr watched, std::uint64_t& dead,
+                          std::size_t& through) {
+  Rng rng(seed);
+  LookupResult got;
+  for (const NodeAddr origin : ring.Members()) {
+    for (int i = 0; i < 8; ++i) {
+      const Key key = rng.NextBelow(ring.space());
+      const auto want = ReferenceChordLookup(ring, key, origin);
+      const std::uint64_t before = ring.maintenance().dead_links_skipped;
+      ring.LookupInto(key, origin, got);
+      const std::uint64_t got_dead =
+          ring.maintenance().dead_links_skipped - before;
+      ASSERT_EQ(got.ok, want.result.ok) << origin << " -> " << key;
+      ASSERT_EQ(got.owner, want.result.owner) << origin << " -> " << key;
+      ASSERT_EQ(got.hops, want.result.hops) << origin << " -> " << key;
+      ASSERT_EQ(got.path, want.result.path) << origin << " -> " << key;
+      ASSERT_EQ(got_dead, want.dead_links_skipped) << origin << " -> " << key;
+      EXPECT_EQ(got.owner, ring.OwnerOf(key));
+      dead += got_dead;
+      through += static_cast<std::size_t>(
+          std::count(got.path.begin() + 1, got.path.end(), watched));
+    }
+  }
+}
+
+// Between maintenance rounds the tables name members that are gone, and a
+// departed address can come back in another slot. From a converged ring:
+// c crashes, a and b leave, a rejoins with a new id in b's old slot (the
+// free list is last in, first out) and a fresh address j joins in a's old
+// slot, so a's stale refs lead to a slot j now holds and b's to one a
+// holds. Every lookup, from every member, must route as the address-keyed
+// reference walk does: same owner, hops, path and dead links detected.
+TEST(ChordRing, StaleLinksRouteLikeAnAddressKeyedWalk) {
+  ChordRing ring(SmallCfg(12));
+  std::vector<std::pair<NodeAddr, Key>> members;
+  for (NodeAddr k = 0; k < 256; ++k) members.push_back({k, Key{16} * k});
+  ring.BulkAssign(members);  // ends in StabilizeAll
+  ASSERT_TRUE(ring.LinksFresh());
+  const NodeAddr c = 40, a = 100, b = 180, j = 1000;
+  const auto slot_a = ring.SlotOf(a);
+  const auto slot_b = ring.SlotOf(b);
+  ring.FailNode(c);
+  ring.RemoveNode(a);
+  ring.RemoveNode(b);
+  ring.AddNodeWithId(a, 520);   // was 1600
+  ring.AddNodeWithId(j, 1608);  // next to a's old id
+  ASSERT_EQ(ring.SlotOf(a), slot_b);
+  ASSERT_EQ(ring.SlotOf(j), slot_a);
+
+  std::uint64_t dead = 0;
+  std::size_t through_a = 0;
+  ExpectReferenceWalks(ring, 23, a, dead, through_a);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(dead, 0u);       // the crashed and departed members were met
+  EXPECT_GT(through_a, 0u);  // and the rejoined one was reached
+
+  ring.StabilizeAll();
+  EXPECT_TRUE(ring.LinksMatchOracle());
+  dead = 0;
+  through_a = 0;
+  ExpectReferenceWalks(ring, 29, a, dead, through_a);
+  EXPECT_EQ(dead, 0u);
+}
+
+// A member of the paper's ring costs its 64-B header, 15 12-B refs (11
+// fingers, 4 successors) and 11 mirrored 8-B finger ids (332 B), plus its
+// oracle entry and its share of the address index.
+TEST(ChordRing, PaperScaleFootprintPerMember) {
+  const ChordRing ring = MakeRing(2048, SmallCfg(11), true);
+  EXPECT_LE(ring.ApproxMemoryBytes(), std::size_t{2048} * 370);
 }
 
 class RecordingObserver : public MembershipObserver {

@@ -99,6 +99,54 @@ TEST(DirectoryTest, EraseProvider) {
   EXPECT_EQ(dir.EraseProvider(99), 0u);
 }
 
+// The first read after inserts into an empty directory adopts the sorted
+// insert buffer as the run: the directory then holds each entry once, in
+// the buffer's capacity, and later inserts still merge into that run.
+TEST(DirectoryTest, FirstMergeAdoptsTheInsertBuffer) {
+  using Dir = Directory<std::uint64_t>;
+  Dir dir;
+  std::vector<Dir::Entry> buffer;  // grown as the insert buffer is
+  for (NodeAddr i = 0; i < 1000; ++i) {
+    dir.Insert(E(i % 7, 1000.0 - i, i));
+    buffer.push_back(E(i % 7, 1000.0 - i, i));
+  }
+  const std::size_t run_bytes = buffer.capacity() * sizeof(Dir::Entry);
+  EXPECT_EQ(dir.MemoryBytes(), run_bytes);
+  std::vector<NodeAddr> hits;
+  dir.ForEachMatch(0, 0.0, 1000.0,
+                   [&](const auto& e) { hits.push_back(e.info.provider); });
+  ASSERT_EQ(hits.size(), 143u);  // providers 994, 987, ..., 0
+  EXPECT_TRUE(std::is_sorted(hits.rbegin(), hits.rend()));
+  EXPECT_EQ(dir.MemoryBytes(), run_bytes);
+
+  dir.Insert(E(0, 1000.5, 2000));
+  dir.Insert(E(0, 0.5, 2001));
+  hits.clear();
+  dir.ForEachMatch(0, 0.0, 2000.0,
+                   [&](const auto& e) { hits.push_back(e.info.provider); });
+  ASSERT_EQ(hits.size(), 145u);
+  EXPECT_EQ(hits.front(), 2001u);
+  EXPECT_EQ(hits.back(), 2000u);
+}
+
+TEST(DirectoryStoreTest, MemoryBytesCoverEveryDirectory) {
+  DirectoryStore<std::uint64_t> store;
+  for (NodeAddr i = 0; i < 300; ++i) store.Insert(i % 3, E(0, i, i));
+  const std::size_t before = store.MemoryBytes();
+  std::size_t dirs = 0;
+  for (NodeAddr owner = 0; owner < 3; ++owner) {
+    const auto* dir = store.Find(owner);
+    int hits = 0;
+    dir->ForEachMatch(0, 0.0, 300.0, [&](const auto&) { ++hits; });
+    EXPECT_EQ(hits, 100);
+    dirs += dir->MemoryBytes();
+  }
+  EXPECT_EQ(store.MemoryBytes(), before);  // the merges copied nothing
+  EXPECT_GT(store.MemoryBytes(), dirs);
+  store.Drop(1);
+  EXPECT_LT(store.MemoryBytes(), before);
+}
+
 TEST(DirectoryStoreTest, PerOwnerBookkeeping) {
   DirectoryStore<std::uint64_t> store;
   store.Insert(1, E(0, 1.0, 10));
