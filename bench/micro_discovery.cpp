@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark): the discovery layer.
 //
 // Measures advertise and query throughput of each system at the Small
-// configuration, plus the requester-side join. Not a paper figure.
+// configuration, plus the requester-side dedup and join. Not a paper
+// figure.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "discovery/join.hpp"
 #include "discovery/maan_service.hpp"
@@ -194,6 +196,35 @@ void BM_JoinProviders(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_JoinProviders);
+
+void BM_DedupMatches(benchmark::State& state) {
+  // Sub-query raw matches as a walk appends them: one attribute, values
+  // ascending, providers in random order. The argument is the match count:
+  // about 24 per sub-query on the discovery benchmark's `range` workload,
+  // 200 for a wide range. The iterations cycle through 256 lists, as
+  // queries do, so the branch predictor cannot learn one list's sort.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(12);
+  std::vector<std::vector<resource::ResourceInfo>> lists(256);
+  for (auto& raw : lists) {
+    for (std::size_t i = 0; i < n; ++i) {
+      raw.push_back({0, resource::AttrValue::Number(static_cast<double>(i)),
+                     static_cast<NodeAddr>(rng.NextBelow(2048))});
+    }
+  }
+  std::vector<discovery::MatchKey> keys;
+  std::vector<resource::ResourceInfo> out;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    discovery::DedupMatches(lists[next], keys, out);
+    next = (next + 1) % lists.size();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_DedupMatches)->Arg(24)->Arg(200);
 
 }  // namespace
 

@@ -10,16 +10,30 @@
 // Layout. DirectoryStore finds a node's directory with one AddrIndexMap
 // probe (common/flat_map.hpp). The probe yields an index into a vector of
 // heap-allocated directories, so a directory keeps its address for as long
-// as it lives, and Drop swap-removes. A Directory holds one flat run sorted
-// by (attr, ordinal, insertion order), fed by an insert buffer merged in
-// lazily: advertising appends, and the first read after a batch of inserts
-// pays one stable sort + in-place merge. Both keep equal keys in insertion
+// as it lives, and Drop swap-removes. A Directory holds one flat run of
+// 64-byte entries (72 with Cycloid keys) sorted by (attr, ordinal,
+// insertion order), fed by an insert buffer merged in lazily: advertising
+// appends, and the first read after a batch of inserts sorts the buffer
+// stably and merges it into the run. Both keep equal keys in insertion
 // order, so ForEach, TakeIf and TakeAll visit entries in (attr, ordinal,
-// insertion) order and handoffs re-insert them in a fixed order. A range
-// match is a binary search plus a contiguous scan. When the run is empty —
-// the first read after a build's advertising — the sorted buffer becomes
-// the run instead of being copied into one, so a directory holds each entry
-// once and no emptied buffer keeps its capacity beside the run.
+// insertion) order and handoffs re-insert them in a fixed order. When the
+// run is empty — the first read after a build's advertising — the sorted
+// buffer becomes the run instead of being copied into one, so a directory
+// holds each entry once and no emptied buffer keeps its capacity beside the
+// run. Into a non-empty run the buffer merges from the back, in place: the
+// run grows by the buffer's size and each step moves the larger tail entry
+// to its final slot, so entries before the buffer's smallest key never
+// move. A merge that fits the run's capacity allocates nothing: a buffer of
+// up to 16 entries sorts by insertion (std::stable_sort takes a temporary
+// buffer on every call).
+//
+// Search keys. Beside the run each directory keeps an array of 16-byte
+// (attr, ordinal) keys, keys_[i] being sorted_[i]'s, so ForEachMatch's
+// binary search and its scan's stop test stride 16 bytes instead of 64 and
+// read an entry only to hand it to the caller. The array is rebuilt
+// wherever the run changes (the merge, EraseIf, TakeIf). The first merge
+// sizes it exactly, since the adopted run keeps its growth slack; later
+// merges reserve it to the run's capacity, so the two grow together.
 //
 // Presence word. Each directory also keeps a 64-bit word with bit
 // attr % 64 set for every attribute it holds, rebuilt wherever the sorted
@@ -47,7 +61,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -77,6 +90,12 @@ class Directory {
     /// resilience. Replicas stay where they were put and are rebuilt by the
     /// next soft-state epoch.
     std::uint8_t replica = 0;
+  };
+
+  /// An entry's place in the run's order, kept apart from the payload.
+  struct SearchKey {
+    AttrId attr = 0;
+    double ordinal = 0;
   };
 
   Directory() = default;
@@ -113,14 +132,17 @@ class Directory {
   void ForEachMatch(AttrId attr, double lo, double hi, Fn&& fn) const {
     MergePending();
     if ((present_ & PresenceBit(attr)) == 0) return;
-    auto it = std::partition_point(
-        sorted_.begin(), sorted_.end(), [attr, lo](const Entry& e) {
-          return e.info.attr < attr ||
-                 (e.info.attr == attr && e.ordinal < lo);
-        });
-    for (; it != sorted_.end() && it->info.attr == attr && it->ordinal <= hi;
-         ++it) {
-      fn(*it);
+    const SearchKey* const keys = keys_.data();
+    const std::size_t n = keys_.size();
+    std::size_t i = static_cast<std::size_t>(
+        std::partition_point(keys, keys + n,
+                             [attr, lo](const SearchKey& k) {
+                               return k.attr < attr ||
+                                      (k.attr == attr && k.ordinal < lo);
+                             }) -
+        keys);
+    for (; i < n && keys[i].attr == attr && keys[i].ordinal <= hi; ++i) {
+      fn(sorted_[i]);
     }
   }
 
@@ -156,10 +178,11 @@ class Directory {
     for (const Entry& e : sorted_) fn(e);
   }
 
-  /// Bytes the run and the insert buffer reserve (capacity x entry size).
+  /// Bytes the run, the insert buffer and the key array reserve.
   std::size_t MemoryBytes() const {
     std::lock_guard<std::mutex> lock(merge_mu_);
-    return (sorted_.capacity() + pending_.capacity()) * sizeof(Entry);
+    return (sorted_.capacity() + pending_.capacity()) * sizeof(Entry) +
+           keys_.capacity() * sizeof(SearchKey);
   }
 
  private:
@@ -173,28 +196,66 @@ class Directory {
                                       : x.ordinal < y.ordinal;
   }
 
-  /// Folds the insert buffer into the sorted run and the presence word.
-  /// Safe to call from concurrent readers; in the merged steady state it
-  /// costs a single atomic load.
+  /// Folds the insert buffer into the sorted run, its keys and the
+  /// presence word. Safe to call from concurrent readers; in the merged
+  /// steady state it costs a single atomic load.
   void MergePending() const {
     if (!dirty_.load(std::memory_order_acquire)) return;
     std::lock_guard<std::mutex> lock(merge_mu_);
     if (!dirty_.load(std::memory_order_relaxed)) return;
-    // stable_sort + merging older-before-newer preserves insertion order
+    // A stable sort + merging older-before-newer preserves insertion order
     // among equal keys (pending entries all post-date sorted ones).
-    std::stable_sort(pending_.begin(), pending_.end(), Precedes);
+    SortPending();
     for (const Entry& e : pending_) present_ |= PresenceBit(e.info.attr);
+    std::size_t moved = 0;  // run positions before it kept their entry
     if (sorted_.empty()) {
       sorted_.swap(pending_);  // the sorted buffer is the whole run
     } else {
-      const auto mid = static_cast<std::ptrdiff_t>(sorted_.size());
-      sorted_.insert(sorted_.end(), std::make_move_iterator(pending_.begin()),
-                     std::make_move_iterator(pending_.end()));
-      std::inplace_merge(sorted_.begin(), sorted_.begin() + mid,
-                         sorted_.end(), Precedes);
+      moved = MergeFromBack();
+      keys_.reserve(sorted_.capacity());
+    }
+    keys_.resize(sorted_.size());
+    for (std::size_t i = moved; i < sorted_.size(); ++i) {
+      keys_[i] = {sorted_[i].info.attr, sorted_[i].ordinal};
     }
     pending_.clear();
     dirty_.store(false, std::memory_order_release);
+  }
+
+  /// Stable sort of the insert buffer. A small buffer (an Advertise
+  /// between queries) sorts by insertion, which needs no temporary buffer.
+  void SortPending() const {
+    constexpr std::size_t kInsertionSortMax = 16;
+    if (pending_.size() > kInsertionSortMax) {
+      std::stable_sort(pending_.begin(), pending_.end(), Precedes);
+      return;
+    }
+    for (std::size_t i = 1; i < pending_.size(); ++i) {
+      const Entry e = pending_[i];
+      std::size_t j = i;
+      for (; j > 0 && Precedes(e, pending_[j - 1]); --j) {
+        pending_[j] = pending_[j - 1];
+      }
+      pending_[j] = e;
+    }
+  }
+
+  /// Merges the sorted buffer into the non-empty run from the back: a
+  /// buffer entry lands after run entries of an equal key. Returns the
+  /// first run position whose entry changed.
+  std::size_t MergeFromBack() const {
+    std::size_t i = sorted_.size();
+    std::size_t j = pending_.size();
+    sorted_.resize(i + j);
+    std::size_t k = sorted_.size();
+    while (j > 0) {
+      if (i > 0 && Precedes(pending_[j - 1], sorted_[i - 1])) {
+        sorted_[--k] = sorted_[--i];
+      } else {
+        sorted_[--k] = pending_[--j];
+      }
+    }
+    return k;
   }
 
   template <typename Pred>
@@ -202,40 +263,50 @@ class Directory {
     MergePending();
     std::size_t removed = 0;
     std::uint64_t present = 0;
-    auto dst = sorted_.begin();
-    for (auto src = sorted_.begin(); src != sorted_.end(); ++src) {
-      if (pred(*src)) {
-        if (est_ != nullptr) est_->Remove(src->info.attr, src->ordinal);
-        if (out != nullptr) out->push_back(std::move(*src));
+    std::size_t dst = 0;
+    for (std::size_t src = 0; src < sorted_.size(); ++src) {
+      const Entry& e = sorted_[src];
+      if (pred(e)) {
+        if (est_ != nullptr) est_->Remove(e.info.attr, e.ordinal);
+        if (out != nullptr) out->push_back(e);
         ++removed;
       } else {
-        present |= PresenceBit(src->info.attr);
-        if (dst != src) *dst = std::move(*src);
+        present |= PresenceBit(e.info.attr);
+        if (dst != src) {
+          sorted_[dst] = e;
+          keys_[dst] = keys_[src];
+        }
         ++dst;
       }
     }
-    sorted_.erase(dst, sorted_.end());
+    sorted_.resize(dst);
+    keys_.resize(dst);
     present_ = present;
     size_.fetch_sub(removed, std::memory_order_relaxed);
     return removed;
   }
 
   // Mutable plus the guard pair so the lazy merge can run under const
-  // reads. What a probe of an absent attribute reads comes first.
+  // reads. What a probe reads comes first: an absent attribute only the
+  // flag and the presence word, a search the keys, a match the run.
   mutable std::atomic<bool> dirty_{false};
   /// Bit attr % 64 set for every attribute in sorted_.
   mutable std::uint64_t present_ = 0;
+  mutable std::vector<SearchKey> keys_;  ///< keys_[i] is sorted_[i]'s key
+  mutable std::vector<Entry> sorted_;    ///< by (attr, ordinal, insertion)
   /// Relaxed atomic: size()/TotalEntries() are read by parallel replay
   /// workers while another worker's first read after an insert batch runs
   /// MergePending; the count itself only changes under the single-writer
   /// phases, but the read must still be well-defined.
   std::atomic<std::size_t> size_{0};
-  mutable std::vector<Entry> sorted_;   ///< by (attr, ordinal, insertion)
   mutable std::vector<Entry> pending_;  ///< inserts since the last merge
   mutable std::mutex merge_mu_;
   /// Optional planner hook; owned by the service, outlives the store.
   SelectivityEstimator* est_ = nullptr;
 };
+
+static_assert(sizeof(Directory<std::uint64_t>::Entry) == 64);
+static_assert(sizeof(Directory<std::uint64_t>::SearchKey) == 16);
 
 /// Node address -> directory, plus the bookkeeping shared by all five
 /// systems. An owner is never kNoNode, the index's empty-slot sentinel.

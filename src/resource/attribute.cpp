@@ -2,11 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <sstream>
+#include <unordered_set>
 
 #include "common/error.hpp"
 
 namespace lorm::resource {
+namespace {
+
+/// The one pooled copy of `v`. Set elements never move, and the pool is
+/// never destroyed, so the pointer stays valid for the life of the process.
+const std::string* Intern(std::string v) {
+  struct Pool {
+    std::mutex mu;
+    std::unordered_set<std::string> texts;
+  };
+  static Pool* const pool = new Pool;
+  std::lock_guard<std::mutex> lock(pool->mu);
+  return &*pool->texts.insert(std::move(v)).first;
+}
+
+}  // namespace
 
 AttrValue AttrValue::Number(double v) {
   AttrValue a;
@@ -18,32 +35,27 @@ AttrValue AttrValue::Number(double v) {
 AttrValue AttrValue::Text(std::string v) {
   AttrValue a;
   a.kind_ = ValueKind::kText;
-  a.text_ = std::move(v);
+  a.text_ = Intern(std::move(v));
   return a;
 }
 
-double AttrValue::num() const {
-  LORM_CHECK_MSG(kind_ == ValueKind::kNumeric, "num() on text value");
-  return num_;
+void AttrValue::NotNumeric() {
+  detail::RaiseInvariant("kind_ == ValueKind::kNumeric", __FILE__, __LINE__,
+                         "num() on text value");
 }
 
 const std::string& AttrValue::text() const {
   LORM_CHECK_MSG(kind_ == ValueKind::kText, "text() on numeric value");
-  return text_;
-}
-
-bool AttrValue::operator==(const AttrValue& o) const {
-  if (kind_ != o.kind_) return false;
-  return kind_ == ValueKind::kNumeric ? num_ == o.num_ : text_ == o.text_;
+  return *text_;
 }
 
 bool AttrValue::operator<(const AttrValue& o) const {
   LORM_CHECK_MSG(kind_ == o.kind_, "comparing values of different kinds");
-  return kind_ == ValueKind::kNumeric ? num_ < o.num_ : text_ < o.text_;
+  return kind_ == ValueKind::kNumeric ? num_ < o.num_ : *text_ < *o.text_;
 }
 
 std::string AttrValue::ToString() const {
-  if (kind_ == ValueKind::kText) return text_;
+  if (kind_ == ValueKind::kText) return *text_;
   std::ostringstream os;
   os << num_;
   return os.str();

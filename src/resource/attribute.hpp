@@ -6,11 +6,20 @@
 // (string). Numeric values feed the locality-preserving hash directly;
 // string values are ordered through a globally known enumeration, so both
 // map to a totally ordered ordinal domain.
+//
+// An AttrValue is a plain 16-byte value: a kind plus either the number or a
+// pointer to an interned string. AttrValue::Text stores each distinct
+// string once, in a process-wide pool that is never freed, so a value stays
+// valid for the life of the process (static destruction included), copies
+// as a memcpy, and two texts are equal exactly when their pointers are. The
+// pool grows only with the distinct strings callers pass (schema
+// enumerations, parsed queries); numeric workloads never touch it.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -29,24 +38,39 @@ class AttrValue {
   AttrValue() : kind_(ValueKind::kNumeric), num_(0) {}
 
   static AttrValue Number(double v);
+  /// Interns `v` (see the file comment).
   static AttrValue Text(std::string v);
 
   ValueKind kind() const { return kind_; }
-  double num() const;
+  double num() const {
+    if (kind_ != ValueKind::kNumeric) [[unlikely]] NotNumeric();
+    return num_;
+  }
   const std::string& text() const;
 
+  /// Values of different kinds are unequal; texts compare by pointer.
+  bool operator==(const AttrValue& o) const {
+    if (kind_ != o.kind_) return false;
+    return kind_ == ValueKind::kNumeric ? num_ == o.num_ : text_ == o.text_;
+  }
   /// Total order; comparing different kinds throws.
-  bool operator==(const AttrValue& o) const;
   bool operator<(const AttrValue& o) const;
   bool operator<=(const AttrValue& o) const { return !(o < *this); }
 
   std::string ToString() const;
 
  private:
+  [[noreturn]] static void NotNumeric();
+
   ValueKind kind_;
-  double num_;
-  std::string text_;
+  union {
+    double num_;
+    const std::string* text_;  ///< into the intern pool
+  };
 };
+
+static_assert(std::is_trivially_copyable_v<AttrValue>);
+static_assert(sizeof(AttrValue) == 16);
 
 /// Globally known type of one attribute: its name, value kind and ordered
 /// value domain (numeric interval or sorted enumeration).

@@ -6,13 +6,15 @@
 #pragma once
 
 #include <string>
+#include <type_traits>
 
 #include "common/types.hpp"
 #include "resource/attribute.hpp"
 
 namespace lorm::resource {
 
-/// One advertised ⟨attribute, value, provider⟩ tuple.
+/// One advertised ⟨attribute, value, provider⟩ tuple: a plain value that
+/// directories, sub-query match lists and the result cache copy as bytes.
 struct ResourceInfo {
   AttrId attr = 0;
   AttrValue value;
@@ -24,6 +26,9 @@ struct ResourceInfo {
 
   std::string ToString(const AttributeRegistry& registry) const;
 };
+
+static_assert(std::is_trivially_copyable_v<ResourceInfo>);
+static_assert(sizeof(ResourceInfo) == 32);
 
 /// Inclusive value range [lo, hi]; a point query has lo == hi.
 struct ValueRange {

@@ -101,7 +101,8 @@ TEST(DirectoryTest, EraseProvider) {
 
 // The first read after inserts into an empty directory adopts the sorted
 // insert buffer as the run: the directory then holds each entry once, in
-// the buffer's capacity, and later inserts still merge into that run.
+// the buffer's capacity, beside an exactly sized key array, and later
+// inserts still merge into that run.
 TEST(DirectoryTest, FirstMergeAdoptsTheInsertBuffer) {
   using Dir = Directory<std::uint64_t>;
   Dir dir;
@@ -117,7 +118,7 @@ TEST(DirectoryTest, FirstMergeAdoptsTheInsertBuffer) {
                    [&](const auto& e) { hits.push_back(e.info.provider); });
   ASSERT_EQ(hits.size(), 143u);  // providers 994, 987, ..., 0
   EXPECT_TRUE(std::is_sorted(hits.rbegin(), hits.rend()));
-  EXPECT_EQ(dir.MemoryBytes(), run_bytes);
+  EXPECT_EQ(dir.MemoryBytes(), run_bytes + 1000 * sizeof(Dir::SearchKey));
 
   dir.Insert(E(0, 1000.5, 2000));
   dir.Insert(E(0, 0.5, 2001));
@@ -127,6 +128,11 @@ TEST(DirectoryTest, FirstMergeAdoptsTheInsertBuffer) {
   ASSERT_EQ(hits.size(), 145u);
   EXPECT_EQ(hits.front(), 2001u);
   EXPECT_EQ(hits.back(), 2000u);
+  // That merge fit the run, and grew the key array to the run's capacity,
+  // not past it; the insert buffer keeps its two slots.
+  EXPECT_EQ(dir.MemoryBytes(),
+            run_bytes + buffer.capacity() * sizeof(Dir::SearchKey) +
+                2 * sizeof(Dir::Entry));
 }
 
 TEST(DirectoryStoreTest, MemoryBytesCoverEveryDirectory) {
@@ -141,7 +147,9 @@ TEST(DirectoryStoreTest, MemoryBytesCoverEveryDirectory) {
     EXPECT_EQ(hits, 100);
     dirs += dir->MemoryBytes();
   }
-  EXPECT_EQ(store.MemoryBytes(), before);  // the merges copied nothing
+  // The merges copied no entry; each built a 100-key array.
+  EXPECT_EQ(store.MemoryBytes(),
+            before + 300 * sizeof(Directory<std::uint64_t>::SearchKey));
   EXPECT_GT(store.MemoryBytes(), dirs);
   store.Drop(1);
   EXPECT_LT(store.MemoryBytes(), before);
@@ -234,6 +242,77 @@ TEST(DirectoryTest, PresenceWordAliasNeverChangesAnswer) {
   EXPECT_EQ(providers(3), (std::vector<NodeAddr>{12}));
   EXPECT_EQ(dir.EraseProvider(12), 1u);
   EXPECT_TRUE(providers(3).empty());
+}
+
+// Insert batches on both sides of the insertion-sort cutoff (16), range
+// matches, erasures and takes, checked against a stable sort of the live
+// entries: the merge from the back and the key array must keep every
+// answer in (attr, ordinal, insertion) order.
+TEST(DirectoryTest, MatchesAStableSortUnderMixedOps) {
+  using Dir = Directory<std::uint64_t>;
+  Dir dir;
+  std::vector<Dir::Entry> live;  // insertion order; `key` numbers inserts
+  std::uint64_t inserts = 0;
+  const auto sorted_keys = [](std::vector<Dir::Entry> entries) {
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const auto& x, const auto& y) {
+                       return std::pair(x.info.attr, x.ordinal) <
+                              std::pair(y.info.attr, y.ordinal);
+                     });
+    std::vector<std::uint64_t> keys;
+    for (const auto& e : entries) keys.push_back(e.key);
+    return keys;
+  };
+  const auto take_from_live = [&](auto pred) {
+    std::vector<Dir::Entry> taken;
+    std::erase_if(live, [&](const Dir::Entry& e) {
+      if (!pred(e)) return false;
+      taken.push_back(e);
+      return true;
+    });
+    return taken;
+  };
+  Rng rng(41);
+  for (int step = 0; step < 600; ++step) {
+    const std::uint64_t op = rng.NextBelow(6);
+    if (op < 2) {
+      const std::uint64_t n = 1 + rng.NextBelow(40);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        live.push_back(E(static_cast<AttrId>(rng.NextBelow(5)),
+                         static_cast<double>(rng.NextBelow(21)), 10,
+                         inserts++));
+        dir.Insert(live.back());
+      }
+    } else if (op == 2) {
+      const std::uint64_t r = rng.NextBelow(7);
+      const auto pred = [r](const auto& e) { return e.key % 7 == r; };
+      if (rng.NextBelow(2) == 0) {
+        EXPECT_EQ(dir.EraseIf(pred), take_from_live(pred).size());
+      } else {
+        std::vector<std::uint64_t> got;
+        for (const auto& e : dir.TakeIf(pred)) got.push_back(e.key);
+        EXPECT_EQ(got, sorted_keys(take_from_live(pred)));
+      }
+    } else {
+      const auto attr = static_cast<AttrId>(rng.NextBelow(5));
+      const auto lo = static_cast<double>(rng.NextBelow(21));
+      const double hi = lo + static_cast<double>(rng.NextBelow(8));
+      std::vector<std::uint64_t> got;
+      dir.ForEachMatch(attr, lo, hi,
+                       [&](const auto& e) { got.push_back(e.key); });
+      std::vector<Dir::Entry> want;
+      for (const auto& e : live) {
+        if (e.info.attr == attr && e.ordinal >= lo && e.ordinal <= hi) {
+          want.push_back(e);
+        }
+      }
+      ASSERT_EQ(got, sorted_keys(want)) << "step " << step;
+    }
+    ASSERT_EQ(dir.size(), live.size());
+  }
+  std::vector<std::uint64_t> all;
+  dir.ForEach([&](const auto& e) { all.push_back(e.key); });
+  EXPECT_EQ(all, sorted_keys(live));
 }
 
 TEST(DirectoryStoreTest, DropAndTakeAllLeaveOtherDirectoriesInPlace) {

@@ -7,7 +7,8 @@
 // service's placement lanes: only the owner directories' entry vectors
 // grow. A warm classic
 // Query() allocates only the result it returns, and with the planner or
-// the result cache on its allocation count repeats from pass to pass.
+// the result cache on its allocation count repeats from pass to pass. A
+// directory's lazy merge allocates nothing while its run has room.
 //
 // Verified with counting global operator new/delete: the counter is
 // process-wide, so each probe region runs single-threaded with no other
@@ -25,6 +26,7 @@
 #include "chord/chord.hpp"
 #include "common/random.hpp"
 #include "cycloid/cycloid.hpp"
+#include "discovery/directory.hpp"
 #include "harness/batch_lookup.hpp"
 #include "harness/setup.hpp"
 #include "resource/workload.hpp"
@@ -277,6 +279,32 @@ TEST(LookupAllocFree, WarmAdvertiseRoutesWithoutAllocating) {
     EXPECT_LT(block_allocs, 16u);
     EXPECT_EQ(service->TotalInfoPieces() % 4000, 0u);
   }
+}
+
+TEST(DirectoryAllocFree, MergeWithRoomDoesNotAllocate) {
+  // A merge into a non-empty run sorts a small insert buffer by insertion
+  // and merges it from the back, in place; once the key array has grown to
+  // the run's capacity, a merge that fits in it allocates nothing.
+  using Dir = discovery::Directory<std::uint64_t>;
+  const auto entry = [](double ordinal, NodeAddr provider) {
+    Dir::Entry e;
+    e.info = {0, resource::AttrValue::Number(ordinal), provider};
+    e.ordinal = ordinal;
+    return e;
+  };
+  Dir dir;
+  std::size_t hits = 0;
+  const auto merge = [&] {
+    dir.ForEachMatch(0, 250.0, 260.0, [&](const auto&) { ++hits; });
+  };
+  for (NodeAddr i = 0; i < 1000; ++i) dir.Insert(entry(1000.0 - i, i));
+  merge();  // adopts the buffer: 1000 entries, capacity 1024
+  for (NodeAddr i = 0; i < 10; ++i) dir.Insert(entry(500.5 + i, 2000 + i));
+  merge();  // the key array grows to the run's capacity
+  for (NodeAddr i = 0; i < 10; ++i) dir.Insert(entry(250.5 + i, 3000 + i));
+  hits = 0;
+  EXPECT_EQ(CountAllocations(merge), 0u);
+  EXPECT_EQ(hits, 21u);  // ordinals 250..260 and the ten new 250.5..259.5
 }
 
 /// A Quick deployment with every tuple advertised, 3-attribute point

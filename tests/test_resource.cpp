@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -32,6 +35,54 @@ TEST(AttrValueTest, TextOrderingIsLexicographic) {
   EXPECT_THROW(linux.num(), InvariantError);
   EXPECT_THROW((void)(linux < AttrValue::Number(1)), InvariantError);
   EXPECT_FALSE(linux == AttrValue::Number(1));  // different kinds: not equal
+}
+
+TEST(AttrValueTest, TextsAreInterned) {
+  const auto linux = AttrValue::Text("Linux");
+  const std::string prefix = "Lin";
+  const auto built = AttrValue::Text(prefix + "ux");
+  EXPECT_EQ(&linux.text(), &built.text());
+  EXPECT_EQ(linux, built);
+  EXPECT_FALSE(linux < built);
+  const AttrValue copy = built;
+  EXPECT_EQ(&copy.text(), &linux.text());
+
+  // Texts that share their first eight bytes order by the whole string.
+  const auto x32 = AttrValue::Text("Linux-x86_32");
+  const auto x64 = AttrValue::Text("Linux-x86_64");
+  EXPECT_NE(&x32.text(), &x64.text());
+  EXPECT_NE(x32, x64);
+  EXPECT_TRUE(x32 < x64);
+  EXPECT_FALSE(x64 < x32);
+  EXPECT_TRUE(x32 <= x64);
+  EXPECT_EQ(x64.ToString(), "Linux-x86_64");
+  EXPECT_THROW(x64.num(), InvariantError);
+}
+
+TEST(AttrValueTest, ConcurrentInterningAgrees) {
+  // Four threads intern the same 64 strings, each in its own order (an odd
+  // stride over 64 slots visits every slot once).
+  constexpr int kThreads = 4;
+  constexpr int kStrings = 64;
+  const auto text_of = [](int s) { return "concurrent-" + std::to_string(s); };
+  std::vector<std::vector<const std::string*>> seen(
+      kThreads, std::vector<const std::string*>(kStrings));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &seen, &text_of] {
+      for (int i = 0; i < kStrings; ++i) {
+        const int s = (i * (2 * t + 1) + 17 * t) % kStrings;
+        seen[t][s] = &AttrValue::Text(text_of(s)).text();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::set<const std::string*> distinct(seen[0].begin(), seen[0].end());
+  EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kStrings));
+  for (int s = 0; s < kStrings; ++s) {
+    EXPECT_EQ(*seen[0][s], text_of(s));
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][s], seen[0][s]);
+  }
 }
 
 TEST(AttributeSchemaTest, NumericOrdinals) {
