@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
     resource::Workload workload(setup.MakeWorkloadConfig());
     auto service =
-        bench::BuildPopulated(harness::SystemKind::kLorm, setup, workload);
+        harness::BuildPopulated(harness::SystemKind::kLorm, setup, workload);
 
     harness::QueryExperimentConfig pq;
     pq.requesters = opt.quick ? 20 : 100;

@@ -42,12 +42,7 @@ int main(int argc, char** argv) {
       }
       discovery::LormService service(setup.nodes, workload.registry(),
                                      std::move(cfg));
-      std::vector<NodeAddr> providers;
-      for (std::size_t i = 0; i < setup.nodes; ++i) {
-        providers.push_back(static_cast<NodeAddr>(i));
-      }
-      Rng rng(setup.seed ^ 0xBEEF);
-      for (const auto& info : workload.GenerateInfos(providers, rng)) {
+      for (const auto& info : harness::GridInfos(setup, workload)) {
         service.Advertise(info);
       }
       const auto m = harness::MeasureDirectories(service);

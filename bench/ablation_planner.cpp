@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   std::map<SystemKind, std::unique_ptr<discovery::DiscoveryService>> off;
   std::map<SystemKind, std::unique_ptr<discovery::DiscoveryService>> on;
   for (const auto kind : kinds) {
-    off[kind] = bench::BuildPopulated(kind, setup_off, workload);
-    on[kind] = bench::BuildPopulated(kind, setup_on, workload);
+    off[kind] = harness::BuildPopulated(kind, setup_off, workload);
+    on[kind] = harness::BuildPopulated(kind, setup_on, workload);
   }
 
   std::vector<std::size_t> attr_counts{1, 2, 3, 4, 5};

@@ -40,14 +40,7 @@ int main(int argc, char** argv) {
       resource::WorkloadConfig wcfg = wsetup.MakeWorkloadConfig();
       wcfg.attr_zipf_exponent = zipf;
       resource::Workload workload(wcfg);
-      auto service = harness::MakeService(kind, wsetup, workload.registry());
-      std::vector<NodeAddr> providers;
-      for (std::size_t i = 0; i < wsetup.nodes; ++i) {
-        providers.push_back(static_cast<NodeAddr>(i));
-      }
-      Rng rng(wsetup.seed ^ 0xBEEF);
-      harness::AdvertiseAll(*service,
-                            workload.GenerateInfos(providers, rng));
+      auto service = harness::BuildPopulated(kind, wsetup, workload);
 
       service->ResetQueryLoad();
       harness::QueryExperimentConfig qcfg;
@@ -57,7 +50,6 @@ int main(int argc, char** argv) {
       qcfg.range = true;
       qcfg.seed = 0x21BF + static_cast<std::uint64_t>(zipf * 10);
       qcfg.jobs = opt.jobs;
-      qcfg.batch = opt.batch == 0 ? 1 : opt.batch;
       harness::RunQueries(*service, workload, qcfg);
 
       const auto loads = service->QueryLoadCounts();

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   const auto run_mode = [&](SystemKind kind, bool cache) {
     harness::Setup s = setup;
     s.cache = cache;
-    auto service = bench::BuildPopulated(kind, s, workload);
+    auto service = harness::BuildPopulated(kind, s, workload);
     ModeNumbers out;
     Rng rng(0x407ull);  // same stream for every system and both modes
     for (std::size_t i = 0; i < queries; ++i) {

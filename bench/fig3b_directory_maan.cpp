@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
     const auto model = bench::ModelOf(setup);
 
     const auto maan =
-        bench::BuildPopulated(harness::SystemKind::kMaan, setup, workload);
+        harness::BuildPopulated(harness::SystemKind::kMaan, setup, workload);
     const auto lorm =
-        bench::BuildPopulated(harness::SystemKind::kLorm, setup, workload);
+        harness::BuildPopulated(harness::SystemKind::kLorm, setup, workload);
     const auto dm = harness::MeasureDirectories(*maan);
     const auto dl = harness::MeasureDirectories(*lorm);
     const double factor = analysis::T43MaanDirectoryReduction(model);

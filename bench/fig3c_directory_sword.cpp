@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
     const double d = static_cast<double>(setup.dimension);
 
     const auto sword =
-        bench::BuildPopulated(harness::SystemKind::kSword, setup, workload);
+        harness::BuildPopulated(harness::SystemKind::kSword, setup, workload);
     const auto lorm =
-        bench::BuildPopulated(harness::SystemKind::kLorm, setup, workload);
+        harness::BuildPopulated(harness::SystemKind::kLorm, setup, workload);
     const auto ds = harness::MeasureDirectories(*sword);
     const auto dl = harness::MeasureDirectories(*lorm);
 

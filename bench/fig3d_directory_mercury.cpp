@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
     const double widen = analysis::T45MercuryBalanceFactor(model);
 
     const auto mercury =
-        bench::BuildPopulated(harness::SystemKind::kMercury, setup, workload);
+        harness::BuildPopulated(harness::SystemKind::kMercury, setup, workload);
     const auto lorm =
-        bench::BuildPopulated(harness::SystemKind::kLorm, setup, workload);
+        harness::BuildPopulated(harness::SystemKind::kLorm, setup, workload);
     const auto dm = harness::MeasureDirectories(*mercury);
     const auto dl = harness::MeasureDirectories(*lorm);
 

@@ -24,7 +24,7 @@ inline std::vector<SweepPoint> RunQuerySweep(
     const std::vector<harness::SystemKind>& kinds, bool range, Metric metric,
     const std::vector<std::size_t>& attr_counts,
     std::size_t requesters = 100, std::size_t queries_each = 10,
-    std::size_t jobs = 1, std::size_t batch = 1) {
+    std::size_t jobs = 1) {
   // Build & populate each system once; reuse across the sweep. The builds
   // are independent (separate overlays, each advertising the same workload
   // from its own deterministic stream), so they run concurrently when jobs
@@ -38,7 +38,7 @@ inline std::vector<SweepPoint> RunQuerySweep(
         kinds.size());
     ThreadPool pool(std::min(jobs, kinds.size()));
     pool.ParallelFor(kinds.size(), [&](std::size_t i) {
-      built[i] = BuildPopulated(kinds[i], setup, workload);
+      built[i] = harness::BuildPopulated(kinds[i], setup, workload);
     });
     for (std::size_t i = 0; i < kinds.size(); ++i) {
       services[kinds[i]] = std::move(built[i]);
@@ -58,7 +58,6 @@ inline std::vector<SweepPoint> RunQuerySweep(
       cfg.style = resource::RangeStyle::kBounded;
       cfg.seed = 0xF16u + attrs;  // same queries for every system
       cfg.jobs = jobs;
-      cfg.batch = batch == 0 ? 1 : batch;
       const auto r = harness::RunQueries(*services[kind], workload, cfg);
       switch (metric) {
         case Metric::kAvgHops:

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const auto points = bench::RunQuerySweep(
       setup, workload, harness::AllSystems(), /*range=*/false,
       bench::Metric::kTotalHops, attr_counts, opt.quick ? 20 : 100, 10,
-      opt.jobs, opt.batch);
+      opt.jobs);
 
   harness::TablePrinter table(std::cout,
                               {"attrs", "MAAN", "Analysis-LORM", "LORM",

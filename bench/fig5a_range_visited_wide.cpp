@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       setup, workload,
       {SystemKind::kMaan, SystemKind::kMercury, SystemKind::kD1ht},
       /*range=*/true, bench::Metric::kTotalVisited, attr_counts,
-      queries / 10, 10, opt.jobs, opt.batch);
+      queries / 10, 10, opt.jobs);
 
   harness::TablePrinter table(
       std::cout,

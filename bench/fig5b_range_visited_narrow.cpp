@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const auto points = bench::RunQuerySweep(
       setup, workload, {SystemKind::kSword, SystemKind::kLorm},
       /*range=*/true, bench::Metric::kTotalVisited, attr_counts,
-      queries / 10, 10, opt.jobs, opt.batch);
+      queries / 10, 10, opt.jobs);
 
   harness::TablePrinter table(
       std::cout,

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     std::size_t failures = 0;
     for (const auto kind : harness::AllSystems()) {
       resource::Workload workload(setup.MakeWorkloadConfig());
-      auto service = bench::BuildPopulated(kind, setup, workload);
+      auto service = harness::BuildPopulated(kind, setup, workload);
       harness::ChurnConfig cfg;
       cfg.rate = rate;
       cfg.total_queries = queries_per_rate;

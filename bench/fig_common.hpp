@@ -36,9 +36,7 @@ struct BenchOptions {
   bool plan = false;    ///< enable the selectivity-driven planner (--plan)
   bool csv = false;     ///< machine-readable table rows
   std::size_t jobs = 1; ///< worker threads (--jobs; default hw concurrency)
-  /// Lookup/trial batch width (--batch). Figure benches feed this to
-  /// QueryExperimentConfig::batch (block-granular trial scheduling);
-  /// fig_scale drives the BatchLookupEngine with it. 0 = bench default.
+  /// fig_scale's BatchLookupEngine lane width (--batch); 0 = its default.
   std::size_t batch = 0;
   bool metrics = false;          ///< record + emit the metrics registry
   std::string metrics_file;      ///< --metrics=<file>: write JSON there
@@ -281,20 +279,6 @@ inline analysis::SystemModel ModelOf(const harness::Setup& s) {
   m.k = s.infos_per_attribute;
   m.d = s.dimension;
   return m;
-}
-
-/// Builds a system and advertises the workload's m*k tuples through it.
-inline std::unique_ptr<discovery::DiscoveryService> BuildPopulated(
-    harness::SystemKind kind, const harness::Setup& setup,
-    const resource::Workload& workload) {
-  auto service = harness::MakeService(kind, setup, workload.registry());
-  std::vector<NodeAddr> providers;
-  for (std::size_t i = 0; i < setup.nodes; ++i) {
-    providers.push_back(static_cast<NodeAddr>(i));
-  }
-  Rng rng(setup.seed ^ 0xBEEF);
-  harness::AdvertiseAll(*service, workload.GenerateInfos(providers, rng));
-  return service;
 }
 
 inline void PrintSetup(const harness::Setup& s, std::size_t queries = 0) {

@@ -24,13 +24,13 @@ int main(int argc, char** argv) {
   bench::PrintSetup(setup, opt.quick ? 100 : 1000);
 
   // p50/p90/p99/p999 come from the HDR-style LatencyHistogram (exact bucket
-  // bounds, <= ~3% quantization), bit-identical for any --jobs x --batch.
+  // bounds, <= ~3% quantization), bit-identical for any --jobs.
   harness::TablePrinter table(
       std::cout, {"system", "kind", "mean", "p50", "p90", "p99", "p999"}, 12);
   table.PrintHeader();
 
   for (const auto kind : harness::AllSystems()) {
-    auto service = bench::BuildPopulated(kind, setup, workload);
+    auto service = harness::BuildPopulated(kind, setup, workload);
     for (const bool range : {false, true}) {
       harness::QueryExperimentConfig cfg;
       cfg.requesters = opt.quick ? 10 : 100;
@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
       cfg.range = range;
       cfg.seed = 0x1A7E;
       cfg.jobs = opt.jobs;
-      cfg.batch = opt.batch == 0 ? 1 : opt.batch;
       const auto lat =
           harness::MeasureQueryLatency(*service, workload, cfg, model);
       table.Row({harness::SystemName(kind), range ? "range" : "point",

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     std::map<SystemKind, double> per_node_per_sec;
     for (const auto kind : harness::AllSystems()) {
       resource::Workload workload(setup.MakeWorkloadConfig());
-      auto service = bench::BuildPopulated(kind, setup, workload);
+      auto service = harness::BuildPopulated(kind, setup, workload);
       const std::uint64_t before = service->MaintenanceMessages();
       const std::uint64_t before_bytes = service->MaintenanceBytes();
 

@@ -27,13 +27,7 @@ struct Fixture {
     setup.plan = plan;
     workload =
         std::make_unique<resource::Workload>(setup.MakeWorkloadConfig());
-    service = harness::MakeService(kind, setup, workload->registry());
-    std::vector<NodeAddr> providers;
-    for (std::size_t i = 0; i < setup.nodes; ++i) {
-      providers.push_back(static_cast<NodeAddr>(i));
-    }
-    Rng rng(setup.seed ^ 0xBEEF);
-    harness::AdvertiseAll(*service, workload->GenerateInfos(providers, rng));
+    service = harness::BuildPopulated(kind, setup, *workload);
   }
 };
 

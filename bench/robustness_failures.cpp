@@ -40,12 +40,7 @@ int main(int argc, char** argv) {
     for (const auto kind : harness::AllSystems()) {
       resource::Workload workload(setup.MakeWorkloadConfig());
       auto service = harness::MakeService(kind, setup, workload.registry());
-      std::vector<NodeAddr> providers;
-      for (std::size_t i = 0; i < setup.nodes; ++i) {
-        providers.push_back(static_cast<NodeAddr>(i));
-      }
-      Rng rng(setup.seed ^ 0xBEEF);
-      const auto infos = workload.GenerateInfos(providers, rng);
+      const auto infos = harness::GridInfos(setup, workload);
       harness::AdvertiseAll(*service, infos);
 
       harness::FailureConfig cfg;

@@ -89,12 +89,7 @@ int main(int argc, char** argv) {
         rsetup.replicas = r;
         resource::Workload workload(rsetup.MakeWorkloadConfig());
         auto service = harness::MakeService(kind, rsetup, workload.registry());
-        std::vector<NodeAddr> providers;
-        for (std::size_t i = 0; i < rsetup.nodes; ++i) {
-          providers.push_back(static_cast<NodeAddr>(i));
-        }
-        Rng rng(rsetup.seed ^ 0xBEEF);
-        const auto infos = workload.GenerateInfos(providers, rng);
+        const auto infos = harness::GridInfos(rsetup, workload);
         harness::AdvertiseAll(*service, infos);
         const std::size_t stored = service->TotalInfoPieces();
 
@@ -136,7 +131,7 @@ int main(int argc, char** argv) {
       auto rsetup = setup;
       rsetup.replicas = r;
       resource::Workload workload(rsetup.MakeWorkloadConfig());
-      auto service = bench::BuildPopulated(kind, rsetup, workload);
+      auto service = harness::BuildPopulated(kind, rsetup, workload);
       const std::size_t stored = service->TotalInfoPieces();
       const auto before = service->ReplicationWork();
       service->JoinNode(static_cast<NodeAddr>(rsetup.nodes + 7));

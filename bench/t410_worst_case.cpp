@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   std::map<SystemKind, std::unique_ptr<discovery::DiscoveryService>> services;
   for (const auto kind : harness::AllSystems()) {
-    services[kind] = bench::BuildPopulated(kind, setup, workload);
+    services[kind] = harness::BuildPopulated(kind, setup, workload);
   }
 
   harness::TablePrinter table(
@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
       cfg.style = resource::RangeStyle::kFullSpan;
       cfg.seed = 0x410 + attrs;
       cfg.jobs = opt.jobs;
-      cfg.batch = opt.batch == 0 ? 1 : opt.batch;
       const auto r = harness::RunQueries(*services[kind], workload, cfg);
       const double contacted = r.avg_hops + r.avg_visited;
       double worst = 0;

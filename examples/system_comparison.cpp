@@ -23,12 +23,7 @@ int main() {
   setup.value_max = 1000.0;
 
   resource::Workload workload(setup.MakeWorkloadConfig());
-  std::vector<NodeAddr> providers;
-  for (std::size_t i = 0; i < setup.nodes; ++i) {
-    providers.push_back(static_cast<NodeAddr>(i));
-  }
-  Rng rng(setup.seed ^ 0xBEEF);
-  const auto infos = workload.GenerateInfos(providers, rng);
+  const auto infos = harness::GridInfos(setup, workload);
 
   std::cout << "one grid, five architectures: n=" << setup.nodes << ", m="
             << setup.attributes << " attributes, k="

@@ -8,10 +8,10 @@
 //
 // The invalidation contract keeps cached answers from ever diverging from
 // Directory ground truth: the owning service calls InvalidateAttr on every
-// re-advertisement of that attribute and InvalidateAll on every membership
-// event (join/leave/crash can re-home any arc), on soft-state expiry
-// (ExpireBefore) and on provider withdrawal. Stale-by-construction is
-// impossible; the cache trades hit rate for that guarantee.
+// re-advertisement of that attribute and InvalidateAll once per membership
+// event (join/leave/crash can re-home any arc) and on soft-state expiry
+// (ExpireBefore). Stale-by-construction is impossible; the cache trades hit
+// rate for that guarantee.
 //
 // Counters (interned on first use, so cache-off runs leave the registry
 // untouched): lorm.cache.result.{hits,misses,inserts,evictions} — evictions
@@ -86,7 +86,7 @@ class ResultCache {
   /// ground truth).
   void InvalidateAttr(AttrId attr);
 
-  /// Drops everything (membership change, expiry, withdrawal).
+  /// Drops everything (membership change, expiry).
   void InvalidateAll();
 
  private:

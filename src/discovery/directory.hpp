@@ -159,17 +159,11 @@ class Directory {
   }
 
   /// In-place variant of TakeIf for call sites that only need the removal
-  /// count (provider withdrawal, soft-state expiry): nothing is moved into
+  /// count (soft-state expiry, twin reconciliation): nothing is moved into
   /// a result vector.
   template <typename Pred>
   std::size_t EraseIf(Pred&& pred) {
     return EraseIfImpl(pred, nullptr);
-  }
-
-  /// Removes all entries advertised by `provider`; returns how many.
-  std::size_t EraseProvider(NodeAddr provider) {
-    return EraseIf(
-        [provider](const Entry& e) { return e.info.provider == provider; });
   }
 
   template <typename Fn>
@@ -370,12 +364,6 @@ class DirectoryStore {
     std::size_t total = 0;
     for (const Slot& s : dirs_) total += s.dir->size();
     return total;
-  }
-
-  std::size_t EraseProviderEverywhere(NodeAddr provider) {
-    std::size_t n = 0;
-    for (Slot& s : dirs_) n += s.dir->EraseProvider(provider);
-    return n;
   }
 
   /// Soft-state expiry: drops entries advertised before `cutoff`.

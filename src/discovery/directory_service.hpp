@@ -21,11 +21,13 @@
 //
 // And it runs every join, leave and crash. A service registers each of its
 // rings with the observer that hands off that ring's entries (AddRing: one
-// ring for LORM, SWORD, MAAN and D1HT, one per attribute for Mercury); the
-// base checks the first ring's capacity, drives every ring, records the
-// flight event and drops a departed node's directory once every ring's
-// handoff ran. The Chord-keyed rings share one observer (RingHandoff,
-// replication.hpp); LORM hands off across its Cycloid clusters itself.
+// ring for LORM, SWORD, MAAN and D1HT, one per attribute for Mercury). The
+// base owns every side effect besides that entry movement: it checks the
+// first ring's capacity, invalidates the result cache once per event,
+// drives every ring, records the flight event and drops a departed node's
+// directory once every ring's handoff ran. The Chord-keyed rings share one
+// observer (RingHandoff, replication.hpp); LORM hands off across its
+// Cycloid clusters itself.
 //
 // What a service adds is its ring(s) and four members: its placements
 // (Placements, the routes that store one tuple), its replica chain
@@ -94,21 +96,26 @@ class DirectoryService : public DiscoveryService {
   HopCount AdvertiseAll(std::span<const resource::ResourceInfo> infos) final;
 
   /// Rejected (false) when the first ring's identifier space is full; then
-  /// every ring adds the node and hands off its arcs.
+  /// every ring adds the node and hands off its arcs. Every accepted join,
+  /// leave and crash can re-home any arc, so each invalidates the result
+  /// cache, once, before any ring changes.
   bool JoinNode(NodeAddr addr) final {
     const Ring& first = *rings_.front();
     if (first.size() >= Capacity(first)) return false;
+    result_cache_.InvalidateAll();
     for (Ring* ring : rings_) ring->AddNode(addr);
     RecordMembership(obs::FlightEventKind::kJoin, addr);
     return true;
   }
   void LeaveNode(NodeAddr addr) final {
     RecordMembership(obs::FlightEventKind::kLeave, addr);
+    result_cache_.InvalidateAll();
     for (Ring* ring : rings_) ring->RemoveNode(addr);
     store_.Drop(addr);  // every ring's handoff already moved what survives
   }
   void FailNode(NodeAddr addr) final {
     RecordMembership(obs::FlightEventKind::kCrash, addr);
+    result_cache_.InvalidateAll();
     for (Ring* ring : rings_) ring->FailNode(addr);
     store_.Drop(addr);  // the crashed node's copies do not survive
   }
@@ -163,13 +170,6 @@ class DirectoryService : public DiscoveryService {
   void ResetQueryLoad() final { visit_counts_.Clear(); }
   std::size_t TotalInfoPieces() const final { return store_.TotalEntries(); }
   ReplicationStats ReplicationWork() const final { return repl_.stats(); }
-
-  /// Eagerly removes every advertisement of `provider` (optional; queries
-  /// already filter dead providers — see DESIGN.md on soft state).
-  std::size_t WithdrawProvider(NodeAddr provider) {
-    result_cache_.InvalidateAll();
-    return store_.EraseProviderEverywhere(provider);
-  }
 
   const SelectivityEstimator& selectivity() const { return selectivity_; }
   const DirectoryStore<Key>& directories() const { return store_; }
@@ -285,11 +285,11 @@ class DirectoryService : public DiscoveryService {
   /// is const, lock-free atomic counts because the parallel experiment
   /// engine replays queries from many threads.
   mutable VisitCounter visit_counts_;
+
+ private:
   /// (attr, range) -> matches (`--cache`); mutable because Query is const.
   /// Invalidated on every event that can change ground truth.
   mutable cache::ResultCache result_cache_;
-
- private:
   /// Lookups in flight while a block of placements routes: 2 read best of
   /// {2, 4, 8, 16} on perfbench's paper-scale set-up (DESIGN.md §6).
   static constexpr std::size_t kPlacementLanes = 2;

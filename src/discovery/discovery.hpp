@@ -91,8 +91,9 @@ class DiscoveryService {
   /// Returns false if the overlay's identifier space is exhausted (a full
   /// Cycloid holds at most d * 2^d nodes); the join is rejected.
   virtual bool JoinNode(NodeAddr addr) = 0;
-  /// Graceful departure: directory entries re-home; the departing
-  /// provider's own advertisements are withdrawn.
+  /// Graceful departure: the directory entries the node held re-home. The
+  /// tuples it advertised stay stored until their epoch expires; queries
+  /// drop providers that are no longer members.
   virtual void LeaveNode(NodeAddr addr) = 0;
   /// Abrupt failure. With replicas == 1 there is no handoff — the node's
   /// directory entries are lost until their providers re-advertise (soft

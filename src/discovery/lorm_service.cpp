@@ -79,7 +79,6 @@ void LormService::ResolveSub(const resource::SubQuery& sub, double lo,
 
 void LormService::OnJoin(NodeAddr node,
                          const std::vector<NodeAddr>& possible_sources) {
-  result_cache_.InvalidateAll();  // a join re-homes part of some arc
   if (cfg_.replicas > 1) {
     // Affected clusters: the joiner's own (its copy chains rotate around
     // the new member) and every source's (a join that creates a cluster
@@ -103,7 +102,6 @@ void LormService::OnJoin(NodeAddr node,
 }
 
 void LormService::OnFail(NodeAddr node) {
-  result_cache_.InvalidateAll();
   // The crashed copies die with the node (FailNode drops its directory).
   // Unreplicated there is no handoff: what it stored is gone until providers
   // re-advertise in a later epoch. Replicated, the rest of its cluster still
@@ -118,7 +116,6 @@ void LormService::OnFail(NodeAddr node) {
 }
 
 void LormService::OnLeave(NodeAddr node) {
-  result_cache_.InvalidateAll();
   if (cfg_.replicas > 1) {
     const std::uint64_t a = net_.IdOf(node).a;
     auto pool = store_.TakeAll(node);

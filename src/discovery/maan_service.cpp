@@ -12,16 +12,15 @@ template <typename Ring>
 BasicMaanService<Ring>::BasicMaanService(
     std::size_t n, const resource::AttributeRegistry& registry, Config cfg)
     : DirectoryService<Ring>(MaanSubstrate<Ring>::kName, registry, cfg),
-      cfg_(cfg),
       ring_(MaanSubstrate<Ring>::Make(n, cfg.ring)),
-      handoff_(*this) {
-  const ConsistentHash ch(cfg_.ring.bits);
+      handoff_(*this, cfg.replicas) {
+  const ConsistentHash ch(cfg.ring.bits);
   attr_key_.reserve(registry.size());
   lph_.reserve(registry.size());
   for (AttrId a = 0; a < registry.size(); ++a) {
     const auto& schema = registry.Get(a);
     attr_key_.push_back(ch(schema.name()));
-    lph_.emplace_back(cfg_.ring.bits, schema.ordinal_min(),
+    lph_.emplace_back(cfg.ring.bits, schema.ordinal_min(),
                       schema.ordinal_max());
   }
   this->AddRing(ring_, &handoff_);

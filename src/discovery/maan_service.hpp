@@ -134,10 +134,9 @@ class BasicMaanService final : public DirectoryService<Ring> {
   /// while the crashed node is still in the ring's ownership oracle.
   class Handoff final : public RingHandoff<Ring, AllEntries> {
    public:
-    explicit Handoff(BasicMaanService& svc)
-        : RingHandoff<Ring, AllEntries>(svc.ring_, svc.store_,
-                                        svc.result_cache_, svc.repl_,
-                                        svc.cfg_.replicas),
+    Handoff(BasicMaanService& svc, std::size_t replicas)
+        : RingHandoff<Ring, AllEntries>(svc.ring_, svc.store_, svc.repl_,
+                                        replicas),
           svc_(svc) {}
     void OnFail(NodeAddr node) override {
       RingHandoff<Ring, AllEntries>::OnFail(node);
@@ -148,7 +147,6 @@ class BasicMaanService final : public DirectoryService<Ring> {
     BasicMaanService& svc_;
   };
 
-  Config cfg_;
   Ring ring_;
   Handoff handoff_;
   std::vector<chord::Key> attr_key_;

@@ -11,24 +11,23 @@ namespace lorm::discovery {
 MercuryService::MercuryService(std::size_t n,
                                const resource::AttributeRegistry& registry,
                                Config cfg)
-    : DirectoryService("Mercury", registry, cfg), cfg_(cfg) {
+    : DirectoryService("Mercury", registry, cfg) {
   LORM_CHECK_MSG(registry_.size() != 0,
                  "Mercury needs at least one attribute hub");
   hubs_.reserve(registry_.size());
   handoffs_.reserve(registry_.size());
   lph_.reserve(registry_.size());
   for (AttrId a = 0; a < registry_.size(); ++a) {
-    chord::Config ring_cfg = cfg_.ring;
+    chord::Config ring_cfg = cfg.ring;
     // Distinct seed per hub: a node sits at independent positions in each.
-    ring_cfg.seed = MixHashes(cfg_.ring.seed, a);
+    ring_cfg.seed = MixHashes(cfg.ring.seed, a);
     hubs_.push_back(std::make_unique<chord::ChordRing>(
         chord::MakeRing(n, ring_cfg, /*deterministic_ids=*/true)));
     const auto& schema = registry_.Get(a);
-    lph_.emplace_back(cfg_.ring.bits, schema.ordinal_min(),
+    lph_.emplace_back(cfg.ring.bits, schema.ordinal_min(),
                       schema.ordinal_max());
     handoffs_.push_back(std::make_unique<HubHandoff>(
-        *hubs_.back(), store_, result_cache_, repl_, cfg_.replicas,
-        OfAttr{a}));
+        *hubs_.back(), store_, repl_, cfg.replicas, OfAttr{a}));
     AddRing(*hubs_.back(), handoffs_.back().get());
   }
 }

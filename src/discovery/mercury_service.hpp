@@ -12,11 +12,11 @@
 // The data-record/pointer optimization of the original system is disabled,
 // exactly as in the paper's comparative setup (§IV).
 //
-// Every hub is registered with DirectoryService, which adds, removes and
-// fails a node on all m hubs in turn and drops its directory once the last
-// hub ran. Each hub's observer is the shared Chord-keyed handoff
-// (RingHandoff) filtered to the hub's attribute, so a membership change
-// invalidates the result cache once per hub.
+// Every hub is registered with DirectoryService, which invalidates the
+// result cache once per membership change, adds, removes and fails a node
+// on all m hubs in turn and drops its directory once the last hub ran. Each
+// hub's observer is the shared Chord-keyed handoff (RingHandoff) filtered
+// to the hub's attribute, so it moves only that attribute's entries.
 #pragma once
 
 #include <memory>
@@ -81,7 +81,6 @@ class MercuryService final : public DirectoryService<chord::ChordRing> {
   };
   using HubHandoff = RingHandoff<chord::ChordRing, OfAttr>;
 
-  Config cfg_;
   std::vector<std::unique_ptr<chord::ChordRing>> hubs_;  // one per attribute
   std::vector<std::unique_ptr<HubHandoff>> handoffs_;    // one per hub
   std::vector<LocalityPreservingHash> lph_;              // one per attribute

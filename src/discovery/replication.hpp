@@ -22,6 +22,13 @@
 //            detection; *routing* repair stays deferred to Maintain(), so
 //            the degraded-phase routing experiments are unchanged.
 //
+// The handlers only move entries: that is all the handoff is. Everything
+// else a membership event does happens once per event in the service,
+// however many rings it has (DirectoryService's JoinNode, LeaveNode and
+// FailNode): the result cache is invalidated before any ring changes, and
+// the departed node's directory, its copies included, is dropped after
+// every ring's handler ran.
+//
 // Every handler is a no-op at replicas == 1. RingHandoff at the end of this
 // file is the membership observer of every Chord-keyed ring (SWORD's, each
 // of Mercury's hubs, MAAN's and D1HT's): it picks the protocol at r > 1 and
@@ -49,7 +56,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/result_cache.hpp"
 #include "chord/chord.hpp"
 #include "common/ring_diff.hpp"
 #include "common/types.hpp"
@@ -205,14 +211,11 @@ void ChordReplicaLeave(const Ring& ring,
                        DirectoryStore<chord::Key>& store, std::size_t replicas,
                        NodeAddr node, ReplicationRecorder& rec,
                        Filter&& filter) {
+  // With count <= replicas every survivor already holds every entry (all
+  // arcs are full-ring), so the departing copies are redundant. Covers the
+  // last-node case too.
   const std::size_t count = ring.size();  // departing node still counted
-  if (replicas < 2) return;
-  if (count <= replicas) {
-    // Every survivor already holds every entry (all arcs are full-ring);
-    // the departing copies are redundant. Covers the last-node case too.
-    store.EraseIf(node, std::forward<Filter>(filter));
-    return;
-  }
+  if (replicas < 2 || count <= replicas) return;
   auto moved = store.TakeIf(node, std::forward<Filter>(filter));
   for (auto& e : moved) {
     const NodeAddr owner = ring.OwnerOfExcluding(e.key, node);
@@ -225,20 +228,19 @@ void ChordReplicaLeave(const Ring& ring,
 
 /// Crash restore. Runs while the dead `node` is still in the ownership
 /// oracle (chord fires OnFail before the oracle erase); all walks exclude
-/// it. Its own copies are gone; each of its r nearest live successors lost
-/// one sector of coverage (its arc's new low end) and re-fetches exactly
-/// that add-range from a surviving holder. With r >= 2 a single crash
-/// loses nothing: the restored sector still has r-1 live copies.
+/// it, so nothing here reads its copies, which die with it. Each of its r
+/// nearest live successors lost one sector of coverage (its arc's new low
+/// end) and re-fetches exactly that add-range from a surviving holder.
+/// With r >= 2 a single crash loses nothing: the restored sector still has
+/// r-1 live copies.
 template <typename Ring, typename Filter>
 void ChordReplicaFail(const Ring& ring,
                       DirectoryStore<chord::Key>& store, std::size_t replicas,
                       NodeAddr node, ReplicationRecorder& rec,
                       Filter&& filter) {
-  store.EraseIf(node, filter);  // the crashed copies are lost
-  if (replicas < 2) return;
+  // With count <= replicas the survivors (if any) already hold everything.
   const std::size_t count = ring.size();  // failed node still counted
-  if (count <= 1) return;                 // no survivors
-  if (count <= replicas) return;  // survivors already hold everything
+  if (replicas < 2 || count <= replicas) return;
   NodeAddr t = node;
   for (std::size_t j = 0; j < replicas; ++j) {
     t = ring.NthOracleSuccessor(t, 1, node);
@@ -268,27 +270,25 @@ void ChordReplicaFail(const Ring& ring,
 }
 
 /// The membership observer of one Chord-keyed ring (Chord or the
-/// single-hop ring): every event invalidates the result cache, then hands
-/// off the entries `filter` accepts. With replicas > 1 it runs the
-/// protocol above; otherwise a joiner takes the primaries it now owns from
-/// its successor, a leaver's primaries move to its successor (kNoNode: it
-/// was the last node, the information is lost) and its stray replicas are
-/// dropped for the next epoch to rebuild, and a crash hands off nothing.
-/// The service drops the departed node's directory once every ring ran.
+/// single-hop ring): every event hands off the entries `filter` accepts,
+/// and nothing else. With replicas > 1 it runs the protocol above;
+/// otherwise a joiner takes the primaries it now owns from its successor,
+/// a leaver's primaries move to its successor (kNoNode: it was the last
+/// node, the information is lost) and its stray replicas are dropped for
+/// the next epoch to rebuild, and a crash hands off nothing.
 template <typename Ring, typename Filter>
 class RingHandoff : public chord::MembershipObserver {
  public:
   RingHandoff(const Ring& ring, DirectoryStore<chord::Key>& store,
-              cache::ResultCache& cache, ReplicationRecorder& rec,
-              std::size_t replicas, Filter filter = {})
-      : ring_(ring), store_(store), cache_(cache), rec_(rec),
-        replicas_(replicas), filter_(filter) {}
+              ReplicationRecorder& rec, std::size_t replicas,
+              Filter filter = {})
+      : ring_(ring), store_(store), rec_(rec), replicas_(replicas),
+        filter_(filter) {}
   // The ring holds the observer's address.
   RingHandoff(const RingHandoff&) = delete;
   RingHandoff& operator=(const RingHandoff&) = delete;
 
   void OnJoin(NodeAddr node, NodeAddr successor) override {
-    cache_.InvalidateAll();  // the join re-homed part of some arc
     if (replicas_ > 1) {
       ChordReplicaJoin(ring_, store_, replicas_, node, rec_, filter_);
       return;
@@ -301,7 +301,6 @@ class RingHandoff : public chord::MembershipObserver {
   }
 
   void OnLeave(NodeAddr node, NodeAddr successor) override {
-    cache_.InvalidateAll();
     if (replicas_ > 1) {
       ChordReplicaLeave(ring_, store_, replicas_, node, rec_, filter_);
       return;
@@ -314,7 +313,6 @@ class RingHandoff : public chord::MembershipObserver {
   }
 
   void OnFail(NodeAddr node) override {
-    cache_.InvalidateAll();
     if (replicas_ > 1) {
       ChordReplicaFail(ring_, store_, replicas_, node, rec_, filter_);
     }
@@ -326,7 +324,6 @@ class RingHandoff : public chord::MembershipObserver {
  private:
   const Ring& ring_;
   DirectoryStore<chord::Key>& store_;
-  cache::ResultCache& cache_;
   ReplicationRecorder& rec_;
   std::size_t replicas_;
   Filter filter_;

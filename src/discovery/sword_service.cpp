@@ -9,10 +9,9 @@ SwordService::SwordService(std::size_t n,
                            const resource::AttributeRegistry& registry,
                            Config cfg)
     : DirectoryService("SWORD", registry, cfg),
-      cfg_(cfg),
       ring_(chord::MakeRing(n, cfg.ring, /*deterministic_ids=*/true)),
-      handoff_(ring_, store_, result_cache_, repl_, cfg.replicas) {
-  const ConsistentHash ch(cfg_.ring.bits);
+      handoff_(ring_, store_, repl_, cfg.replicas) {
+  const ConsistentHash ch(cfg.ring.bits);
   attr_key_.reserve(registry_.size());
   for (AttrId a = 0; a < registry_.size(); ++a) {
     attr_key_.push_back(ch(registry_.Get(a).name()));

@@ -67,7 +67,6 @@ class SwordService final : public DirectoryService<chord::ChordRing> {
                   bool dominated, const RouteLane<chord::ChordRing>* roots,
                   Matches& matches, QueryStats& stats) const;
 
-  Config cfg_;
   chord::ChordRing ring_;
   RingHandoff<chord::ChordRing, AllEntries> handoff_;
   std::vector<chord::Key> attr_key_;

@@ -35,7 +35,7 @@ struct ChurnConfig {
   /// reads *and resets* the service's per-node query-load counters at each
   /// window close, and calls Finish(sim_duration) before returning. The
   /// churn loop is single-threaded, so the timeline is byte-identical for
-  /// any --jobs x --batch. Not owned.
+  /// any --jobs. Not owned.
   obs::TimelineSampler* timeline = nullptr;
 };
 

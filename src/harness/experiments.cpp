@@ -21,21 +21,28 @@ std::uint64_t TrialSeed(std::uint64_t master, std::size_t trial) {
   return MixHashes(master, 0x7121A15EEDull + trial);
 }
 
+/// Blocks each worker claims, on average, in one RunTrials: enough that the
+/// last blocks still balance the workers, few enough that claiming one
+/// costs nothing next to the trials it runs.
+constexpr std::size_t kBlocksPerWorker = 16;
+
 /// Runs fn(t) for every trial in [0, trials). The scheduling unit is a block
-/// of `batch` consecutive trials; a worker that claims block b runs trials
-/// b*batch .. b*batch+batch-1 in order. Because every trial owns its Rng
-/// stream and result slot, the block width only changes which thread runs a
-/// trial — never what it computes — so output is bit-identical for any
-/// jobs x batch. Sequential when jobs <= 1 (block shape is then irrelevant).
-void RunTrials(std::size_t trials, std::size_t jobs, std::size_t batch,
+/// of consecutive trials, sized from `trials` and the worker count; a worker
+/// that claims a block runs its trials in order. Because every trial owns
+/// its Rng stream and result slot, the block width only changes which
+/// thread runs a trial — never what it computes — so output is
+/// bit-identical for any jobs. Sequential when jobs <= 1.
+void RunTrials(std::size_t trials, std::size_t jobs,
                const std::function<void(std::size_t)>& fn) {
-  if (batch == 0) batch = 1;
+  const std::size_t workers = ResolveJobs(jobs);
+  const std::size_t batch =
+      std::max<std::size_t>(1, trials / (workers * kBlocksPerWorker));
   const std::size_t blocks = (trials + batch - 1) / batch;
-  if (ResolveJobs(jobs) <= 1 || blocks <= 1) {
+  if (workers <= 1 || blocks <= 1) {
     for (std::size_t t = 0; t < trials; ++t) fn(t);
     return;
   }
-  ThreadPool pool(jobs);
+  ThreadPool pool(workers);
   pool.ParallelFor(blocks, [&](std::size_t b) {
     const std::size_t end = std::min(trials, (b + 1) * batch);
     for (std::size_t t = b * batch; t < end; ++t) fn(t);
@@ -91,7 +98,7 @@ QueryExperimentResult RunQueries(const discovery::DiscoveryService& service,
   // One id block per experiment: trial t always traces as id_base+t, so the
   // trace set is identical (up to wall-clock timing) for any cfg.jobs.
   const std::uint64_t id_base = obs::ReserveQueryIds(trials);
-  RunTrials(trials, cfg.jobs, cfg.batch, [&](std::size_t t) {
+  RunTrials(trials, cfg.jobs, [&](std::size_t t) {
     const NodeAddr requester = requesters[t / cfg.queries_per_requester];
     Rng trial_rng(TrialSeed(cfg.seed, t));
     const resource::MultiQuery q =
@@ -175,7 +182,7 @@ LatencyMeasurement MeasureQueryLatency(
   std::vector<double> samples(trials);
   const std::string system = service.name();
   const std::uint64_t id_base = obs::ReserveQueryIds(trials);
-  RunTrials(trials, cfg.jobs, cfg.batch, [&](std::size_t t) {
+  RunTrials(trials, cfg.jobs, [&](std::size_t t) {
     const NodeAddr requester = requesters[t / cfg.queries_per_requester];
     Rng trial_rng(TrialSeed(cfg.seed, t));
     Rng lat_rng = trial_rng.Fork();
@@ -192,7 +199,7 @@ LatencyMeasurement MeasureQueryLatency(
 
   // Fold the per-trial samples into the HDR histogram sequentially, in
   // trial order: the merge is then independent of how RunTrials sharded the
-  // work, so the tail columns are bit-identical for any jobs x batch.
+  // work, so the tail columns are bit-identical for any jobs.
   obs::LatencyHistogram hist;
   for (const double s : samples) {
     hist.Record(static_cast<std::uint64_t>(

@@ -45,13 +45,10 @@ struct QueryExperimentConfig {
   resource::RangeStyle style = resource::RangeStyle::kBounded;
   std::uint64_t seed = 0xE4BE7ull;
   /// Worker threads for the trial replay; 0 = hardware concurrency.
+  /// Workers claim blocks of consecutive trials, sized from the trial and
+  /// worker counts; trials stay independent (own Rng stream, own result
+  /// slot, own trace id), so results are bit-identical for any jobs.
   std::size_t jobs = 1;
-  /// Trials per scheduling block (`--batch`): workers claim B consecutive
-  /// trials at a time instead of one, amortizing dispatch and keeping each
-  /// worker's lookup scratch hot across a block. Trials stay independent
-  /// (own Rng stream, own result slot, own trace id), so results are
-  /// bit-identical for any jobs x batch combination. 0 behaves as 1.
-  std::size_t batch = 1;
 };
 
 struct QueryExperimentResult {
@@ -91,7 +88,7 @@ struct LatencyMeasurement {
   /// Exact-bucket-bound quantiles from an HDR-style LatencyHistogram over
   /// the same samples (seconds; <= ~3% quantization error). Per-trial
   /// samples are folded into the histogram sequentially after the parallel
-  /// replay, so these are bit-identical for any jobs x batch.
+  /// replay, so these are bit-identical for any jobs.
   obs::LatencyTail tail;  ///< nanoseconds
   double tail_p50 = 0;    ///< seconds, = tail.p50 / 1e9
   double tail_p90 = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
@@ -167,6 +168,21 @@ std::unique_ptr<discovery::DiscoveryService> MakeService(
 HopCount AdvertiseAll(discovery::DiscoveryService& service,
                       const std::vector<resource::ResourceInfo>& infos) {
   return service.AdvertiseAll(infos);
+}
+
+std::vector<resource::ResourceInfo> GridInfos(
+    const Setup& setup, const resource::Workload& workload) {
+  std::vector<NodeAddr> providers(setup.nodes);
+  std::iota(providers.begin(), providers.end(), NodeAddr{0});
+  Rng rng(setup.seed ^ 0xBEEF);
+  return workload.GenerateInfos(providers, rng);
+}
+
+std::unique_ptr<discovery::DiscoveryService> BuildPopulated(
+    SystemKind kind, const Setup& setup, const resource::Workload& workload) {
+  auto service = MakeService(kind, setup, workload.registry());
+  AdvertiseAll(*service, GridInfos(setup, workload));
+  return service;
 }
 
 }  // namespace lorm::harness

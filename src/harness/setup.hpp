@@ -104,4 +104,14 @@ std::unique_ptr<discovery::DiscoveryService> MakeService(
 HopCount AdvertiseAll(discovery::DiscoveryService& service,
                       const std::vector<resource::ResourceInfo>& infos);
 
+/// The tuples a populated grid advertises: the workload's m*k tuples, each
+/// provided by one of the members 0..n-1, drawn from a stream fixed by
+/// `setup.seed`.
+std::vector<resource::ResourceInfo> GridInfos(
+    const Setup& setup, const resource::Workload& workload);
+
+/// Builds a system and advertises GridInfos(setup, workload) through it.
+std::unique_ptr<discovery::DiscoveryService> BuildPopulated(
+    SystemKind kind, const Setup& setup, const resource::Workload& workload);
+
 }  // namespace lorm::harness

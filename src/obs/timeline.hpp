@@ -18,8 +18,8 @@
 // Determinism: the harness loops that drive a sampler are single-threaded
 // (discrete-event dispatch), and every Add/Advance call is a pure function
 // of the experiment's own deterministic event stream — so timeline files
-// are byte-identical for any --jobs x --batch combination. The registry
-// deltas inherit the counters' commutativity.
+// are byte-identical for any --jobs. The registry deltas inherit the
+// counters' commutativity.
 #pragma once
 
 #include <array>

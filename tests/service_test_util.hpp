@@ -19,32 +19,17 @@ struct Bed {
   std::vector<resource::ResourceInfo> infos;
 };
 
-/// Builds a populated small system: every node 0..n-1 is a member; the
-/// workload's m*k tuples are advertised from their providers.
+/// Builds a populated small system: every node 0..n-1 is a member and
+/// advertises its share of harness::GridInfos.
 inline Bed MakeBed(harness::SystemKind kind,
                    harness::Setup setup = harness::Setup::Small()) {
   Bed bed;
   bed.setup = setup;
   bed.workload = std::make_unique<resource::Workload>(setup.MakeWorkloadConfig());
   bed.service = harness::MakeService(kind, setup, bed.workload->registry());
-
-  std::vector<NodeAddr> providers;
-  for (std::size_t i = 0; i < setup.nodes; ++i) {
-    providers.push_back(static_cast<NodeAddr>(i));
-  }
-  Rng rng(setup.seed ^ 0xBEEF);
-  bed.infos = bed.workload->GenerateInfos(providers, rng);
+  bed.infos = harness::GridInfos(setup, *bed.workload);
   harness::AdvertiseAll(*bed.service, bed.infos);
   return bed;
-}
-
-/// Ground truth: providers matching every sub-query, computed by brute force
-/// over the advertised tuples, restricted to live members.
-inline std::vector<NodeAddr> BruteForceProviders(
-    const std::vector<resource::ResourceInfo>& infos,
-    const resource::MultiQuery& q,
-    const discovery::DiscoveryService& service) {
-  return harness::BruteForceProviders(infos, q, service);
 }
 
 }  // namespace lorm::testutil

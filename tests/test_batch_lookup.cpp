@@ -351,17 +351,6 @@ std::vector<std::string> Directories(const discovery::DiscoveryService& svc) {
   return out;
 }
 
-/// The tuples testutil::MakeBed advertises: every node provides.
-std::vector<resource::ResourceInfo> QuickInfos(
-    const harness::Setup& setup, const resource::Workload& workload) {
-  std::vector<NodeAddr> providers(setup.nodes);
-  for (std::size_t i = 0; i < providers.size(); ++i) {
-    providers[i] = static_cast<NodeAddr>(i);
-  }
-  Rng rng(setup.seed ^ 0xBEEF);
-  return workload.GenerateInfos(providers, rng);
-}
-
 std::vector<std::pair<std::string, std::uint64_t>> NonzeroCounters() {
   auto counters = obs::Registry::Global().Snapshot();
   std::erase_if(counters, [](const auto& c) { return c.second == 0; });
@@ -437,7 +426,7 @@ TEST(BlockPlacement, MatchesOneAdvertisePerTuple) {
         const resource::Workload workload(setup.MakeWorkloadConfig());
         auto a = harness::MakeService(kind, setup, workload.registry());
         auto b = harness::MakeService(kind, setup, workload.registry());
-        const auto infos = QuickInfos(setup, workload);
+        const auto infos = harness::GridInfos(setup, workload);
 
         HopCount block_hops = 0;
         std::vector<std::pair<std::string, std::uint64_t>> block_counters;
@@ -505,7 +494,7 @@ TEST(BlockPlacement, NonMemberProviderThrowsWithEarlierTuplesStored) {
     const resource::Workload workload(setup.MakeWorkloadConfig());
     auto a = harness::MakeService(kind, setup, workload.registry());
     auto b = harness::MakeService(kind, setup, workload.registry());
-    auto infos = QuickInfos(setup, workload);
+    auto infos = harness::GridInfos(setup, workload);
     infos.resize(40);
     infos[5].provider = static_cast<NodeAddr>(setup.nodes + 7);
     EXPECT_THROW(a->AdvertiseAll(infos), InvariantError);

@@ -1,8 +1,9 @@
 // Adaptive caching layer tests: route-cache hit/miss accounting and
-// liveness discipline, result-cache churn invalidation in all four
+// liveness discipline, result-cache churn invalidation in all five
 // services (a join, a leave, a crash and an epoch expiry each force a
-// re-lookup — never a stale answer), and the golden-equivalence guarantee
-// that --cache on/off produce identical QueryResults on the quick
+// re-lookup — never a stale answer — and each membership event invalidates
+// exactly once, whatever the ring count), and the golden-equivalence
+// guarantee that --cache on/off produce identical QueryResults on the quick
 // fig4a/fig5a workloads; a failed sub-query is never cached, even after an
 // earlier one of the same query failed.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "common/random.hpp"
 #include "cycloid/cycloid.hpp"
 #include "harness/experiments.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "service_test_util.hpp"
 
@@ -35,6 +37,29 @@ struct MetricsScope {
   MetricsScope() { obs::SetMetricsEnabled(true); }
   ~MetricsScope() { obs::SetMetricsEnabled(false); }
 };
+
+/// Scoped flight recording; leaves the recorder off and empty, as other
+/// suites expect.
+struct FlightScope {
+  FlightScope() {
+    obs::FlightRecorder::Global().Reset();
+    obs::SetFlightEnabled(true);
+  }
+  ~FlightScope() {
+    obs::SetFlightEnabled(false);
+    obs::FlightRecorder::Global().Reset();
+  }
+};
+
+/// The result-cache invalidations on the flight ring; empties the ring.
+std::size_t TakeInvalidations() {
+  std::size_t n = 0;
+  for (const obs::FlightEvent& e : obs::FlightRecorder::Global().Snapshot()) {
+    if (e.kind == obs::FlightEventKind::kCacheInvalidate) ++n;
+  }
+  obs::FlightRecorder::Global().Reset();
+  return n;
+}
 
 // ---- Route cache (overlay level) -------------------------------------------
 
@@ -161,6 +186,7 @@ TEST_P(ResultCachePerSystem, RepeatQueryServedFromCacheIdentically) {
 
 TEST_P(ResultCachePerSystem, JoinLeaveFailEachInvalidate) {
   MetricsScope metrics;
+  FlightScope flight;
   auto setup = harness::Setup::Small();
   setup.cache = true;
   auto bed = MakeBed(GetParam(), setup);
@@ -187,21 +213,34 @@ TEST_P(ResultCachePerSystem, JoinLeaveFailEachInvalidate) {
     return res;
   };
 
+  // Every membership event invalidates once, however many rings it
+  // changes (Mercury: one hub per attribute).
+  const auto expect_one_invalidation = [&](const char* event) {
+    EXPECT_EQ(TakeInvalidations(), 1u)
+        << event << " must invalidate the result cache exactly once";
+  };
+
   // Leave first: LORM's Small network is at full Cycloid capacity, so a
   // join only fits once a position has been vacated.
   const auto live = bed.service->Nodes();
+  TakeInvalidations();
   bed.service->LeaveNode(live[live.size() / 2]);
+  expect_one_invalidation("leave");
   bed.service->Maintain();
   expect_recomputed("leave");
   (void)bed.service->Query(q);  // re-prime
 
+  TakeInvalidations();
   ASSERT_TRUE(bed.service->JoinNode(9'001));
+  expect_one_invalidation("join");
   bed.service->Maintain();
   expect_recomputed("join");
   (void)bed.service->Query(q);
 
   const auto live2 = bed.service->Nodes();
+  TakeInvalidations();
   bed.service->FailNode(live2[live2.size() / 3]);
+  expect_one_invalidation("crash");
   bed.service->Maintain();
   expect_recomputed("fail");
 }

@@ -17,7 +17,7 @@ using harness::Setup;
 using harness::SystemKind;
 using resource::MultiQuery;
 using resource::RangeStyle;
-using testutil::BruteForceProviders;
+using harness::BruteForceProviders;
 
 struct AllBeds {
   Setup setup = Setup::Small();
@@ -35,10 +35,7 @@ AllBeds MakeAll() {
   beds.setup.value_max = 1000.0;
   beds.workload =
       std::make_unique<resource::Workload>(beds.setup.MakeWorkloadConfig());
-  std::vector<NodeAddr> providers;
-  for (std::size_t i = 0; i < beds.setup.nodes; ++i) providers.push_back(i);
-  Rng rng(beds.setup.seed ^ 0xBEEF);
-  beds.infos = beds.workload->GenerateInfos(providers, rng);
+  beds.infos = harness::GridInfos(beds.setup, *beds.workload);
   for (SystemKind kind : AllSystems()) {
     beds.services.push_back(
         harness::MakeService(kind, beds.setup, beds.workload->registry()));

@@ -89,16 +89,6 @@ TEST(DirectoryTest, TakeIfRemovesAndReturns) {
   EXPECT_TRUE(dir.empty());
 }
 
-TEST(DirectoryTest, EraseProvider) {
-  Directory<std::uint64_t> dir;
-  dir.Insert(E(0, 1.0, 10));
-  dir.Insert(E(1, 2.0, 10));
-  dir.Insert(E(0, 3.0, 11));
-  EXPECT_EQ(dir.EraseProvider(10), 2u);
-  EXPECT_EQ(dir.size(), 1u);
-  EXPECT_EQ(dir.EraseProvider(99), 0u);
-}
-
 // The first read after inserts into an empty directory adopts the sorted
 // insert buffer as the run: the directory then holds each entry once, in
 // the buffer's capacity, beside an exactly sized key array, and later
@@ -170,8 +160,6 @@ TEST(DirectoryStoreTest, PerOwnerBookkeeping) {
   const auto moved = store.TakeAll(1);
   EXPECT_EQ(moved.size(), 2u);
   EXPECT_EQ(store.TotalEntries(), 1u);
-  EXPECT_EQ(store.EraseProviderEverywhere(12), 1u);
-  EXPECT_EQ(store.TotalEntries(), 0u);
 }
 
 TEST(DirectoryTest, IterationIsAttrOrdinalInsertionOrder) {
@@ -240,7 +228,8 @@ TEST(DirectoryTest, PresenceWordAliasNeverChangesAnswer) {
   EXPECT_EQ(dir.EraseIf([](const auto& e) { return e.info.attr == 67; }), 2u);
   EXPECT_TRUE(providers(67).empty());
   EXPECT_EQ(providers(3), (std::vector<NodeAddr>{12}));
-  EXPECT_EQ(dir.EraseProvider(12), 1u);
+  EXPECT_EQ(dir.EraseIf([](const auto& e) { return e.info.provider == 12; }),
+            1u);
   EXPECT_TRUE(providers(3).empty());
 }
 

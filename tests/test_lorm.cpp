@@ -16,7 +16,7 @@ using harness::SystemKind;
 using resource::AttrValue;
 using resource::MultiQuery;
 using resource::RangeStyle;
-using testutil::BruteForceProviders;
+using harness::BruteForceProviders;
 using testutil::MakeBed;
 
 LormService* AsLorm(DiscoveryService* s) {
@@ -166,16 +166,6 @@ TEST(LormMetrics, TotalsAndDistributions) {
   for (double links : bed.service->OutlinkCounts()) EXPECT_LE(links, 7.0);
 }
 
-TEST(LormMetrics, WithdrawProviderRemovesAdvertisements) {
-  auto bed = MakeBed(SystemKind::kLorm);
-  auto* lorm = AsLorm(bed.service.get());
-  std::size_t of_provider = 0;
-  for (const auto& info : bed.infos) of_provider += info.provider == 3 ? 1 : 0;
-  ASSERT_GT(of_provider, 0u);
-  EXPECT_EQ(lorm->WithdrawProvider(3), of_provider);
-  EXPECT_EQ(bed.service->TotalInfoPieces(), bed.infos.size() - of_provider);
-}
-
 TEST(LormConfig, CdfEqualizedPlacementBalancesParetoValues) {
   // Ablation: with the CDF-equalizing LPH the per-node load inside a
   // cluster is flatter than with the linear LPH.
@@ -192,10 +182,7 @@ TEST(LormConfig, CdfEqualizedPlacementBalancesParetoValues) {
     }
     auto svc = std::make_unique<LormService>(setup.nodes, workload->registry(),
                                              std::move(cfg));
-    std::vector<NodeAddr> providers;
-    for (std::size_t i = 0; i < setup.nodes; ++i) providers.push_back(i);
-    Rng rng(setup.seed ^ 0xBEEF);
-    for (const auto& info : workload->GenerateInfos(providers, rng)) {
+    for (const auto& info : harness::GridInfos(setup, *workload)) {
       svc->Advertise(info);
     }
     auto sizes = svc->DirectorySizes();

@@ -176,7 +176,7 @@ TEST(PlannerEquivalence, AllSystemsReplicatedUnderCrashChurn) {
 
 TEST(PlannerEquivalence, ParallelPlannedReplayIsDeterministic) {
   // The planner's scratch is per-worker; sharded replay must stay
-  // bit-identical across jobs x batch, as the classic path guarantees.
+  // bit-identical across jobs, as the classic path guarantees.
   for (const auto kind : {SystemKind::kSword, SystemKind::kMaan}) {
     harness::Setup setup = harness::Setup::Small();
     setup.plan = true;
@@ -187,10 +187,8 @@ TEST(PlannerEquivalence, ParallelPlannedReplayIsDeterministic) {
     cfg.attrs_per_query = 3;
     cfg.range = true;
     cfg.jobs = 1;
-    cfg.batch = 1;
     const auto serial = harness::RunQueries(*bed.service, *bed.workload, cfg);
     cfg.jobs = 4;
-    cfg.batch = 8;
     const auto parallel =
         harness::RunQueries(*bed.service, *bed.workload, cfg);
     EXPECT_EQ(serial.total_hops, parallel.total_hops);

@@ -15,7 +15,7 @@ using harness::SystemKind;
 using resource::AttrValue;
 using resource::MultiQuery;
 using resource::RangeStyle;
-using testutil::BruteForceProviders;
+using harness::BruteForceProviders;
 using testutil::MakeBed;
 
 SwordService* AsSword(DiscoveryService* s) {
