@@ -23,18 +23,6 @@
 
 namespace lorm::chord {
 
-bool InIntervalOC(Key x, Key lo, Key hi) {
-  if (lo == hi) return true;  // degenerate interval covers the whole ring
-  if (lo < hi) return x > lo && x <= hi;
-  return x > lo || x <= hi;  // wrapped
-}
-
-bool InIntervalOO(Key x, Key lo, Key hi) {
-  if (lo == hi) return x != lo;  // whole ring minus the endpoint
-  if (lo < hi) return x > lo && x < hi;
-  return x > lo || x < hi;  // wrapped
-}
-
 namespace {
 
 int ScanFingerIdsScalar(const Key* ids, std::size_t count, Key lo, Key hi) {
@@ -85,17 +73,13 @@ inline int ScanFingerIds(const Key* ids, std::size_t count, Key lo, Key hi) {
 }  // namespace
 
 ChordRing::ChordRing(Config cfg)
-    : Route("unknown chord node", cfg.route_cache), cfg_(cfg) {
-  if (cfg_.bits == 0 || cfg_.bits > 63) {
-    throw ConfigError("ChordRing bits must be in [1, 63]");
-  }
+    : KeyedRing(cfg, "unknown chord node", cfg.route_cache) {
   if (cfg_.successor_list == 0) {
     throw ConfigError("ChordRing successor list must be non-empty");
   }
   if (cfg_.successor_list > 0xffff) {
     throw ConfigError("ChordRing successor list exceeds the u16 slab count");
   }
-  space_ = std::uint64_t{1} << cfg_.bits;
   link_stride_ = cfg_.bits + cfg_.successor_list;
   // Reserved here so that the first join or leave after a build does not
   // grow them: on a cold heap that cost ~1 µs per ring (standalone, 40
@@ -115,17 +99,7 @@ Key ChordRing::FingerStart(Key id, unsigned i) const {
   return (id + (std::uint64_t{1} << i)) & (space_ - 1);
 }
 
-Key ChordRing::AddNode(NodeAddr addr) {
-  const Key id = JoinerId(oracle_, addr, cfg_.bits, cfg_.seed);
-  AddNodeWithId(addr, id);
-  return id;
-}
-
-void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
-  LORM_CHECK_MSG(id < space_, "chord id outside the identifier space");
-  if (Contains(addr)) throw ConfigError("node address already in ring");
-  if (oracle_.Contains(id)) throw ConfigError("chord id collision");
-
+void ChordRing::JoinAt(NodeAddr addr, Key id) {
   // Joining splices neighbors but leaves remote finger tables stale.
   links_fresh_ = false;
   const bool first = slab_.empty();
@@ -185,23 +159,13 @@ void ChordRing::AddNodeWithId(NodeAddr addr, Key id) {
 
 void ChordRing::BulkAssign(
     const std::vector<std::pair<NodeAddr, Key>>& members) {
-  LORM_CHECK_MSG(slab_.empty(), "BulkAssign requires an empty ring");
-  LORM_CHECK_MSG(observer_ == nullptr,
-                 "BulkAssign does not notify membership observers");
-  slab_.reserve(members.size());
   links_.reserve(members.size() * link_stride_);
   finger_ids_.reserve(members.size() * cfg_.bits);
-  oracle_.reserve(members.size());
-  for (const auto& [addr, id] : members) {
-    LORM_CHECK_MSG(id < space_, "chord id outside the identifier space");
-    if (Contains(addr)) throw ConfigError("node address already in ring");
-    oracle_.Append(id, AllocateSlot(addr, id));
-  }
-  if (!oracle_.SortDistinct()) throw ConfigError("chord id collision");
+  // The closing round rebuilds every link, whatever the ring saw before.
   moved_arcs_.clear();
   repointed_.clear();
   sweep_pending_ = true;
-  StabilizeAll();
+  KeyedRing::BulkAssign(members);
   CollapseSlabs();
 }
 
@@ -223,7 +187,7 @@ void ChordRing::RemoveNode(NodeAddr addr) {
     NoteRepointed(succ_slot);
     if (pred.addr != kNoNode && pred.addr != addr) {
       s.predecessor = pred;
-      // A crashed predecessor has nothing to splice (see AddNodeWithId).
+      // A crashed predecessor has nothing to splice (see JoinAt).
       const Slot pred_slot = slab_.Resolve(pred);
       if (pred_slot != kNoSlot) {
         Node& p = slab_[pred_slot];
@@ -250,30 +214,6 @@ void ChordRing::FailNode(NodeAddr addr) {
   NoteMovedArc(pos, oracle_.size());
   oracle_.EraseAt(pos);
   ReleaseSlot(self_slot);
-}
-
-NodeAddr ChordRing::OwnerOf(Key key) const {
-  const Slot s = oracle_.OwnerSlot(key);
-  LORM_CHECK_MSG(s != kNoSlot, "OwnerOf on empty ring");
-  return slab_[s].addr;
-}
-
-NodeAddr ChordRing::OwnerOfExcluding(Key key, NodeAddr excluded) const {
-  return oracle_.OwnerOfExcluding(slab_, key, excluded);
-}
-
-NodeAddr ChordRing::NthOracleSuccessor(NodeAddr addr, std::size_t steps,
-                                       NodeAddr excluded) const {
-  return oracle_.NthSuccessor(slab_, addr, steps, excluded);
-}
-
-NodeAddr ChordRing::NthOraclePredecessor(NodeAddr addr, std::size_t steps,
-                                         NodeAddr excluded) const {
-  return oracle_.NthPredecessor(slab_, addr, steps, excluded);
-}
-
-NodeAddr ChordRing::Successor(NodeAddr addr) const {
-  return slab_[SuccessorSlot(slab_.MustFind(addr))].addr;
 }
 
 NodeAddr ChordRing::Predecessor(NodeAddr addr) const {
@@ -743,8 +683,8 @@ bool ChordRing::LinksMatchOracle() const {
 }
 
 std::size_t ChordRing::ApproxMemoryBytes() const {
-  return slab_.MemoryBytes() + links_.capacity() * sizeof(SlotRef) +
-         finger_ids_.capacity() * sizeof(Key) + oracle_.MemoryBytes();
+  return KeyedRing::ApproxMemoryBytes() + links_.capacity() * sizeof(SlotRef) +
+         finger_ids_.capacity() * sizeof(Key);
 }
 
 void ChordRing::CollapseSlabs() {
@@ -830,14 +770,6 @@ std::vector<std::pair<NodeAddr, Key>> InitialIds(std::size_t n, unsigned bits,
     members.push_back({addr, id});
   }
   return members;
-}
-
-ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
-                   NodeAddr base_addr) {
-  ChordRing ring(cfg);
-  ring.BulkAssign(InitialIds(n, cfg.bits, cfg.seed, deterministic_ids,
-                             base_addr));
-  return ring;
 }
 
 }  // namespace lorm::chord

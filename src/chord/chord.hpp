@@ -37,6 +37,12 @@
 // shared `RingRoute` (common/ring_route.hpp); this ring supplies the step,
 // its termination predicate and its tables.
 //
+// Membership core: the sorted membership, the identifier space, the
+// link-freshness flag and everything that reads only them (a joiner's id
+// and checks, the bulk build, the oracle's owner and replica walks) are
+// `KeyedRing`, which the single-hop ring derives from too; this ring adds
+// its join, leave and crash splices and its maintenance.
+//
 // Storage: nodes live in a `SlotSlab` of one-cache-line headers and the
 // sorted membership is a `RingOracle` (common/slot_slab.hpp describes
 // both). Fingers and successor lists live in a second contiguous slab
@@ -56,10 +62,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/hashing.hpp"
 #include "common/hugepage.hpp"
 #include "common/maintenance.hpp"
@@ -73,11 +80,6 @@ using lorm::MaintenanceStats;
 
 /// Position in the Chord identifier circle.
 using Key = std::uint64_t;
-
-/// True iff `x` lies in the half-open ring interval (lo, hi] (mod 2^bits).
-bool InIntervalOC(Key x, Key lo, Key hi);
-/// True iff `x` lies in the open ring interval (lo, hi) (mod 2^bits).
-bool InIntervalOO(Key x, Key lo, Key hi);
 
 struct Config {
   /// Identifier-space size is 2^bits. The paper uses bits=11 with 2048 nodes.
@@ -116,6 +118,190 @@ class MembershipObserver {
   virtual void OnFail(NodeAddr node) { (void)node; }
 };
 
+/// Random-ID placement: the consistent hash of `addr` (mixed with `seed`)
+/// in a 2^bits space, re-salted while `taken(id)` holds. AddNode on this
+/// ring and on the single-hop ring, and InitialIds, all place nodes here.
+template <typename Taken>
+Key HashedId(NodeAddr addr, unsigned bits, std::uint64_t seed,
+             const Taken& taken) {
+  const auto base = static_cast<std::uint64_t>(addr) ^ seed;
+  Key id = ConsistentHash(bits)(base);
+  for (std::uint64_t salt = 1; taken(id); ++salt) {
+    id = MixHashes(base, salt) & ((std::uint64_t{1} << bits) - 1);
+  }
+  return id;
+}
+
+/// HashedId against the current members of a 2^bits ring: the id AddNode
+/// assigns. Throws ConfigError when every id is taken.
+Key JoinerId(const RingOracle& members, NodeAddr addr, unsigned bits,
+             std::uint64_t seed);
+
+/// IDs of a fresh ring of `n` members at addresses base..base+n-1, in
+/// address order. In deterministic mode they are evenly spaced over the
+/// full space after a seed-derived rotation (with bits = ceil(log2 n) and n
+/// a power of two this is the paper's fully populated ring); otherwise each
+/// is HashedId against the IDs before it, exactly as n sequential AddNode
+/// calls would assign them.
+std::vector<std::pair<NodeAddr, Key>> InitialIds(std::size_t n, unsigned bits,
+                                                 std::uint64_t seed,
+                                                 bool deterministic_ids,
+                                                 NodeAddr base_addr);
+
+/// The membership half of a ring keyed by this identifier space, shared by
+/// ChordRing and singlehop::SingleHopRing: the sorted membership (`oracle_`:
+/// Chord's maintenance oracle, the single-hop ring's full view), the 2^bits
+/// space, the link-freshness flag, and everything that reads only them. A
+/// CRTP base between RingRoute and the ring, with no virtual calls; the
+/// ring supplies, as members the base (a friend) calls:
+///
+///   JoinAt(addr, id)   the join of a new address at a free id: seating,
+///                      splices, bill and observer
+///   AllocateSlot       the seating a bulk build runs (RingRoute's, or the
+///                      ring's own)
+///   SuccessorSlot(s)   its successor rule, which Successor reads
+///   StabilizeAll()     its maintenance round; a bulk build ends with one
+///
+/// `ConfigT` carries the `bits` and `seed` the ids are placed with.
+template <typename Derived, typename NodeT, typename ConfigT,
+          typename Alloc = std::allocator<NodeT>>
+class KeyedRing
+    : public RingRoute<Derived, NodeT, MembershipObserver, Alloc> {
+ public:
+  using Config = ConfigT;
+
+  // ---- Membership -------------------------------------------------------
+
+  /// Joins a new node with the given address; its ID is the consistent hash
+  /// of the address, salted on collision (JoinerId). Returns its ring ID.
+  Key AddNode(NodeAddr addr) {
+    const Key id = JoinerId(oracle_, addr, cfg_.bits, cfg_.seed);
+    AddNodeWithId(addr, id);
+    return id;
+  }
+
+  /// Joins a new node at an explicit ring ID (deterministic mode; the
+  /// paper's fully populated 11-bit ring). Throws ConfigError on a member's
+  /// address or on an ID collision.
+  void AddNodeWithId(NodeAddr addr, Key id) {
+    CheckJoiner(addr, id);
+    if (oracle_.Contains(id)) throw ConfigError("ring id collision");
+    self().JoinAt(addr, id);
+  }
+
+  /// Bulk membership for large static rings: pre-sizes the slab and address
+  /// index, builds the sorted oracle with one sort instead of n spliced
+  /// inserts, and closes with one StabilizeAll — O(n log n) total where n
+  /// sequential joins cost O(n^2) oracle memmoves. The routing state is
+  /// exactly what the join path + StabilizeAll converge to (asserted in
+  /// tests); only the per-join message accounting is skipped. Requires an
+  /// empty ring with no registered observer.
+  void BulkAssign(const std::vector<std::pair<NodeAddr, Key>>& members) {
+    LORM_CHECK_MSG(slab_.empty(), "BulkAssign requires an empty ring");
+    LORM_CHECK_MSG(observer_ == nullptr,
+                   "BulkAssign does not notify membership observers");
+    slab_.reserve(members.size());
+    oracle_.reserve(members.size());
+    for (const auto& [addr, id] : members) {
+      CheckJoiner(addr, id);
+      oracle_.Append(id, self().AllocateSlot(addr, id));
+    }
+    if (!oracle_.SortDistinct()) throw ConfigError("ring id collision");
+    self().StabilizeAll();
+  }
+
+  std::vector<NodeAddr> Members() const { return oracle_.Members(slab_); }
+
+  // ---- Structure queries (oracle / protocol state) -----------------------
+
+  /// Oracle: the current owner (successor) of `key`, folded into the space;
+  /// kNoNode on an empty ring.
+  NodeAddr OwnerOf(Key key) const { return OwnerOfExcluding(key, kNoNode); }
+  /// Oracle owner of `key` as if `excluded` had already left the ring.
+  /// Membership observers fire while the departing/failed node is still in
+  /// the oracle (so its state stays readable); handoff logic uses this to
+  /// compute post-event ownership. `excluded` = kNoNode degrades to OwnerOf.
+  NodeAddr OwnerOfExcluding(Key key, NodeAddr excluded) const {
+    return oracle_.OwnerOfExcluding(slab_, NormalizeKey(key), excluded);
+  }
+  /// Oracle: the node `steps` positions clockwise of `addr` (0 = itself),
+  /// skipping `excluded` if given; the walk is capped at one ring
+  /// revolution. This is the successor-list-replication placement oracle:
+  /// replica i of a key lives on the i-th oracle successor of its owner.
+  NodeAddr NthOracleSuccessor(NodeAddr addr, std::size_t steps,
+                              NodeAddr excluded = kNoNode) const {
+    return oracle_.NthSuccessor(slab_, addr, steps, excluded);
+  }
+  /// Counterclockwise counterpart of NthOracleSuccessor.
+  NodeAddr NthOraclePredecessor(NodeAddr addr, std::size_t steps,
+                                NodeAddr excluded = kNoNode) const {
+    return oracle_.NthPredecessor(slab_, addr, steps, excluded);
+  }
+  /// The node's own successor pointer (protocol state): the member at the
+  /// ring's SuccessorSlot of its slot.
+  NodeAddr Successor(NodeAddr addr) const {
+    return slab_[self().SuccessorSlot(slab_.MustFind(addr))].addr;
+  }
+
+  /// True while every stored link is known current (see links_fresh_).
+  /// Exposed so tests can assert the invariant toggles where expected.
+  bool LinksFresh() const { return links_fresh_; }
+
+  unsigned bits() const { return cfg_.bits; }
+  /// 2^bits as a value; bits == 64 is not supported for rings.
+  std::uint64_t space() const { return space_; }
+  /// The most members the space seats: one per id.
+  std::uint64_t capacity() const { return space_; }
+  const Config& config() const { return cfg_; }
+
+  /// Estimated resident bytes of the slot slab and the oracle.
+  std::size_t ApproxMemoryBytes() const {
+    return slab_.MemoryBytes() + oracle_.MemoryBytes();
+  }
+
+ protected:
+  using Route = RingRoute<Derived, NodeT, MembershipObserver, Alloc>;
+  using Route::observer_;
+  using Route::slab_;
+
+  /// Throws ConfigError unless bits is in [1, 63]; `unknown_node` and
+  /// `route_cache` are RingRoute's.
+  KeyedRing(const Config& cfg, const char* unknown_node, bool route_cache)
+      : Route(unknown_node, route_cache), cfg_(cfg) {
+    if (cfg_.bits == 0 || cfg_.bits > 63) {
+      throw ConfigError("ring bits must be in [1, 63]");
+    }
+    space_ = std::uint64_t{1} << cfg_.bits;
+  }
+
+  Key NormalizeKey(Key key) const { return key & (space_ - 1); }
+
+  Config cfg_;
+  std::uint64_t space_;
+  RingOracle oracle_;
+  /// Freshness invariant: true => every link a live node holds (Chord's
+  /// fingers, successor list and predecessor; the single-hop ring's
+  /// neighbor links) still points at its original occupant, i.e.
+  /// slab_.Current(l) for every stored link. StabilizeAll establishes it;
+  /// a membership change that can leave a link stale clears it before
+  /// touching state (every Chord change, a single-hop crash). While it
+  /// holds, Chord's lookup path skips every generation-validation deref —
+  /// the checks would all pass — leaving results, counters and traces
+  /// bit-identical; stale rings take the general path.
+  bool links_fresh_ = false;
+
+ private:
+  /// A joiner's id lies in the space and its address is not a member.
+  void CheckJoiner(NodeAddr addr, Key id) const {
+    LORM_CHECK_MSG(id < space_, "ring id outside the identifier space");
+    if (this->Contains(addr)) {
+      throw ConfigError("node address already in ring");
+    }
+  }
+  Derived& self() { return static_cast<Derived&>(*this); }
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+};
+
 /// Node header: everything but the routing arrays, which live in the ring's
 /// link slab at extent `slot * link_stride_` (fingers, then successors).
 /// Line-aligned so the walk's header read is exactly one cache line.
@@ -144,29 +330,18 @@ static_assert(sizeof(ChordNode) == 64, "Node header must stay one cache line");
 /// TLB coverage, and x86 drops software prefetches whose page walk misses
 /// the TLB — which would defeat the batch engine's prefetch pipeline exactly
 /// where it matters most. 2 MiB pages keep both slabs TLB-resident.
-class ChordRing
-    : public RingRoute<ChordRing, ChordNode, MembershipObserver,
-                       HugePageAllocator<ChordNode>> {
+class ChordRing : public KeyedRing<ChordRing, ChordNode, Config,
+                                   HugePageAllocator<ChordNode>> {
  public:
   explicit ChordRing(Config cfg);
 
   // ---- Membership -------------------------------------------------------
+  //
+  // AddNode and AddNodeWithId come from KeyedRing. A join splices its
+  // successor and predecessor and leaves remote finger tables stale.
 
-  /// Joins a new node with the given address; its ID is the consistent hash
-  /// of the address (salted on collision). Returns its ring ID.
-  Key AddNode(NodeAddr addr);
-
-  /// Joins a new node at an explicit ring ID (deterministic mode; the
-  /// paper's fully populated 11-bit ring). Throws on ID collision.
-  void AddNodeWithId(NodeAddr addr, Key id);
-
-  /// Bulk membership for large static rings: pre-sizes the slab and address
-  /// index, builds the sorted oracle with one sort instead of n spliced
-  /// inserts, and stabilizes every node once — O(n log n) total where n
-  /// sequential joins cost O(n^2) oracle memmoves. The routing state is
-  /// exactly what the join path + StabilizeAll converge to (asserted in
-  /// tests); only the per-join message accounting is skipped. Requires an
-  /// empty ring with no registered observers.
+  /// KeyedRing's bulk build, with the link slab sized up front and the
+  /// slabs promoted to huge pages afterwards.
   void BulkAssign(const std::vector<std::pair<NodeAddr, Key>>& members);
 
   /// Graceful departure: splices the ring and notifies observers.
@@ -177,29 +352,11 @@ class ChordRing
   /// repairs them; anything it stored is lost (observers get OnFail).
   void FailNode(NodeAddr addr);
 
-  std::vector<NodeAddr> Members() const { return oracle_.Members(slab_); }
+  // ---- Structure queries (protocol state) --------------------------------
+  //
+  // The oracle's OwnerOf, OwnerOfExcluding and NthOracle* walks, and
+  // Successor, come from KeyedRing.
 
-  // ---- Structure queries (oracle / protocol state) -----------------------
-
-  /// Oracle: the current owner (successor) of `key`.
-  NodeAddr OwnerOf(Key key) const;
-  /// Oracle owner of `key` as if `excluded` had already left the ring.
-  /// Membership observers fire while the departing/failed node is still in
-  /// the oracle (so its state stays readable); handoff logic uses this to
-  /// compute post-event ownership. `excluded` = kNoNode degrades to OwnerOf.
-  NodeAddr OwnerOfExcluding(Key key, NodeAddr excluded) const;
-  /// Oracle: the node `steps` positions clockwise of `addr` (0 = itself),
-  /// skipping `excluded` if given; the walk is capped at one ring
-  /// revolution. This is the successor-list-replication placement oracle:
-  /// replica i of a key lives on the i-th oracle successor of its owner.
-  NodeAddr NthOracleSuccessor(NodeAddr addr, std::size_t steps,
-                              NodeAddr excluded = kNoNode) const;
-  /// Counterclockwise counterpart of NthOracleSuccessor.
-  NodeAddr NthOraclePredecessor(NodeAddr addr, std::size_t steps,
-                                NodeAddr excluded = kNoNode) const;
-  /// The node's own successor pointer (protocol state): the member at
-  /// SuccessorSlot of its slot.
-  NodeAddr Successor(NodeAddr addr) const;
   /// Slot of the successor of the member at slot `s`: the first live entry
   /// of its successor list, each dead entry skipped billed to
   /// dead_links_skipped, or the oracle's successor when the whole list
@@ -257,10 +414,6 @@ class ChordRing
   /// one full sweep (see the file comment).
   void StabilizeAll();
 
-  /// True while every stored link is known current (see links_fresh_).
-  /// Exposed so tests can assert the invariant toggles where expected.
-  bool LinksFresh() const { return links_fresh_; }
-
   /// Re-derives every live node's fingers, finger-id mirror, successor
   /// list, cached successor(0) and predecessor from the oracle, and reports
   /// whether each stored ref matches in slot, generation and address, each
@@ -269,18 +422,12 @@ class ChordRing
   /// every StabilizeAll, whichever path it took.
   bool LinksMatchOracle() const;
 
-  unsigned bits() const { return cfg_.bits; }
-  /// 2^bits as a value; bits == 64 is not supported for rings.
-  std::uint64_t space() const { return space_; }
-  const Config& config() const { return cfg_; }
-
-  /// Estimated resident bytes of the overlay state (slot slab, per-node
-  /// routing vectors, oracle, address index) — fig_scale's footprint column.
+  /// KeyedRing's estimate plus the link slab and the finger-id mirror —
+  /// fig_scale's footprint column.
   std::size_t ApproxMemoryBytes() const;
 
  private:
-  using Route = RingRoute<ChordRing, ChordNode, MembershipObserver,
-                          HugePageAllocator<ChordNode>>;
+  friend KeyedRing;
   friend Route;
   static constexpr const char* kMetricPrefix = "chord";
 
@@ -310,9 +457,10 @@ class ChordRing
   /// pages: random-access prefetches are dropped on TLB misses, so large
   /// rings want the slabs TLB-resident. No observable effect on results.
   void CollapseSlabs();
+  /// The join: splices the joiner between its successor and predecessor.
+  void JoinAt(NodeAddr addr, Key id);
   /// RingRoute's seating, plus the slot's link extent.
   Slot AllocateSlot(NodeAddr addr, Key id);
-  Key NormalizeKey(Key key) const { return key & (space_ - 1); }
   void BeginWalk(LookupState& st) const {
     st.max_hops = slab_.size() + 4 * cfg_.bits + 8;
   }
@@ -352,8 +500,6 @@ class ChordRing
   void RebuildAll();
   Key FingerStart(Key id, unsigned i) const;
 
-  Config cfg_;
-  std::uint64_t space_;
   /// Routing-array slab: link_stride_ refs per slot (bits fingers, then
   /// successor_list successors). Grows with the node slab, entries stay put.
   std::vector<SlotRef, HugePageAllocator<SlotRef>> links_;
@@ -364,17 +510,6 @@ class ChordRing
   /// at a time.
   std::vector<Key, HugePageAllocator<Key>> finger_ids_;
   std::size_t link_stride_ = 0;
-  RingOracle oracle_;
-  /// Freshness invariant: true ⇒ every link held by a live node (fingers,
-  /// successor list, predecessor) still points at its original occupant,
-  /// i.e. slab_.Current(l) for every stored link. StabilizeAll
-  /// establishes it (every link rebuilt from the oracle); any membership
-  /// mutation clears it before touching state. While it holds, the lookup
-  /// path skips every generation-validation deref — the checks would all
-  /// pass — turning ~scan-depth random slab reads per hop into zero and
-  /// leaving results, counters and traces bit-identical. Stale rings take
-  /// the unmodified general path.
-  bool links_fresh_ = false;
   /// Key arcs (lo, hi] whose owner changed since the last StabilizeAll,
   /// which repairs these — unless sweep_pending_, in which case the list
   /// is empty and the next round rebuilds everything.
@@ -394,45 +529,23 @@ class ChordRing
   bool sweep_pending_ = true;
 };
 
-/// Random-ID placement: the consistent hash of `addr` (mixed with `seed`)
-/// in a 2^bits space, re-salted while `taken(id)` holds. AddNode on this
-/// ring and on the single-hop ring, and InitialIds, all place nodes here.
-template <typename Taken>
-Key HashedId(NodeAddr addr, unsigned bits, std::uint64_t seed,
-             const Taken& taken) {
-  const auto base = static_cast<std::uint64_t>(addr) ^ seed;
-  Key id = ConsistentHash(bits)(base);
-  for (std::uint64_t salt = 1; taken(id); ++salt) {
-    id = MixHashes(base, salt) & ((std::uint64_t{1} << bits) - 1);
-  }
-  return id;
-}
-
-/// HashedId against the current members of a 2^bits ring: the id AddNode
-/// assigns. Throws ConfigError when every id is taken.
-Key JoinerId(const RingOracle& members, NodeAddr addr, unsigned bits,
-             std::uint64_t seed);
-
-/// IDs of a fresh ring of `n` members at addresses base..base+n-1, in
-/// address order. In deterministic mode they are evenly spaced over the
-/// full space after a seed-derived rotation (with bits = ceil(log2 n) and n
-/// a power of two this is the paper's fully populated ring); otherwise each
-/// is HashedId against the IDs before it, exactly as n sequential AddNode
-/// calls would assign them.
-std::vector<std::pair<NodeAddr, Key>> InitialIds(std::size_t n, unsigned bits,
-                                                 std::uint64_t seed,
-                                                 bool deterministic_ids,
-                                                 NodeAddr base_addr);
-
-/// Populates a ring with `n` nodes at InitialIds(n, cfg.bits, cfg.seed, ...).
+/// Populates a `Ring` (ChordRing, or singlehop::SingleHopRing) with `n`
+/// nodes at InitialIds(n, cfg.bits, cfg.seed, ...), so the two substrates
+/// are comparable point for point.
 ///
 /// Built through the O(n log n) bulk path (BulkAssign): the converged
 /// routing state of n sequential joins plus StabilizeAll, without per-join
 /// oracle splices. This is what lets the scale sweeps reach n = 10^6. The
 /// maintenance meter bills the closing stabilization round only, not n
 /// join messages.
-ChordRing MakeRing(std::size_t n, Config cfg, bool deterministic_ids,
-                   NodeAddr base_addr = 0);
+template <typename Ring = ChordRing>
+Ring MakeRing(std::size_t n, const typename Ring::Config& cfg,
+              bool deterministic_ids, NodeAddr base_addr = 0) {
+  Ring ring(cfg);
+  ring.BulkAssign(
+      InitialIds(n, cfg.bits, cfg.seed, deterministic_ids, base_addr));
+  return ring;
+}
 
 }  // namespace lorm::chord
 

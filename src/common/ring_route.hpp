@@ -46,6 +46,9 @@
 // misses overlap the others' steps. Walks that do not touch the route cache
 // only read the rings, so interleaving them changes no result; lookups
 // retire in submission order, so traces and counters come out in that order.
+//
+// The ring-interval tests every ring's ownership rule and routing step use
+// (InIntervalOC, InIntervalOO) live here too, once for the three rings.
 #pragma once
 
 #include <algorithm>
@@ -64,6 +67,21 @@
 #include "obs/trace.hpp"
 
 namespace lorm {
+
+/// True iff `x` lies in the half-open ring interval (lo, hi]: order
+/// comparisons only, wrapping past the top of the space.
+inline bool InIntervalOC(std::uint64_t x, std::uint64_t lo, std::uint64_t hi) {
+  if (lo == hi) return true;  // degenerate interval covers the whole ring
+  if (lo < hi) return x > lo && x <= hi;
+  return x > lo || x <= hi;  // wrapped
+}
+
+/// True iff `x` lies in the open ring interval (lo, hi).
+inline bool InIntervalOO(std::uint64_t x, std::uint64_t lo, std::uint64_t hi) {
+  if (lo == hi) return x != lo;  // whole ring minus the endpoint
+  if (lo < hi) return x > lo && x < hi;
+  return x > lo || x < hi;  // wrapped
+}
 
 /// Result of routing a lookup through an overlay keyed by `Id`.
 template <typename Id>

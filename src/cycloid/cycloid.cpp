@@ -6,16 +6,6 @@
 #include "common/hashing.hpp"
 
 namespace lorm::cycloid {
-namespace {
-
-// Ring-interval membership (modulus-free: pure order comparisons with wrap).
-bool InOC(std::uint64_t x, std::uint64_t lo, std::uint64_t hi) {
-  if (lo == hi) return true;  // degenerate interval covers the whole ring
-  if (lo < hi) return x > lo && x <= hi;
-  return x > lo || x <= hi;
-}
-
-}  // namespace
 
 CycloidNetwork::CycloidNetwork(Config cfg)
     : Route("unknown cycloid node", cfg.route_cache), cfg_(cfg) {
@@ -204,7 +194,7 @@ bool CycloidNetwork::ClusterOwnsLocal(const Node& n, std::uint64_t a) const {
     pred_a = slab_[pred_slot].id.a;
   }
   if (pred_a == n.id.a) return true;  // only one cluster exists
-  return InOC(a, pred_a, n.id.a);
+  return InIntervalOC(a, pred_a, n.id.a);
 }
 
 bool CycloidNetwork::OwnsNode(const Node& n, CycloidId key) const {
@@ -225,7 +215,7 @@ bool CycloidNetwork::OwnsNode(const Node& n, CycloidId key) const {
   } else {
     pred_k = slab_[pred_slot].id.k;
   }
-  return InOC(key.k % cfg_.dimension, pred_k, n.id.k);
+  return InIntervalOC(key.k % cfg_.dimension, pred_k, n.id.k);
 }
 
 NodeAddr CycloidNetwork::ClusterSuccessorOf(NodeAddr addr) const {

@@ -23,9 +23,10 @@
 // rings with the observer that hands off that ring's entries (AddRing: one
 // ring for LORM, SWORD, MAAN and D1HT, one per attribute for Mercury). The
 // base owns every side effect besides that entry movement: it checks the
-// first ring's capacity, invalidates the result cache once per event,
-// drives every ring, records the flight event and drops a departed node's
-// directory once every ring's handoff ran. The Chord-keyed rings share one
+// first ring's capacity and the node's membership, invalidates the result
+// cache once per event, drives every ring, records the flight event and
+// drops a departed node's directory once every ring's handoff ran. An event
+// it refuses changes nothing. The Chord-keyed rings share one
 // observer (RingHandoff, replication.hpp); LORM hands off across its
 // Cycloid clusters itself.
 //
@@ -95,25 +96,30 @@ class DirectoryService : public DiscoveryService {
   }
   HopCount AdvertiseAll(std::span<const resource::ResourceInfo> infos) final;
 
-  /// Rejected (false) when the first ring's identifier space is full; then
-  /// every ring adds the node and hands off its arcs. Every accepted join,
-  /// leave and crash can re-home any arc, so each invalidates the result
-  /// cache, once, before any ring changes.
+  /// Rejected (false) when the first ring's identifier space is full, and
+  /// refused (ConfigError) for a member's address; then every ring adds the
+  /// node and hands off its arcs. Every accepted join, leave and crash can
+  /// re-home any arc, so each invalidates the result cache, once, before any
+  /// ring changes. A leave or crash of a non-member is refused
+  /// (InvariantError) before anything is recorded.
   bool JoinNode(NodeAddr addr) final {
     const Ring& first = *rings_.front();
-    if (first.size() >= Capacity(first)) return false;
+    if (first.size() >= first.capacity()) return false;
+    if (HasNode(addr)) throw ConfigError("node address already in ring");
     result_cache_.InvalidateAll();
     for (Ring* ring : rings_) ring->AddNode(addr);
     RecordMembership(obs::FlightEventKind::kJoin, addr);
     return true;
   }
   void LeaveNode(NodeAddr addr) final {
+    LORM_CHECK_MSG(HasNode(addr), "unknown node");
     RecordMembership(obs::FlightEventKind::kLeave, addr);
     result_cache_.InvalidateAll();
     for (Ring* ring : rings_) ring->RemoveNode(addr);
     store_.Drop(addr);  // every ring's handoff already moved what survives
   }
   void FailNode(NodeAddr addr) final {
+    LORM_CHECK_MSG(HasNode(addr), "unknown node");
     RecordMembership(obs::FlightEventKind::kCrash, addr);
     result_cache_.InvalidateAll();
     for (Ring* ring : rings_) ring->FailNode(addr);
@@ -346,15 +352,6 @@ class DirectoryService : public DiscoveryService {
     result_cache_.InvalidateAttr(attr);
     advertise_obs_.Record(hops);
     return hops;
-  }
-
-  /// The most members a ring's identifier space seats.
-  static std::uint64_t Capacity(const Ring& ring) {
-    if constexpr (requires { ring.capacity(); }) {
-      return ring.capacity();  // Cycloid: d * 2^d positions
-    } else {
-      return ring.space();  // Chord-keyed: 2^bits ids
-    }
   }
 
   /// Flight-records a membership change at the current network size (after

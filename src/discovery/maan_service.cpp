@@ -11,8 +11,8 @@ namespace lorm::discovery {
 template <typename Ring>
 BasicMaanService<Ring>::BasicMaanService(
     std::size_t n, const resource::AttributeRegistry& registry, Config cfg)
-    : DirectoryService<Ring>(MaanSubstrate<Ring>::kName, registry, cfg),
-      ring_(MaanSubstrate<Ring>::Make(n, cfg.ring)),
+    : DirectoryService<Ring>(kName, registry, cfg),
+      ring_(chord::MakeRing<Ring>(n, cfg.ring, /*deterministic_ids=*/true)),
       handoff_(*this, cfg.replicas) {
   const ConsistentHash ch(cfg.ring.bits);
   attr_key_.reserve(registry.size());

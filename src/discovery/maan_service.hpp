@@ -26,7 +26,7 @@
 // (ReconcileTwins).
 #pragma once
 
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "chord/chord.hpp"
@@ -35,29 +35,6 @@
 #include "singlehop/singlehop.hpp"
 
 namespace lorm::discovery {
-
-/// How MAAN's placement binds to one ring substrate: the ring's
-/// configuration, its builder and the system name it runs under.
-template <typename Ring>
-struct MaanSubstrate;
-
-template <>
-struct MaanSubstrate<chord::ChordRing> {
-  using Config = chord::Config;
-  static constexpr const char* kName = "MAAN";
-  static chord::ChordRing Make(std::size_t n, const Config& cfg) {
-    return chord::MakeRing(n, cfg, /*deterministic_ids=*/true);
-  }
-};
-
-template <>
-struct MaanSubstrate<singlehop::SingleHopRing> {
-  using Config = singlehop::Config;
-  static constexpr const char* kName = "D1HT";
-  static singlehop::SingleHopRing Make(std::size_t n, const Config& cfg) {
-    return singlehop::MakeSingleHopRing(n, cfg, /*deterministic_ids=*/true);
-  }
-};
 
 /// MAAN's dual placement and query resolution over `Ring` (see the file
 /// comment); explicitly instantiated for the two rings in maan_service.cpp.
@@ -69,8 +46,13 @@ template <typename Ring>
 class BasicMaanService final : public DirectoryService<Ring> {
  public:
   struct Config : ServiceOptions {
-    typename MaanSubstrate<Ring>::Config ring{};
+    typename Ring::Config ring{};
   };
+
+  /// The system the placement runs as: MAAN on Chord, D1HT on the
+  /// single-hop ring.
+  static constexpr const char* kName =
+      std::is_same_v<Ring, chord::ChordRing> ? "MAAN" : "D1HT";
 
   /// Entry tags distinguishing the two record kinds.
   static constexpr std::uint8_t kValueRecord = 0;

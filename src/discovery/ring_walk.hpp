@@ -48,8 +48,7 @@ struct SuccessorWalkState {
   std::uint64_t target = 0;
   chord::Key key_lo = 0;
   std::size_t guard = 0;
-  std::size_t steps = 0;
-  std::size_t forwards = 0;
+  std::size_t steps = 0;  ///< forwards so far: nodes visited after the root
   bool done = false;
 };
 
@@ -70,7 +69,6 @@ void WalkBegin(const Ring& ring, NodeAddr root, chord::Key key_lo,
   st.key_lo = key_lo;
   st.guard = ring.size() + 2;
   st.steps = 0;
-  st.forwards = 0;
   st.done = false;
 }
 
@@ -96,7 +94,6 @@ bool WalkAdvance(const Ring& ring, SuccessorWalkState& st,
   st.cur = next_addr;
   st.slot = next;
   stats.walk_steps += 1;
-  ++st.forwards;
   return true;
 }
 
@@ -106,7 +103,7 @@ inline void WalkFinish(const SuccessorWalkState& st) {
     // Interned by name, so every call site shares one histogram.
     static obs::Histogram& walk_h = obs::Registry::Global().GetHistogram(
         "ring_walk.steps", obs::Histogram::LinearBounds(0.0, 1.0, 64));
-    walk_h.RecordUnchecked(static_cast<double>(st.forwards));
+    walk_h.RecordUnchecked(static_cast<double>(st.steps));
   }
 }
 

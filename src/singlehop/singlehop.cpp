@@ -1,27 +1,11 @@
 #include "singlehop/singlehop.hpp"
 
-#include "common/error.hpp"
-
 namespace lorm::singlehop {
 
 SingleHopRing::SingleHopRing(Config cfg)
-    : Route("unknown single-hop node", /*route_cache=*/false), cfg_(cfg) {
-  LORM_CHECK_MSG(cfg_.bits >= 1 && cfg_.bits < 64,
-                 "single-hop ring bits must be in [1, 63]");
-  space_ = std::uint64_t{1} << cfg_.bits;
-}
+    : KeyedRing(cfg, "unknown single-hop node", /*route_cache=*/false) {}
 
-Key SingleHopRing::AddNode(NodeAddr addr) {
-  const Key id = chord::JoinerId(oracle_, addr, cfg_.bits, cfg_.seed);
-  AddNodeWithId(addr, id);
-  return id;
-}
-
-void SingleHopRing::AddNodeWithId(NodeAddr addr, Key id) {
-  LORM_CHECK_MSG(id < space_, "single-hop id outside the identifier space");
-  if (Contains(addr)) throw ConfigError("node address already in ring");
-  if (oracle_.Contains(id)) throw ConfigError("single-hop id collision");
-
+void SingleHopRing::JoinAt(NodeAddr addr, Key id) {
   const bool first = slab_.empty();
   // Every existing member's view gains this entry: one EDRA event report
   // per member, plus the joiner's bootstrap lookup and bulk table transfer
@@ -33,22 +17,6 @@ void SingleHopRing::AddNodeWithId(NodeAddr addr, Key id) {
   if (observer_ == nullptr) return;
   observer_->OnJoin(
       addr, first ? addr : slab_[oracle_[oracle_.SuccessorIndex(id)].slot].addr);
-}
-
-void SingleHopRing::BulkAssign(
-    const std::vector<std::pair<NodeAddr, Key>>& members) {
-  LORM_CHECK_MSG(slab_.empty(), "BulkAssign requires an empty ring");
-  LORM_CHECK_MSG(observer_ == nullptr,
-                 "BulkAssign does not notify membership observers");
-  slab_.reserve(members.size());
-  oracle_.reserve(members.size());
-  for (const auto& [addr, id] : members) {
-    LORM_CHECK_MSG(id < space_, "single-hop id outside the identifier space");
-    if (Contains(addr)) throw ConfigError("node address already in ring");
-    oracle_.Append(id, AllocateSlot(addr, id));
-  }
-  if (!oracle_.SortDistinct()) throw ConfigError("single-hop id collision");
-  StabilizeAll();
 }
 
 void SingleHopRing::RemoveNode(NodeAddr addr) {
@@ -77,29 +45,6 @@ void SingleHopRing::FailNode(NodeAddr addr) {
   ReleaseSlot(self_slot);
 }
 
-NodeAddr SingleHopRing::OwnerOf(Key key) const {
-  const Slot s = oracle_.OwnerSlot(key & (space_ - 1));
-  return s == kNoSlot ? kNoNode : slab_[s].addr;
-}
-
-NodeAddr SingleHopRing::OwnerOfExcluding(Key key, NodeAddr excluded) const {
-  return oracle_.OwnerOfExcluding(slab_, key & (space_ - 1), excluded);
-}
-
-NodeAddr SingleHopRing::NthOracleSuccessor(NodeAddr addr, std::size_t steps,
-                                           NodeAddr excluded) const {
-  return oracle_.NthSuccessor(slab_, addr, steps, excluded);
-}
-
-NodeAddr SingleHopRing::NthOraclePredecessor(NodeAddr addr, std::size_t steps,
-                                             NodeAddr excluded) const {
-  return oracle_.NthPredecessor(slab_, addr, steps, excluded);
-}
-
-NodeAddr SingleHopRing::Successor(NodeAddr addr) const {
-  return slab_[SuccessorSlot(slab_.MustFind(addr))].addr;
-}
-
 NodeAddr SingleHopRing::Predecessor(NodeAddr addr) const {
   const Node& n = slab_.MustGet(addr);
   const Slot s = slab_.Resolve(n.predecessor);
@@ -111,7 +56,7 @@ NodeAddr SingleHopRing::Predecessor(NodeAddr addr) const {
 bool SingleHopRing::OwnsNode(const Node& n, Key key) const {
   if (oracle_.size() == 1) return true;
   const Key pred_id = oracle_[oracle_.Prev(oracle_.IndexOf(n.id))].id;
-  return chord::InIntervalOC(key & (space_ - 1), pred_id, n.id);
+  return InIntervalOC(NormalizeKey(key), pred_id, n.id);
 }
 
 std::size_t SingleHopRing::Outlinks(NodeAddr addr) const {
@@ -171,18 +116,6 @@ void SingleHopRing::StabilizeAll() {
     slab_[next].predecessor = slab_.MakeLink(oracle_[i].slot);
   }
   links_fresh_ = true;
-}
-
-std::size_t SingleHopRing::ApproxMemoryBytes() const {
-  return slab_.MemoryBytes() + oracle_.MemoryBytes();
-}
-
-SingleHopRing MakeSingleHopRing(std::size_t n, Config cfg,
-                                bool deterministic_ids, NodeAddr base_addr) {
-  SingleHopRing ring(cfg);
-  ring.BulkAssign(chord::InitialIds(n, cfg.bits, cfg.seed, deterministic_ids,
-                                    base_addr));
-  return ring;
 }
 
 }  // namespace lorm::singlehop

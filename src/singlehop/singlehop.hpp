@@ -34,6 +34,10 @@
 // traverse (common/slot_slab.hpp). Stale links (a crash between maintenance
 // rounds) fall back to the oracle.
 //
+// Membership: the shared view, the id placement and checks of a join, the
+// bulk build and the oracle's owner and replica walks are chord::KeyedRing,
+// Chord's own membership core; this ring adds its splices and its bill.
+//
 // Routing: the lookup loop, its begin and finish, the maintenance meter and
 // the membership observer are the shared `RingRoute` (common/ring_route.hpp),
 // and its `RouteLanes` steps this ring's lookups as it does the other rings'.
@@ -44,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "chord/chord.hpp"
@@ -86,25 +89,15 @@ static_assert(sizeof(SingleHopNode) == 64,
               "Node header must stay one cache line");
 
 class SingleHopRing
-    : public RingRoute<SingleHopRing, SingleHopNode, MembershipObserver> {
+    : public chord::KeyedRing<SingleHopRing, SingleHopNode, Config> {
  public:
   explicit SingleHopRing(Config cfg);
 
   // ---- Membership -------------------------------------------------------
-
-  /// Joins a new node; ID = consistent hash of the address (salted on
-  /// collision), exactly chord's derivation. Returns its ring ID.
-  Key AddNode(NodeAddr addr);
-
-  /// Joins a new node at an explicit ring ID (deterministic mode). Throws
-  /// on ID collision.
-  void AddNodeWithId(NodeAddr addr, Key id);
-
-  /// Bulk membership for a fresh ring (chord::ChordRing::BulkAssign's
-  /// contract): one sort builds the view, one StabilizeAll links the
-  /// neighbors — the state n sequential joins plus StabilizeAll reach, with
-  /// no join messages billed. Requires an empty ring with no observers.
-  void BulkAssign(const std::vector<std::pair<NodeAddr, Key>>& members);
+  //
+  // AddNode, AddNodeWithId and BulkAssign come from chord::KeyedRing. A join
+  // bills one event report per member and splices the joiner's neighbors;
+  // the bulk build's one StabilizeAll links every neighbor.
 
   /// Graceful departure: every view drops the entry; observers notified.
   void RemoveNode(NodeAddr addr);
@@ -114,24 +107,11 @@ class SingleHopRing
   /// stale until then.
   void FailNode(NodeAddr addr);
 
-  std::vector<NodeAddr> Members() const { return oracle_.Members(slab_); }
-
   // ---- Structure queries -------------------------------------------------
+  //
+  // OwnerOf, OwnerOfExcluding, the NthOracle* walks and Successor come from
+  // chord::KeyedRing and read the shared full view.
 
-  /// The owner (successor) of `key` per the shared full view.
-  NodeAddr OwnerOf(Key key) const;
-  /// Owner of `key` as if `excluded` had already left (observer-time
-  /// handoff logic; kNoNode degrades to OwnerOf).
-  NodeAddr OwnerOfExcluding(Key key, NodeAddr excluded) const;
-  /// The node `steps` positions clockwise of `addr` (0 = itself), skipping
-  /// `excluded`; replica placement oracle, as on the other rings.
-  NodeAddr NthOracleSuccessor(NodeAddr addr, std::size_t steps,
-                              NodeAddr excluded = kNoNode) const;
-  NodeAddr NthOraclePredecessor(NodeAddr addr, std::size_t steps,
-                                NodeAddr excluded = kNoNode) const;
-  /// The node's own successor pointer: the member at SuccessorSlot of its
-  /// slot.
-  NodeAddr Successor(NodeAddr addr) const;
   /// Slot of the successor of the member at slot `s`, from its
   /// generation-checked link. A stale link (the successor crashed since the
   /// last window) falls back on the full table: one detected failure,
@@ -172,22 +152,11 @@ class SingleHopRing
   /// refreshes all neighbor links.
   void StabilizeAll();
 
-  /// True while every stored link is known current (chord's invariant;
-  /// here only crashes break it, since joins/leaves splice eagerly).
-  bool LinksFresh() const { return links_fresh_; }
-
-  unsigned bits() const { return cfg_.bits; }
-  std::uint64_t space() const { return space_; }
-  const Config& config() const { return cfg_; }
-
-  std::size_t ApproxMemoryBytes() const;
-
  private:
-  using Route = RingRoute<SingleHopRing, SingleHopNode, MembershipObserver>;
+  friend KeyedRing;
   friend Route;
   static constexpr const char* kMetricPrefix = "singlehop";
 
-  Key NormalizeKey(Key key) const { return key & (space_ - 1); }
   static void BeginWalk(LookupState& st) { st.max_hops = 1; }
   /// The single hop: origin's full table resolves the owner directly.
   /// Returns false once the walk completed (always after one call).
@@ -195,24 +164,16 @@ class SingleHopRing
   /// True iff `key` is in (pred(node), node].
   bool OwnsNode(const Node& n, Key key) const;
 
+  /// The join: one event report per member, then the splice.
+  void JoinAt(NodeAddr addr, Key id);
   /// Splices `slot`'s successor/predecessor links from the oracle and
   /// repairs its ring neighbors' links to it.
   void SpliceNeighbors(Slot slot);
 
-  Config cfg_;
-  std::uint64_t space_;
-  RingOracle oracle_;  ///< the shared full view
   /// Crashes since the last StabilizeAll whose dissemination bill is still
   /// unpaid (EDRA batches event reports per maintenance window).
   std::uint64_t pending_fail_events_ = 0;
-  bool links_fresh_ = false;
 };
-
-/// Populates a ring with `n` nodes at chord::InitialIds(n, cfg.bits,
-/// cfg.seed, ...) — the same placement chord::MakeRing uses, so the two
-/// substrates are comparable point for point — through BulkAssign.
-SingleHopRing MakeSingleHopRing(std::size_t n, Config cfg,
-                                bool deterministic_ids, NodeAddr base_addr = 0);
 
 }  // namespace lorm::singlehop
 

@@ -2,7 +2,8 @@
 // liveness discipline, result-cache churn invalidation in all five
 // services (a join, a leave, a crash and an epoch expiry each force a
 // re-lookup — never a stale answer — and each membership event invalidates
-// exactly once, whatever the ring count), and the golden-equivalence
+// exactly once, whatever the ring count, while a refused one changes
+// nothing), and the golden-equivalence
 // guarantee that --cache on/off produce identical QueryResults on the quick
 // fig4a/fig5a workloads; a failed sub-query is never cached, even after an
 // earlier one of the same query failed.
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "chord/chord.hpp"
+#include "common/error.hpp"
 #include "common/random.hpp"
 #include "cycloid/cycloid.hpp"
 #include "harness/experiments.hpp"
@@ -243,6 +245,51 @@ TEST_P(ResultCachePerSystem, JoinLeaveFailEachInvalidate) {
   expect_one_invalidation("crash");
   bed.service->Maintain();
   expect_recomputed("fail");
+}
+
+TEST_P(ResultCachePerSystem, RefusedMembershipEventsChangeNothing) {
+  MetricsScope metrics;
+  FlightScope flight;
+  auto setup = harness::Setup::Small();
+  setup.cache = true;
+  auto bed = MakeBed(GetParam(), setup);
+
+  // LORM's Small network is at full Cycloid capacity, where a join is
+  // rejected (false) before its address is judged: vacate a position first.
+  const auto live = bed.service->Nodes();
+  bed.service->LeaveNode(live[live.size() / 2]);
+  bed.service->Maintain();
+
+  Rng rng(67);
+  const auto q =
+      bed.workload->MakeRangeQuery(2, 11, RangeStyle::kBounded, rng);
+  const auto primed = bed.service->Query(q);
+  ASSERT_FALSE(primed.stats.failed);
+  const std::size_t size = bed.service->NetworkSize();
+  const NodeAddr stranger = 9'001;
+  ASSERT_FALSE(bed.service->HasNode(stranger));
+  const NodeAddr member = bed.service->Nodes().front();
+
+  // A refused event records nothing and leaves the primed answer cached.
+  const auto expect_unchanged = [&](const char* event) {
+    EXPECT_TRUE(obs::FlightRecorder::Global().Snapshot().empty())
+        << "a refused " << event << " was flight-recorded";
+    obs::FlightRecorder::Global().Reset();
+    const std::uint64_t hits = CounterValue("lorm.cache.result.hits");
+    const auto cached = bed.service->Query(q);
+    EXPECT_EQ(CounterValue("lorm.cache.result.hits"), hits + q.subs.size())
+        << "a refused " << event << " invalidated the result cache";
+    EXPECT_EQ(cached.providers, primed.providers);
+    EXPECT_EQ(bed.service->NetworkSize(), size);
+  };
+
+  obs::FlightRecorder::Global().Reset();
+  EXPECT_THROW(bed.service->LeaveNode(stranger), InvariantError);
+  expect_unchanged("leave");
+  EXPECT_THROW(bed.service->FailNode(stranger), InvariantError);
+  expect_unchanged("crash");
+  EXPECT_THROW(bed.service->JoinNode(member), ConfigError);
+  expect_unchanged("join");
 }
 
 TEST_P(ResultCachePerSystem, EpochExpiryEvictsCachedAnswers) {

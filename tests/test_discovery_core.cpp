@@ -636,8 +636,8 @@ TEST(WalkReference, ChordRingWithCrashedUnrepairedMembers) {
 TEST(WalkReference, SingleHopRingWithStaleSuccessors) {
   singlehop::Config cfg;
   cfg.bits = 12;
-  auto ring =
-      singlehop::MakeSingleHopRing(300, cfg, /*deterministic_ids=*/false);
+  auto ring = chord::MakeRing<singlehop::SingleHopRing>(
+      300, cfg, /*deterministic_ids=*/false);
   const std::vector<NodeAddr> members = ring.Members();
   for (std::size_t i = 5; i < members.size(); i += 17) {
     ring.FailNode(members[i]);

@@ -565,8 +565,8 @@ TEST(SingleHopInvariants, RandomizedChurnPreservesFullViews) {
     singlehop::Config cfg;
     cfg.bits = 14;
     cfg.seed = seed;
-    auto ring =
-        singlehop::MakeSingleHopRing(96, cfg, /*deterministic_ids=*/false);
+    auto ring = chord::MakeRing<singlehop::SingleHopRing>(
+        96, cfg, /*deterministic_ids=*/false);
 
     ChordModel model;
     for (const NodeAddr addr : ring.Members()) model[ring.IdOf(addr)] = addr;

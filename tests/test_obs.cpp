@@ -258,7 +258,7 @@ TEST(RingLookupInstruments, SingleHopCountsMatchResults) {
   // like the other rings' (at 0), so dumps carry one key set per ring.
   singlehop::Config cfg;
   cfg.bits = 16;
-  auto ring = singlehop::MakeSingleHopRing(384, cfg, false);
+  auto ring = chord::MakeRing<singlehop::SingleHopRing>(384, cfg, false);
   ExpectLookupInstrumentsMatchResults(
       ring, "singlehop",
       [&](Rng& rng) { return rng.NextBelow(ring.space()); },

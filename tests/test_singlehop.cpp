@@ -15,6 +15,8 @@
 //     byte-identical through the batch engine at widths 1/8/32;
 //   * placement — both rings' joiners take chord::HashedId's id against
 //     the taken ids, on full and sparse rings alike;
+//   * shared core — both rings reject the same identifier spaces and
+//     answer the oracle's owner of a key by the same rule, empty or not;
 //   * registry — a sixth system can be registered without touching the
 //     harness, and the canonical five are unperturbed.
 #include "singlehop/singlehop.hpp"
@@ -50,8 +52,8 @@ TEST(SingleHopRing, EveryLookupResolvesInAtMostOneHop) {
   // The paper-scale acceptance bound: mean hops/query <= 1.05 at n = 2048.
   singlehop::Config cfg;
   cfg.bits = 12;
-  auto ring = singlehop::MakeSingleHopRing(2048, cfg,
-                                           /*deterministic_ids=*/true);
+  auto ring = chord::MakeRing<singlehop::SingleHopRing>(
+      2048, cfg, /*deterministic_ids=*/true);
   Rng rng(0xD1A7ull);
   const auto members = ring.Members();
   std::uint64_t total_hops = 0;
@@ -72,8 +74,8 @@ TEST(SingleHopRing, EveryLookupResolvesInAtMostOneHop) {
 TEST(SingleHopRing, MembershipEventsChargeLinearMessages) {
   singlehop::Config cfg;
   cfg.bits = 12;
-  auto ring = singlehop::MakeSingleHopRing(256, cfg,
-                                           /*deterministic_ids=*/true);
+  auto ring = chord::MakeRing<singlehop::SingleHopRing>(
+      256, cfg, /*deterministic_ids=*/true);
   ring.ResetMaintenanceStats();
 
   // Join: bootstrap (2) + one event report per existing member.
@@ -108,7 +110,7 @@ TEST(SingleHopRing, MembershipEventsChargeLinearMessages) {
 
 // ---- Bulk build and the shared membership oracle ---------------------------
 
-// MakeSingleHopRing builds through BulkAssign; the result must be the ring
+// chord::MakeRing builds through BulkAssign; the result must be the ring
 // that n sequential joins plus one maintenance window converge to, in both
 // ID modes (hashed mode replays AddNode's collision salting), minus the
 // join bill.
@@ -120,7 +122,8 @@ TEST_P(SingleHopBulkBuild, MatchesSequentialJoinsPlusStabilize) {
   cfg.bits = deterministic ? 9 : 12;
   cfg.seed = 0xB01Cu;
   const std::size_t n = 300;
-  const auto bulk = singlehop::MakeSingleHopRing(n, cfg, deterministic);
+  const auto bulk =
+      chord::MakeRing<singlehop::SingleHopRing>(n, cfg, deterministic);
 
   singlehop::SingleHopRing seq(cfg);
   for (NodeAddr addr = 0; addr < n; ++addr) {
@@ -265,6 +268,56 @@ INSTANTIATE_TEST_SUITE_P(IdModes, SharedOracle, ::testing::Bool(),
                            return info.param ? "Deterministic" : "Hashed";
                          });
 
+// Both rings take their identifier space and the oracle's owner rule from
+// chord::KeyedRing, so each case below holds on both alike.
+template <typename Ring>
+class KeyedRingCore : public ::testing::Test {};
+
+using ChordKeyedRings =
+    ::testing::Types<chord::ChordRing, singlehop::SingleHopRing>;
+TYPED_TEST_SUITE(KeyedRingCore, ChordKeyedRings);
+
+TYPED_TEST(KeyedRingCore, BitsOutsideOneTo63AreConfigErrors) {
+  typename TypeParam::Config bad;
+  bad.bits = 0;
+  EXPECT_THROW(TypeParam ring(bad), ConfigError);
+  bad.bits = 64;
+  EXPECT_THROW(TypeParam ring(bad), ConfigError);
+}
+
+// No member owns anything: OwnerOf answers kNoNode, as OwnerOfExcluding
+// does.
+TYPED_TEST(KeyedRingCore, EmptyRingOwnerIsNoNode) {
+  typename TypeParam::Config cfg;
+  cfg.bits = 8;
+  const TypeParam ring(cfg);
+  for (const chord::Key key : {chord::Key{0}, chord::Key{77}, chord::Key{255},
+                               chord::Key{256 + 77}}) {
+    EXPECT_EQ(ring.OwnerOf(key), kNoNode) << "key " << key;
+    EXPECT_EQ(ring.OwnerOfExcluding(key, kNoNode), kNoNode) << "key " << key;
+  }
+}
+
+// Both owner queries fold a key into the 2^bits space first, as a lookup
+// does: key + j * 2^bits has key's owner.
+TYPED_TEST(KeyedRingCore, OwnersFoldKeysIntoTheSpace) {
+  typename TypeParam::Config cfg;
+  cfg.bits = 8;
+  TypeParam ring(cfg);
+  ring.AddNodeWithId(1, 10);
+  ring.AddNodeWithId(2, 200);
+  for (chord::Key key = 0; key < 256; ++key) {
+    const NodeAddr owner = ring.OwnerOf(key);
+    ASSERT_EQ(owner, key > 10 && key <= 200 ? 2u : 1u) << "key " << key;
+    for (const chord::Key lap : {chord::Key{1}, chord::Key{5}}) {
+      const chord::Key far = key + lap * 256;
+      ASSERT_EQ(ring.OwnerOf(far), owner) << "key " << far;
+      ASSERT_EQ(ring.OwnerOfExcluding(far, kNoNode), owner) << "key " << far;
+      ASSERT_EQ(ring.OwnerOfExcluding(far, owner), 3 - owner) << "key " << far;
+    }
+  }
+}
+
 // Both rings place a joiner with chord::JoinerId, which answers HashedId's
 // draws from a bitmap of the taken ids on a nearly full ring and from the
 // oracle otherwise. Either way the id must be HashedId's against an
@@ -311,9 +364,9 @@ TEST(JoinerIds, FullRingJoinersTakeTheHashedFreeIds) {
                    removed);
     singlehop::Config scfg;
     scfg.bits = 8;
-    CheckJoinerIds(
-        singlehop::MakeSingleHopRing(256, scfg, /*deterministic_ids=*/true),
-        removed);
+    CheckJoinerIds(chord::MakeRing<singlehop::SingleHopRing>(
+                       256, scfg, /*deterministic_ids=*/true),
+                   removed);
   }
 }
 
@@ -323,9 +376,9 @@ TEST(JoinerIds, SparseRingJoinersTakeTheHashedIds) {
   CheckJoinerIds(chord::MakeRing(500, ccfg, /*deterministic_ids=*/false), 20);
   singlehop::Config scfg;
   scfg.bits = 24;
-  CheckJoinerIds(
-      singlehop::MakeSingleHopRing(500, scfg, /*deterministic_ids=*/false),
-      20);
+  CheckJoinerIds(chord::MakeRing<singlehop::SingleHopRing>(
+                     500, scfg, /*deterministic_ids=*/false),
+                 20);
 }
 
 // ---- D1HT service semantics ------------------------------------------------
@@ -480,8 +533,8 @@ std::string LookupResultsSerialized(
 TEST(SingleHopBatch, LookupEngineIsByteIdenticalAtAnyWidth) {
   singlehop::Config cfg;
   cfg.bits = 10;
-  const auto ring = singlehop::MakeSingleHopRing(384, cfg,
-                                                 /*deterministic_ids=*/true);
+  const auto ring = chord::MakeRing<singlehop::SingleHopRing>(
+      384, cfg, /*deterministic_ids=*/true);
   Rng rng(0xBA7C41ull);
   std::vector<harness::BatchLookupEngine<singlehop::SingleHopRing>::Request>
       reqs(257);
